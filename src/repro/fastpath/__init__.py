@@ -2,11 +2,13 @@
 
 ``repro.fastpath`` lowers each procedure's dense tuple code into generated
 Python source — straight-line superblock traces with registers held in local
-variables, inline ALU/compare operators, and an inline L1-hit mirror for the
-cache lookup — compiled once per (procedure, mode) with ``exec`` and driven
-by a small trampoline (:mod:`repro.fastpath.kernel`) that handles calls,
-returns, burst transitions and slice limits through the exact reference
-code paths.
+variables, inline ALU/compare operators, and an inline copy of the memory
+hierarchy's L1-hit and clean-miss paths — compiled once per (procedure, mode)
+with ``exec`` and driven by a small trampoline (:mod:`repro.fastpath.kernel`)
+that handles calls, returns, burst transitions and slice limits through the
+exact reference code paths.  Every other memory operation calls
+:class:`~repro.machine.hierarchy.MemoryHierarchy`'s own ``access`` and
+``issue_prefetch``; there is no second implementation of the hierarchy.
 
 The contract is bit-identity, not approximate agreement: a fast run must
 produce the same :class:`~repro.interp.interpreter.ExecStats`, hierarchy
@@ -27,7 +29,10 @@ The toggle is layered:
 Compiled code is cached in a :class:`weakref.WeakKeyDictionary` keyed on the
 procedure object — never on the procedure itself — so pickled checkpoints
 (:mod:`repro.durability.checkpoint`) carry no unpicklable generated
-functions and a restored run transparently recompiles on first use.
+functions and a restored run transparently recompiles on first use.  The
+trampoline's per-run memo over that cache is keyed by the procedure object
+too, never by its ``id()``, so a procedure copy patched in mid-run can never
+pick up the compiled code of a freed copy that had the same address.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ Each *trace* is the straight-line superblock starting at a leader: emission
 walks forward through the tuple code, inlining ALU/compare/mov/const as
 plain expressions, conditional branches as ``if reg: ip = T; continue``
 (fallthrough stays inside the trace), and memory references as either an
-inline L1-hit mirror (plain :class:`~repro.machine.hierarchy.MemoryHierarchy`
-only) or a call to the real ``hierarchy.access``.  ``icount``/``cycles``
+inline L1-hit/clean-miss path (one-tenant
+:class:`~repro.machine.hierarchy.MemoryHierarchy` only) or a call to the real
+``hierarchy.access``.  ``icount``/``cycles``
 increments are batched between observation points, which is where most of
 the speedup comes from.
 
@@ -37,11 +38,14 @@ Bit-identity ground rules (see DESIGN.md §5h):
 * every counter update, cost charge, telemetry emission and callback happens
   in exactly the reference order — the generated source for each opcode is a
   transliteration of the matching ``Interpreter._dispatch`` arm;
-* the inline L1 mirror only short-circuits the one case where
-  ``MemoryHierarchy.access`` does nothing but ``demand_accesses += 1``,
-  ``l1.hits += 1`` and an LRU promotion (block resident in L1, not
-  in-flight, not prefetched-and-unused); every other case calls the real
-  ``access`` so classification, sampling and the ledger are untouched;
+* the inline L1 path is the only other copy of ``MemoryHierarchy.access``
+  and short-circuits just two cases: an L1 hit on a block that is neither
+  in flight nor prefetched-and-unused (counters plus an LRU promotion), and
+  a miss while no prefetch is outstanding at all (the L2 lookup, inclusion
+  eviction and latency charge).  It makes exactly the lane-0 and cache
+  counter updates ``access`` makes for those cases; every other case calls
+  the real ``access`` so classification, sampling and the ledger are
+  untouched;
 * anything the compiler cannot prove equivalent is not compiled — the
   trampoline falls back to the reference dispatch loop instruction by
   instruction.
@@ -261,18 +265,19 @@ def _compile_mode(
                     # prefetched-unused blocks), because then the classify/
                     # ledger/attribution branches of ``access`` and the
                     # eviction accounting are all no-ops; anything else goes
-                    # through ctx.access (the specialized closure, which is
-                    # exact for every case).
+                    # through ctx.access (the hierarchy's own method).
                     #
                     # ``lblk`` memoizes the previous access's block: every
                     # inline path leaves its block MRU in L1 and outside the
                     # prefetch dicts, and nothing between two memory ops can
                     # disturb that (any prefetch issue or slow call resets
                     # the memo), so a back-to-back re-access is exactly a
-                    # hit whose LRU promotion is a no-op.  Hit/miss/demand
-                    # counters batch into locals (``hits1``/``miss1``/
-                    # ``d_acc``) flushed by the function's finally block —
-                    # pure monotonic counters nothing reads mid-kernel.
+                    # hit whose LRU promotion is a no-op.  Hit/miss/eviction
+                    # and demand counters batch into locals (``hits1``/
+                    # ``miss1``/``hits2``/``miss2``/``ev1``/``ev2``/``d_acc``)
+                    # that the function's finally block adds to lane 0's and
+                    # the caches' counters — pure monotonic counters nothing
+                    # reads mid-kernel.
                     uses.add("mirror")
                     em.w("block = addr >> bshift")
                     em.w("if block == lblk:")
@@ -318,7 +323,7 @@ def _compile_mode(
                     em.w("way2 = l2_sets[block & l2_mask]")
                     em.w("if block in way2:")
                     em.indent += 1
-                    em.w("l2.hits += 1")
+                    em.w("hits2 += 1")
                     em.w("if way2[-1] != block:")
                     em.indent += 1
                     em.w("way2.remove(block)")
@@ -329,13 +334,13 @@ def _compile_mode(
                     em.indent -= 1
                     em.w("else:")
                     em.indent += 1
-                    em.w("l2.misses += 1")
+                    em.w("miss2 += 1")
                     em.w("cycles += mem_lat")
                     em.w("mem_stall += mem_lat")
                     em.w("if len(way2) >= l2_assoc:")
                     em.indent += 1
                     em.w("victim = way2.pop(0)")
-                    em.w("l2.evictions += 1")
+                    em.w("ev2 += 1")
                     em.w("wv = l1_sets[victim & l1_mask]")
                     em.w("if victim in wv:")
                     em.indent += 1
@@ -347,7 +352,7 @@ def _compile_mode(
                     em.w("if len(way) >= l1_assoc:")
                     em.indent += 1
                     em.w("way.pop(0)")
-                    em.w("l1.evictions += 1")
+                    em.w("ev1 += 1")
                     em.indent -= 1
                     em.w("way.append(block)")
                     em.w("lblk = block")
@@ -657,11 +662,14 @@ def _compile_mode(
         out.w("mk_fanout = hwpref.fanout")
         out.w("mk_shift = ctx.hier.config.block_bytes.bit_length() - 1")
     if "mirror" in uses:
+        out.w("lane = ctx.lane")
         out.w("l1 = ctx.l1")
+        out.w("l1s = ctx.l1_stats")
         out.w("l1_sets = ctx.l1_sets")
         out.w("l1_mask = ctx.l1_mask")
         out.w("l1_assoc = ctx.l1_assoc")
         out.w("l2 = ctx.l2")
+        out.w("l2s = ctx.l2_stats")
         out.w("l2_sets = ctx.l2_sets")
         out.w("l2_mask = ctx.l2_mask")
         out.w("l2_assoc = ctx.l2_assoc")
@@ -695,6 +703,10 @@ def _compile_mode(
         out.w("d_acc = 0")
         out.w("hits1 = 0")
         out.w("miss1 = 0")
+        out.w("hits2 = 0")
+        out.w("miss2 = 0")
+        out.w("ev1 = 0")
+        out.w("ev2 = 0")
         out.w("lblk = -1")
         out.w("try:")
         out.indent += 1
@@ -725,9 +737,24 @@ def _compile_mode(
         out.indent += 1
         out.w("if d_acc:")
         out.indent += 1
-        out.w("hier.demand_accesses += d_acc")
+        # Exactly the counters MemoryHierarchy.access updates for an L1 hit
+        # or a clean miss: lane 0's and the caches' own (the L2 eviction is
+        # a demand-caused eviction of the shared L2).
+        out.w("lane.demand += d_acc")
         out.w("l1.hits += hits1")
-        out.w("l1.misses += miss1")
+        out.w("l1s.hits += hits1")
+        out.w("if miss1:")
+        out.indent += 1
+        for stmt in (
+            "l1.misses += miss1", "l1s.misses += miss1",
+            "l1.evictions += ev1", "l1s.evictions += ev1",
+            "l2.hits += hits2", "l2s.hits += hits2",
+            "l2.misses += miss2", "l2s.misses += miss2",
+            "l2.evictions += ev2", "l2s.evictions += ev2",
+            "hier.demand_shared_evictions += ev2",
+        ):
+            out.w(stmt)
+        out.indent -= 1
         out.indent -= 1
         out.indent -= 1
     out.indent -= 1

@@ -15,11 +15,12 @@ that N single-instruction slices equal one N-instruction run.
 
 from __future__ import annotations
 
-from typing import Optional
+from types import MethodType
 
 from repro.core.hwpref import MarkovPrefetcher, StridePrefetcher
 from repro.errors import ExecutionError
 from repro.interp.lowering import lower_procedure
+from repro.machine.hierarchy import MemoryHierarchy
 from repro.telemetry.events import BurstBegin, BurstEnd
 
 from repro.fastpath.compiler import (
@@ -29,13 +30,34 @@ from repro.fastpath.compiler import (
     SIG_TRANS,
     compiled_entry,
 )
-from repro.fastpath.hiermirror import (
-    make_fast_access,
-    make_fast_issue_prefetch,
-    mirror_eligible,
-)
 
 _CHECKING, _INSTRUMENTED = 0, 1
+
+#: The hierarchy's own demand/prefetch functions, as they were when this
+#: module was imported.  A plain hierarchy's kernel calls these directly, so
+#: instrumentation wrapped around the class methods later sees no more calls
+#: than it would if the inline L1 path had handled every access.
+_ACCESS = MemoryHierarchy.access
+_ISSUE_PREFETCH = MemoryHierarchy.issue_prefetch
+
+
+def mirror_eligible(hier) -> bool:
+    """Whether the compiled inline L1 path is exact for ``hier`` right now.
+
+    The inline path makes the counter updates ``MemoryHierarchy.access``
+    makes for a one-tenant, private-L1 hierarchy with unpatched methods,
+    telemetry off and no ledger; any other hierarchy is driven through its
+    own (possibly patched) methods.
+    """
+    return (
+        type(hier) is MemoryHierarchy
+        and hier.num_tenants == 1
+        and hier.sharing == "private-l1"
+        and getattr(hier.access, "__func__", None) is MemoryHierarchy.access
+        and getattr(hier.issue_prefetch, "__func__", None) is MemoryHierarchy.issue_prefetch
+        and not hier.telemetry.enabled
+        and hier.ledger is None
+    )
 
 
 class FastCtx:
@@ -48,8 +70,8 @@ class FastCtx:
     __slots__ = (
         "interp", "hier", "access", "issue_prefetch", "mem", "allocate",
         "check_cost", "trace_cost", "detect_base", "detect_per_case", "pf_cost",
-        "mirror", "l1", "l1_sets", "l1_mask", "l1_assoc",
-        "l2", "l2_sets", "l2_mask", "l2_assoc", "l2_lat", "mem_lat",
+        "mirror", "lane", "l1", "l1_stats", "l1_sets", "l1_mask", "l1_assoc",
+        "l2", "l2_stats", "l2_sets", "l2_mask", "l2_assoc", "l2_lat", "mem_lat",
         "inflight", "pf_unused", "block_shift", "call", "ret_value",
     )
 
@@ -58,8 +80,6 @@ class FastCtx:
         cfg = interp.config
         self.interp = interp
         self.hier = hier
-        self.access = hier.access
-        self.issue_prefetch = hier.issue_prefetch
         self.mem = interp.memory._words
         self.allocate = interp.memory.allocate
         self.check_cost = cfg.check_cost
@@ -67,28 +87,35 @@ class FastCtx:
         self.detect_base = cfg.detect_base
         self.detect_per_case = cfg.detect_per_case
         self.pf_cost = cfg.prefetch_issue_cost
-        # The inline L1-hit mirror and the specialized access/issue closures
-        # are only sound against the plain hierarchy with unwrapped methods,
-        # telemetry off and no ledger; tenancy's TenantHierarchy, sampled
-        # telemetry runs and `explain` ledger runs go through the reference
-        # bound methods (still fast-dispatched, just not cache-inlined).
+        # The inline L1-hit/clean-miss path works on the hierarchy's own set
+        # lists and counters, and is only sound for the hierarchies
+        # mirror_eligible admits; tenancy co-runs, sampled telemetry runs and
+        # `explain` ledger runs call the hierarchy's methods for every
+        # access (still fast-dispatched, just not cache-inlined).
         self.mirror = mirror_eligible(hier)
         if self.mirror:
-            self.access = make_fast_access(hier)
-            self.issue_prefetch = make_fast_issue_prefetch(hier)
-            self.l1 = hier.l1
-            self.l1_sets = hier.l1._sets
-            self.l1_mask = hier.l1._set_mask
-            self.l1_assoc = hier.l1.geometry.associativity
+            self.access = MethodType(_ACCESS, hier)
+            self.issue_prefetch = MethodType(_ISSUE_PREFETCH, hier)
+            lane = hier._lanes[0]
+            self.lane = lane
+            self.l1 = lane.l1
+            self.l1_stats = lane.l1_stats
+            self.l1_sets = lane.l1._sets
+            self.l1_mask = hier._l1_mask
+            self.l1_assoc = hier._l1_assoc
             self.l2 = hier.l2
-            self.l2_sets = hier.l2._sets
-            self.l2_mask = hier.l2._set_mask
-            self.l2_assoc = hier.l2.geometry.associativity
+            self.l2_stats = lane.l2_stats
+            self.l2_sets = hier._l2_sets
+            self.l2_mask = hier._l2_mask
+            self.l2_assoc = hier._l2_assoc
             self.l2_lat = hier.config.l2_latency
             self.mem_lat = hier.config.memory_latency
             self.inflight = hier._inflight
             self.pf_unused = hier._prefetched_unused
             self.block_shift = hier._block_shift
+        else:
+            self.access = hier.access
+            self.issue_prefetch = hier.issue_prefetch
         self.call = None
         self.ret_value = 0
 
@@ -180,8 +207,11 @@ def run_fast(interp, state, limit: int, raise_on_limit: bool):
     pattr = interp.proc_attr
     # Per-run memo over the weak-keyed compile cache: the trampoline is
     # crossed on every call/return, and the WeakKeyDictionary lookup is
-    # measurable at that frequency.  Strong keys are fine here — every proc
-    # in the memo is alive for the duration of the run anyway.
+    # measurable at that frequency.  It is keyed by the procedure object
+    # (which hashes by identity), so it keeps every procedure it has seen
+    # alive until this call returns — including copies the dynamic editor
+    # has already patched out.  An id() key would not: a new copy could
+    # reuse a freed copy's address and run the freed copy's compiled code.
     memo: dict = {}
 
     while True:
@@ -193,7 +223,7 @@ def run_fast(interp, state, limit: int, raise_on_limit: bool):
             if pattr is not None:
                 pattr.charge_state(state)
             return None
-        mkey = (id(state.proc), state.mode)
+        mkey = (state.proc, state.mode)
         entry = memo.get(mkey)
         if entry is None:
             entry = compiled_entry(state.proc, state.mode, mirror, hwkind)

@@ -28,12 +28,28 @@ set the periods to 1 for exhaustive logs.  Exact totals always come from the
 :class:`PrefetchStats`/cache counters, which the telemetry session reconciles
 into its metrics registry.  Emission never changes stall accounting — runs
 are cycle-identical with telemetry on or off.
+
+Tenant lanes: ``MemoryHierarchy(config, tenants=N, sharing=...)`` serves N
+interleaved tenants (:mod:`repro.tenancy`) with the same code.  Tenant
+``t``'s block ``b`` is stored as ``b + (t << TENANT_SHIFT)``, so tenants
+contend for capacity without ever aliasing each other's data.  The L2 is
+always shared; ``sharing`` gives each tenant its own L1 (``"private-l1"``)
+or one L1 to all (``"shared"``).  Demand and prefetch counters are kept per
+lane (the hierarchy's totals are their sums), and cache-level counters both
+per cache and per lane: demand and issue counters go to the tenant executing
+the operation (:meth:`MemoryHierarchy.activate`), while wasted prefetches,
+ledger hooks and eviction events go to the block's owner.  Evictions from a
+shared level are split by cause, and the prefetch-caused ones fill the
+pollution matrix ``pollution_counts[(issuer, victim_owner)]``;
+:meth:`MemoryHierarchy.check_reconciliation` re-derives the identities that
+tie these counters together.  A single tenant is lane 0 at offset 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigError
 from repro.machine.cache import Cache
 from repro.machine.config import MachineConfig
 from repro.telemetry.events import (
@@ -205,25 +221,31 @@ class HierarchyStats:
         return self
 
     @classmethod
-    def capture(cls, hierarchy: "MemoryHierarchy") -> "HierarchyStats":
-        """Freeze the counters of a live (finalized) hierarchy."""
+    def capture(
+        cls,
+        l1,
+        l2,
+        demand_accesses: int,
+        prefetch: PrefetchStats,
+        stream_stats: dict,
+        stream_names: dict,
+    ) -> "HierarchyStats":
+        """Freeze live counters: two cache levels (anything with ``hits``/
+        ``misses``/``evictions``), the demand count, the prefetch
+        classification and the per-stream attribution."""
         def name_of(key: object) -> str:
-            return hierarchy.stream_names.get(key, str(key))
+            return stream_names.get(key, str(key))
 
         return cls(
-            l1=CacheLevelStats(hierarchy.l1.hits, hierarchy.l1.misses, hierarchy.l1.evictions),
-            l2=CacheLevelStats(hierarchy.l2.hits, hierarchy.l2.misses, hierarchy.l2.evictions),
-            demand_accesses=hierarchy.demand_accesses,
-            prefetch=PrefetchStats.from_dict(hierarchy.prefetch.to_dict()),
+            l1=CacheLevelStats(l1.hits, l1.misses, l1.evictions),
+            l2=CacheLevelStats(l2.hits, l2.misses, l2.evictions),
+            demand_accesses=demand_accesses,
+            prefetch=PrefetchStats.from_dict(prefetch.to_dict()),
             stream_stats={
                 name_of(key): StreamPrefetchStats.from_dict(stats.to_dict())
-                for key, stats in sorted(
-                    hierarchy.stream_stats.items(), key=lambda kv: name_of(kv[0])
-                )
+                for key, stats in sorted(stream_stats.items(), key=lambda kv: name_of(kv[0]))
             },
-            stream_names={
-                name_of(key): name_of(key) for key in sorted(hierarchy.stream_names, key=name_of)
-            },
+            stream_names={name_of(key): name_of(key) for key in sorted(stream_names, key=name_of)},
         )
 
     def to_dict(self) -> dict[str, object]:
@@ -253,140 +275,300 @@ class HierarchyStats:
         )
 
 
-class MemoryHierarchy:
-    """L1 + L2 + DRAM with LRU fill, demand misses and software prefetch."""
 
-    def __init__(self, config: MachineConfig) -> None:
-        self.config = config
-        self.l1 = Cache(config.l1, "L1")
-        self.l2 = Cache(config.l2, "L2")
-        self._block_shift = config.block_bytes.bit_length() - 1
-        #: block -> cycle at which its in-flight prefetch completes
-        self._inflight: dict[int, int] = {}
-        #: blocks brought in by prefetch and not yet used by a demand access,
-        #: mapped to their issue cycle (for lead-time telemetry)
-        self._prefetched_unused: dict[int, int] = {}
+
+#: Block-number bits reserved per tenant lane.  The block offset of tenant
+#: ``t`` is ``t << TENANT_SHIFT`` — a multiple of every power-of-two set
+#: count, so translation preserves each address's set index while giving every
+#: tenant distinct tags (capacity/conflict sharing without false hits).
+TENANT_SHIFT = 40
+
+#: Valid ``sharing`` modes: one L1 per tenant, or one L1 for all of them.
+SHARING_MODES = ("shared", "private-l1")
+
+
+def _lane_attr(name: str) -> property:
+    """A hierarchy attribute that reads and writes the active tenant's lane."""
+    return property(
+        lambda self: getattr(self._lane, name),
+        lambda self, value: setattr(self._lane, name, value),
+    )
+
+
+class _Lane:
+    """One tenant's slice: its L1, counters, attribution and telemetry."""
+
+    __slots__ = (
+        "l1", "l1_stats", "l2_stats", "demand", "prefetch",
+        "stream_map", "stream_stats", "stream_names", "bus", "ledger",
+        "miss_sample_every", "prefetch_sample_every",
+        "misses_since", "issued_since", "used_since", "evicted_since",
+    )
+
+    def __init__(self, l1: Cache) -> None:
+        self.l1 = l1
+        #: this tenant's share of the level counters (evictions are charged
+        #: to the tenant whose install caused them)
+        self.l1_stats = CacheLevelStats()
+        self.l2_stats = CacheLevelStats()
+        self.demand = 0
         self.prefetch = PrefetchStats()
-        self.demand_accesses = 0
-        #: telemetry bus (``.enabled``/``.emit``); NULL_SINK = off
-        self.telemetry = NULL_SINK
-        #: emit one CacheMiss event per this many demand misses
-        self.miss_sample_every = 64
-        #: emit one PrefetchIssued/Used/Evicted event per this many occurrences
-        self.prefetch_sample_every = 32
-        self._misses_since_sample = 0
-        self._issued_since_sample = 0
-        self._used_since_sample = 0
-        self._evicted_since_sample = 0
         #: block -> stream key for prefetch targets of the *current* install
         #: (None = attribution off; the watchdog-enabled optimizer sets it)
-        self._stream_map: dict[int, object] | None = None
-        #: in-flight attribution: prefetched-but-unclassified block -> stream
-        self._stream_of: dict[int, object] = {}
+        self.stream_map: dict[int, object] | None = None
         #: cumulative per-stream outcome counters (never reset mid-run)
         self.stream_stats: dict[object, StreamPrefetchStats] = {}
         #: stream key -> human-readable identity, filled by the optimizer at
         #: install time so scorecards can render attribution keys
         self.stream_names: dict[object, str] = {}
+        #: telemetry bus (``.enabled``/``.emit``); NULL_SINK = off
+        self.bus = NULL_SINK
         #: per-prefetch lifecycle ledger (duck-typed ``on_*`` hooks; None =
         #: off).  Recording is bookkeeping only and never changes stalls.
         self.ledger = None
+        #: emit one CacheMiss event per this many demand misses
+        self.miss_sample_every = 64
+        #: emit one PrefetchIssued/Used/Evicted event per this many occurrences
+        self.prefetch_sample_every = 32
+        self.misses_since = 0
+        self.issued_since = 0
+        self.used_since = 0
+        self.evicted_since = 0
+
+
+class MemoryHierarchy:
+    """L1 + L2 + DRAM with LRU fill, demand misses and software prefetch,
+    shared by ``tenants`` interleaved tenant lanes (one by default)."""
+
+    def __init__(
+        self, config: MachineConfig, tenants: int = 1, sharing: str = "private-l1"
+    ) -> None:
+        if tenants < 1:
+            raise ConfigError("a memory hierarchy needs at least one tenant")
+        if sharing not in SHARING_MODES:
+            raise ConfigError(f"unknown sharing mode {sharing!r}")
+        self.config = config
+        self.sharing = sharing
+        self.num_tenants = tenants
+        self.l2 = Cache(config.l2, "L2")
+        self._l1_shared = sharing == "shared"
+        if self._l1_shared or tenants == 1:
+            self._l1_caches = [Cache(config.l1, "L1")]
+        else:
+            self._l1_caches = [Cache(config.l1, f"L1[t{t}]") for t in range(tenants)]
+        self._lanes = [_Lane(self._l1_caches[0 if self._l1_shared else t]) for t in range(tenants)]
+        # Set geometry, bound once: every L1 has the same shape.
+        self._block_shift = config.block_bytes.bit_length() - 1
+        self._l1_mask = self._l1_caches[0]._set_mask
+        self._l1_assoc = config.l1.associativity
+        self._l2_sets = self.l2._sets
+        self._l2_mask = self.l2._set_mask
+        self._l2_assoc = config.l2.associativity
+        #: block -> cycle at which its in-flight prefetch completes
+        self._inflight: dict[int, int] = {}
+        #: blocks brought in by prefetch and not yet used by a demand access,
+        #: mapped to their issue cycle (for lead-time telemetry); the owner
+        #: is in the high block bits
+        self._prefetched_unused: dict[int, int] = {}
+        #: in-flight attribution: prefetched-but-unclassified block -> stream
+        self._stream_of: dict[int, object] = {}
+        #: evictions in *shared* levels, split by the cause of the install
+        self.demand_shared_evictions = 0
+        self.prefetch_shared_evictions = 0
+        #: (issuer tenant, victim-owner tenant) -> prefetch-caused evictions
+        self.pollution_counts: dict[tuple[int, int], int] = {}
+        self.activate(0)
+
+    # ------------------------------------------------------------- tenant lanes
+
+    def activate(self, tenant_id: int) -> None:
+        """Make ``tenant_id`` the tenant whose accesses and prefetches follow."""
+        lane = self._lanes[tenant_id]
+        self._active = tenant_id
+        self._lane = lane
+        self._offset = tenant_id << TENANT_SHIFT
+        self.l1 = lane.l1
+        self._l1_sets = lane.l1._sets
+
+    def owner_of(self, block: int) -> int:
+        """The tenant whose address space a (translated) block belongs to."""
+        return block >> TENANT_SHIFT
 
     def block_of(self, addr: int) -> int:
-        """Block number containing byte address ``addr``."""
-        return addr >> self._block_shift
+        """Translated block number of the active tenant's byte address."""
+        return (addr >> self._block_shift) + self._offset
+
+    def view(self, tenant_id: int) -> HierarchyStats:
+        """Freeze one tenant's counter slice."""
+        lane = self._lanes[tenant_id]
+        return HierarchyStats.capture(
+            lane.l1_stats, lane.l2_stats, lane.demand, lane.prefetch,
+            lane.stream_stats, lane.stream_names,
+        )
+
+    def shared_eviction_total(self) -> int:
+        """Total evictions counted by the shared cache levels themselves."""
+        total = self.l2.evictions
+        if self._l1_shared:
+            total += self._l1_caches[0].evictions
+        return total
+
+    def check_reconciliation(self) -> list[str]:
+        """Exact accounting identities; returns human-readable violations.
+
+        * matrix total == prefetch-caused shared evictions,
+        * cause split sums to the shared caches' own eviction counters,
+        * per-tenant L2 eviction charges sum to L2's own counter.
+        """
+        problems: list[str] = []
+        matrix_total = sum(self.pollution_counts.values())
+        if matrix_total != self.prefetch_shared_evictions:
+            problems.append(
+                f"pollution matrix total {matrix_total} != "
+                f"prefetch-caused shared evictions {self.prefetch_shared_evictions}"
+            )
+        cause_total = self.demand_shared_evictions + self.prefetch_shared_evictions
+        if cause_total != self.shared_eviction_total():
+            problems.append(
+                f"cause split {cause_total} != shared cache evictions "
+                f"{self.shared_eviction_total()}"
+            )
+        if sum(lane.l2_stats.evictions for lane in self._lanes) != self.l2.evictions:
+            problems.append("per-tenant L2 eviction charges do not sum to L2's counter")
+        return problems
+
+    # The assignment surface TelemetrySession.wire and the optimizer use,
+    # routed to whichever tenant is active at the time.
+    telemetry = _lane_attr("bus")
+    ledger = _lane_attr("ledger")
+    miss_sample_every = _lane_attr("miss_sample_every")
+    prefetch_sample_every = _lane_attr("prefetch_sample_every")
+    #: the active tenant's per-stream scoreboard (watchdog input)
+    stream_stats = _lane_attr("stream_stats")
+    stream_names = _lane_attr("stream_names")
+
+    @property
+    def demand_accesses(self) -> int:
+        """Demand accesses of every tenant."""
+        return sum(lane.demand for lane in self._lanes)
+
+    @property
+    def prefetch(self) -> PrefetchStats:
+        """Prefetch outcomes of every tenant: the lane's own (live) counters
+        when there is one tenant, otherwise their sum."""
+        if len(self._lanes) == 1:
+            return self._lanes[0].prefetch
+        total = PrefetchStats()
+        for lane in self._lanes:
+            for name in ("issued", "redundant", "useful", "late", "wasted"):
+                setattr(total, name, getattr(total, name) + getattr(lane.prefetch, name))
+            for source, count in lane.prefetch.by_source.items():
+                total.by_source[source] = total.by_source.get(source, 0) + count
+        return total
 
     # --------------------------------------------------- per-stream attribution
 
     def set_stream_attribution(self, mapping: dict[int, object] | None) -> None:
-        """Install (or clear) the block -> stream-key map for issued prefetches.
+        """Install (or clear) the active tenant's block -> stream-key map.
 
         The optimizer rebuilds this map at every install from the handlers'
-        prefetch targets.  Prefetches already in flight keep the attribution
-        they were issued under; ``stream_stats`` accumulates across installs.
-        Attribution never changes hit/miss/stall behaviour — only the
-        watchdog's scoreboard reads it.
+        prefetch targets, in its own (untranslated) block numbers.  Prefetches
+        already in flight keep the attribution they were issued under;
+        ``stream_stats`` accumulates across installs.  Attribution never
+        changes hit/miss/stall behaviour — only the watchdog's scoreboard
+        reads it.
         """
-        self._stream_map = mapping
+        self._lane.stream_map = mapping
 
     def _note_outcome(self, block: int, outcome: str) -> None:
         """Credit a classified prefetch to its issuing stream, if attributed."""
         key = self._stream_of.pop(block, None)
         if key is None:
             return
-        stats = self.stream_stats.get(key)
+        stream_stats = self._lanes[block >> TENANT_SHIFT].stream_stats
+        stats = stream_stats.get(key)
         if stats is None:
-            stats = self.stream_stats[key] = StreamPrefetchStats()
+            stats = stream_stats[key] = StreamPrefetchStats()
         setattr(stats, outcome, getattr(stats, outcome) + 1)
 
+    # -------------------------------------------------------------- demand path
+
     def access(self, addr: int, now: int) -> int:
-        """Perform a demand access at cycle ``now``; return stall cycles."""
-        self.demand_accesses += 1
-        block = addr >> self._block_shift
+        """Demand access by the active tenant at cycle ``now``; return stall cycles."""
+        lane = self._lane
+        lane.demand += 1
+        block = (addr >> self._block_shift) + self._offset
         stall = 0
-        telem = self.telemetry
         inflight = self._inflight
+        pf_unused = self._prefetched_unused
         if block in inflight:
             ready = inflight.pop(block)
             if ready > now:
                 stall = ready - now
-                self.prefetch.late += 1
-                if self._stream_of:
-                    self._note_outcome(block, "late")
-                issued_at = self._prefetched_unused.pop(block, now)
-                if self.ledger is not None:
-                    self.ledger.on_use(block, now, True, now - issued_at, stall)
-                if telem.enabled:
-                    # Sampling countdown is inlined at the hot sites: a helper
-                    # call per occurrence alone costs measurable wall-clock.
-                    n = self._used_since_sample + 1
-                    if n >= self.prefetch_sample_every:
-                        n = 0
-                        telem.emit(PrefetchUsed(now, block, True, now - issued_at))
-                    self._used_since_sample = n
+                self._classify_use(lane, block, now, pf_unused.pop(block, now), stall)
             # on-time arrivals are counted below when the L1 lookup hits
-        if self.l1.lookup(block):
-            if block in self._prefetched_unused:
-                issued_at = self._prefetched_unused.pop(block)
-                self.prefetch.useful += 1
-                if self._stream_of:
-                    self._note_outcome(block, "useful")
-                if self.ledger is not None:
-                    self.ledger.on_use(block, now, False, now - issued_at)
-                if telem.enabled:
-                    n = self._used_since_sample + 1
-                    if n >= self.prefetch_sample_every:
-                        n = 0
-                        telem.emit(PrefetchUsed(now, block, False, now - issued_at))
-                    self._used_since_sample = n
+        way = self._l1_sets[block & self._l1_mask]
+        if block in way:
+            lane.l1.hits += 1
+            lane.l1_stats.hits += 1
+            if way[-1] != block:
+                way.remove(block)
+                way.append(block)
+            if block in pf_unused:
+                self._classify_use(lane, block, now, pf_unused.pop(block), 0)
             return stall
-        if self.l2.lookup(block):
+        lane.l1.misses += 1
+        lane.l1_stats.misses += 1
+        way2 = self._l2_sets[block & self._l2_mask]
+        if block in way2:
+            self.l2.hits += 1
+            lane.l2_stats.hits += 1
+            if way2[-1] != block:
+                way2.remove(block)
+                way2.append(block)
             stall += self.config.l2_latency
-            if block in self._prefetched_unused:
-                issued_at = self._prefetched_unused.pop(block)
-                self.prefetch.useful += 1
-                if self._stream_of:
-                    self._note_outcome(block, "useful")
-                if self.ledger is not None:
-                    self.ledger.on_use(block, now, False, now - issued_at)
-                if telem.enabled:
-                    n = self._used_since_sample + 1
-                    if n >= self.prefetch_sample_every:
-                        n = 0
-                        telem.emit(PrefetchUsed(now, block, False, now - issued_at))
-                    self._used_since_sample = n
+            if block in pf_unused:
+                self._classify_use(lane, block, now, pf_unused.pop(block), 0)
             level = "L1"
         else:
+            self.l2.misses += 1
+            lane.l2_stats.misses += 1
             stall += self.config.memory_latency
-            self._install_l2(block, now)
+            self._install_l2(block, way2, now, False)
             level = "L2"
+        telem = lane.bus
         if telem.enabled:
-            self._misses_since_sample += 1
-            if self._misses_since_sample >= self.miss_sample_every:
-                self._misses_since_sample = 0
+            # Sampling countdowns are inlined at the hot sites: a helper call
+            # per occurrence alone costs measurable wall-clock.
+            n = lane.misses_since + 1
+            if n >= lane.miss_sample_every:
+                n = 0
                 telem.emit(CacheMiss(now, level, block, stall))
-        self._install_l1(block, now)
+            lane.misses_since = n
+        self._install_l1(block, way, now, False)
         return stall
+
+    def _classify_use(self, lane: _Lane, block: int, now: int, issued_at: int, stall: int) -> None:
+        """A demand access met a prefetched block: *late* if its data was
+        still in flight (``stall`` > 0), *useful* otherwise."""
+        late = stall > 0
+        if late:
+            lane.prefetch.late += 1
+        else:
+            lane.prefetch.useful += 1
+        if self._stream_of:
+            self._note_outcome(block, "late" if late else "useful")
+        if lane.ledger is not None:
+            lane.ledger.on_use(block, now, late, now - issued_at, stall)
+        telem = lane.bus
+        if telem.enabled:
+            n = lane.used_since + 1
+            if n >= lane.prefetch_sample_every:
+                n = 0
+                telem.emit(PrefetchUsed(now, block, late, now - issued_at))
+            lane.used_since = n
+
+    # ------------------------------------------------------------ prefetch path
 
     def issue_prefetch(self, addr: int, now: int, source: str = "sw") -> None:
         """Issue a ``prefetcht0``-style prefetch for the block of ``addr``.
@@ -395,145 +577,173 @@ class MemoryHierarchy:
         frame and can evict useful data — pollution) and becomes *ready* after
         the fetch latency; demand accesses before then pay the residual.
         ``source`` tags the telemetry event ("sw" for injected handlers,
-        "stride"/"markov" for the hardware baselines).
+        "stride"/"markov" for the hardware baselines).  The active tenant is
+        credited as the issuer.
         """
-        self.prefetch.issued += 1
-        by_source = self.prefetch.by_source
+        lane = self._lane
+        prefetch = lane.prefetch
+        prefetch.issued += 1
+        by_source = prefetch.by_source
         by_source[source] = by_source.get(source, 0) + 1
-        block = addr >> self._block_shift
-        telem = self.telemetry
-        ledger = self.ledger
-        smap = self._stream_map
-        skey = smap.get(block) if smap is not None else None
+        raw = addr >> self._block_shift
+        block = raw + self._offset
+        smap = lane.stream_map
+        skey = smap.get(raw) if smap is not None else None
         if skey is not None:
-            sstats = self.stream_stats.get(skey)
+            sstats = lane.stream_stats.get(skey)
             if sstats is None:
-                sstats = self.stream_stats[skey] = StreamPrefetchStats()
+                sstats = lane.stream_stats[skey] = StreamPrefetchStats()
             sstats.issued += 1
-        if self.l1.contains(block) or block in self._inflight:
-            self.prefetch.redundant += 1
+        way = self._l1_sets[block & self._l1_mask]
+        inflight = self._inflight
+        redundant = block in way or block in inflight
+        if redundant:
+            prefetch.redundant += 1
             if skey is not None:
                 sstats.redundant += 1
-            if ledger is not None:
-                ledger.on_issue(block, now, source, skey, True)
-            if telem.enabled:
-                n = self._issued_since_sample + 1
-                if n >= self.prefetch_sample_every:
-                    n = 0
-                    telem.emit(PrefetchIssued(now, block, source, True))
-                self._issued_since_sample = n
-            return
-        if ledger is not None:
-            ledger.on_issue(block, now, source, skey, False)
+        if lane.ledger is not None:
+            lane.ledger.on_issue(block, now, source, skey, redundant)
+        telem = lane.bus
         if telem.enabled:
-            n = self._issued_since_sample + 1
-            if n >= self.prefetch_sample_every:
+            n = lane.issued_since + 1
+            if n >= lane.prefetch_sample_every:
                 n = 0
-                telem.emit(PrefetchIssued(now, block, source, False))
-            self._issued_since_sample = n
-        if self.l2.contains(block):
+                telem.emit(PrefetchIssued(now, block, source, redundant))
+            lane.issued_since = n
+        if redundant:
+            return
+        way2 = self._l2_sets[block & self._l2_mask]
+        if block in way2:
             # L2-resident: promote to L1 quickly.
-            self._inflight[block] = now + self.config.l2_latency
+            inflight[block] = now + self.config.l2_latency
         else:
-            self._inflight[block] = now + self.config.memory_latency
-            self._install_l2(block, now)
-        self._install_l1(block, now)
+            inflight[block] = now + self.config.memory_latency
+            self._install_l2(block, way2, now, True)
+        self._install_l1(block, way, now, True)
         self._prefetched_unused[block] = now
         if skey is not None:
             self._stream_of[block] = skey
 
-    # ------------------------------------------------- sampled event emission
-    # The issued/used countdowns are inlined at their hot call sites in
-    # ``access``/``issue_prefetch``; only the colder eviction path keeps a
-    # helper.
+    # -------------------------------------------------------- installs/evictions
+    # Both install paths run only for a block absent from the level, so they
+    # append without a membership test.  ``way`` is the block's set list.
 
-    def _emit_evicted(self, telem, now: int, block: int, at_finalize: bool) -> None:
-        self._evicted_since_sample += 1
-        if self._evicted_since_sample >= self.prefetch_sample_every:
-            self._evicted_since_sample = 0
-            telem.emit(PrefetchEvicted(now, block, at_finalize))
+    def _install_l1(self, block: int, way: list, now: int, from_prefetch: bool) -> None:
+        if len(way) >= self._l1_assoc:
+            victim = way.pop(0)
+            lane = self._lane
+            lane.l1.evictions += 1
+            lane.l1_stats.evictions += 1
+            if self._l1_shared:
+                self._credit_shared_eviction(victim, from_prefetch)
+            # A prefetched block that falls out of L1 while absent from L2
+            # without being used was pure pollution.
+            if (
+                victim in self._prefetched_unused
+                and victim not in self._l2_sets[victim & self._l2_mask]
+            ):
+                self._waste(victim, now)
+        way.append(block)
 
-    def _install_l1(self, block: int, now: int) -> None:
-        victim = self.l1.install(block)
-        if victim is not None:
-            self._account_eviction(victim, l1_only=True, now=now)
+    def _install_l2(self, block: int, way2: list, now: int, from_prefetch: bool) -> None:
+        if len(way2) >= self._l2_assoc:
+            victim = way2.pop(0)
+            self.l2.evictions += 1
+            self._lane.l2_stats.evictions += 1
+            # Inclusion: an L2 eviction also removes the L1 copy, which only
+            # the owner's L1 can hold.
+            owner_way = self._lanes[victim >> TENANT_SHIFT].l1._sets[victim & self._l1_mask]
+            if victim in owner_way:
+                owner_way.remove(victim)
+            self._credit_shared_eviction(victim, from_prefetch)
+            if victim in self._prefetched_unused:
+                self._waste(victim, now)
+        way2.append(block)
 
-    def _install_l2(self, block: int, now: int) -> None:
-        victim = self.l2.install(block)
-        if victim is not None:
-            # Model inclusion: an L2 eviction also removes the L1 copy.
-            self.l1.invalidate(victim)
-            self._account_eviction(victim, l1_only=False, now=now)
+    def _credit_shared_eviction(self, victim: int, from_prefetch: bool) -> None:
+        if from_prefetch:
+            self.prefetch_shared_evictions += 1
+            key = (self._active, victim >> TENANT_SHIFT)
+            self.pollution_counts[key] = self.pollution_counts.get(key, 0) + 1
+        else:
+            self.demand_shared_evictions += 1
 
-    def _account_eviction(self, victim: int, l1_only: bool, now: int) -> None:
-        if victim in self._prefetched_unused:
-            # A prefetched block that falls out of L2 (or out of L1 while
-            # absent from L2) without being used was pure pollution.
-            if not l1_only or not self.l2.contains(victim):
-                del self._prefetched_unused[victim]
-                self._inflight.pop(victim, None)
-                self.prefetch.wasted += 1
-                if self._stream_of:
-                    self._note_outcome(victim, "wasted")
-                if self.ledger is not None:
-                    self.ledger.on_evict(victim, now)
-                if self.telemetry.enabled:
-                    self._emit_evicted(self.telemetry, now, victim, False)
+    def _waste(self, victim: int, now: int) -> None:
+        """An unused prefetched block left the hierarchy: wasted, for its owner."""
+        del self._prefetched_unused[victim]
+        self._inflight.pop(victim, None)
+        owner = self._lanes[victim >> TENANT_SHIFT]
+        owner.prefetch.wasted += 1
+        if self._stream_of:
+            self._note_outcome(victim, "wasted")
+        if owner.ledger is not None:
+            owner.ledger.on_evict(victim, now)
+        if owner.bus.enabled:
+            self._emit_evicted(owner, now, victim, False)
+
+    def _emit_evicted(self, lane: _Lane, now: int, block: int, at_finalize: bool) -> None:
+        lane.evicted_since += 1
+        if lane.evicted_since >= lane.prefetch_sample_every:
+            lane.evicted_since = 0
+            lane.bus.emit(PrefetchEvicted(now, block, at_finalize))
+
+    # --------------------------------------------------------------- end of run
+
+    def _expire_unused(self, now: int, at_finalize: bool) -> None:
+        """Classify every still-unused prefetched block as wasted, per owner,
+        and forget all prefetch state."""
+        pf_unused = self._prefetched_unused
+        lanes = self._lanes
+        for block in pf_unused:
+            owner = lanes[block >> TENANT_SHIFT]
+            if owner.bus.enabled:
+                self._emit_evicted(owner, now, block, at_finalize)
+        if self._stream_of:
+            for block in pf_unused:
+                self._note_outcome(block, "wasted")
+        for block in pf_unused:
+            owner = lanes[block >> TENANT_SHIFT]
+            if owner.ledger is not None:
+                owner.ledger.on_expire(block, now)
+            owner.prefetch.wasted += 1
+        pf_unused.clear()
+        self._inflight.clear()
 
     def finalize(self, now: int = 0) -> None:
         """Classify still-unused prefetched blocks as wasted (end of run)."""
-        telem = self.telemetry
-        if telem.enabled:
-            for block in self._prefetched_unused:
-                self._emit_evicted(telem, now, block, True)
-        if self._stream_of:
-            for block in self._prefetched_unused:
-                self._note_outcome(block, "wasted")
-        if self.ledger is not None:
-            for block in self._prefetched_unused:
-                self.ledger.on_expire(block, now)
-        self.prefetch.wasted += len(self._prefetched_unused)
-        self._prefetched_unused.clear()
-        self._inflight.clear()
+        self._expire_unused(now, True)
 
     def flush(self, now: int = 0) -> None:
-        """Empty both cache levels and forget in-flight prefetches.
+        """Empty every cache level and forget in-flight prefetches.
 
+        Flushing the shared L2 clears every tenant's working set (inclusion).
         Hit/miss/eviction counters and prefetch statistics are preserved (the
         same guarantee :meth:`Cache.flush` documents); prefetched blocks that
-        never served a demand access are classified as wasted, so the
-        ``issued == redundant + useful + late + wasted`` invariant survives a
-        mid-run flush followed by :meth:`finalize`.
+        never served a demand access are classified as wasted for their
+        owners, so the ``issued == redundant + useful + late + wasted``
+        invariant survives a mid-run flush followed by :meth:`finalize`.
         """
-        telem = self.telemetry
-        if telem.enabled:
-            for block in self._prefetched_unused:
-                self._emit_evicted(telem, now, block, False)
-        if self._stream_of:
-            for block in self._prefetched_unused:
-                self._note_outcome(block, "wasted")
-        if self.ledger is not None:
-            for block in self._prefetched_unused:
-                self.ledger.on_expire(block, now)
-        self.prefetch.wasted += len(self._prefetched_unused)
-        if telem.enabled:
-            telem.emit(
-                CacheFlushed(
-                    now,
-                    len(self.l1.resident_blocks()),
-                    len(self.l2.resident_blocks()),
-                )
+        self._expire_unused(now, False)
+        lane = self._lane
+        if lane.bus.enabled:
+            lane.bus.emit(
+                CacheFlushed(now, len(lane.l1.resident_blocks()), len(self.l2.resident_blocks()))
             )
-        self.l1.flush()
+        for l1 in self._l1_caches:
+            l1.flush()
         self.l2.flush()
-        self._inflight.clear()
-        self._prefetched_unused.clear()
 
     @property
     def l1_miss_rate(self) -> float:
-        """L1 miss rate over all demand accesses."""
-        return self.l1.misses / self.l1.accesses if self.l1.accesses else 0.0
+        """L1 miss rate over all demand accesses (every tenant's)."""
+        misses = sum(lane.l1_stats.misses for lane in self._lanes)
+        accesses = sum(lane.l1_stats.accesses for lane in self._lanes)
+        return misses / accesses if accesses else 0.0
 
     def stats_snapshot(self) -> HierarchyStats:
-        """Freeze this hierarchy's counters into a serializable snapshot."""
-        return HierarchyStats.capture(self)
+        """Freeze the aggregate counters (with the active lane's L1 and
+        stream attribution) into a serializable snapshot."""
+        return HierarchyStats.capture(
+            self.l1, self.l2, self.demand_accesses, self.prefetch,
+            self.stream_stats, self.stream_names,
+        )

@@ -22,7 +22,7 @@ from repro.analysis.hotstreams import AnalysisConfig, find_hot_streams
 from repro.errors import AnalysisError, OracleError
 from repro.machine.cache import Cache
 from repro.machine.config import CacheGeometry, MachineConfig
-from repro.machine.hierarchy import MemoryHierarchy
+from repro.machine.hierarchy import SHARING_MODES, TENANT_SHIFT, MemoryHierarchy
 from repro.oracle.refgrammar import check_sequitur, ref_expand
 from repro.oracle.refmodel import RefCache, RefHierarchy
 from repro.oracle.refsequitur import RefSequitur
@@ -132,15 +132,29 @@ def diff_cache(geometry: CacheGeometry, ops: Sequence[Op]) -> None:
             )
 
 
-def diff_hierarchy(machine: MachineConfig, ops: Sequence[Op]) -> None:
+def diff_hierarchy(machine: MachineConfig, ops: Sequence[Op], tenant: int = 0) -> None:
     """Replay ``ops`` on MemoryHierarchy and RefHierarchy in lockstep.
 
     The clock advances one cycle per op plus each access's own stall, the
     same policy the interpreter uses; per-op stalls, final counters, prefetch
-    classification and residency must all match.
+    classification and residency must all match.  ``tenant=0`` drives a
+    one-tenant hierarchy (lane 0, offset 0).  A non-zero ``tenant`` replays
+    the ops as that tenant of a ``tenant + 1``-tenant hierarchy, in both
+    sharing modes, with every other tenant idle: the lane's ``view()``
+    counters must match the reference, and resident blocks must match once
+    translated back by the lane's offset.
     """
-    prod = MemoryHierarchy(machine)
-    ref = RefHierarchy(machine)
+    if tenant == 0:
+        hierarchies = [MemoryHierarchy(machine)]
+    else:
+        hierarchies = [MemoryHierarchy(machine, tenant + 1, mode) for mode in SHARING_MODES]
+    for prod in hierarchies:
+        prod.activate(tenant)
+        _diff_lane(prod, tenant, RefHierarchy(machine), ops)
+
+
+def _diff_lane(prod: MemoryHierarchy, tenant: int, ref: RefHierarchy, ops: Sequence[Op]) -> None:
+    where = f"tenant {tenant} of {prod.num_tenants} ({prod.sharing})"
     now = 0
     for i, (kind, addr) in enumerate(ops):
         now += 1
@@ -149,7 +163,7 @@ def diff_hierarchy(machine: MachineConfig, ops: Sequence[Op]) -> None:
             want = ref.access(addr, now)
             if got != want:
                 raise OracleError(
-                    f"op #{i} access({addr:#x}) at cycle {now}: "
+                    f"{where}: op #{i} access({addr:#x}) at cycle {now}: "
                     f"production stalled {got}, reference {want}"
                 )
             now += got
@@ -166,27 +180,32 @@ def diff_hierarchy(machine: MachineConfig, ops: Sequence[Op]) -> None:
             raise OracleError(f"unknown hierarchy op {kind!r}")
     prod.finalize(now)
     ref.finalize(now)
-    prod_pf = (
-        prod.prefetch.issued, prod.prefetch.redundant, prod.prefetch.useful,
-        prod.prefetch.late, prod.prefetch.wasted,
-    )
-    if prod_pf != ref.prefetch.as_tuple():
-        raise OracleError(
-            "prefetch (issued, redundant, useful, late, wasted) differ: "
-            f"production {prod_pf}, reference {ref.prefetch.as_tuple()}"
-        )
-    for level, prod_c, ref_c in (("L1", prod.l1, ref.l1), ("L2", prod.l2, ref.l2)):
-        for name in ("hits", "misses", "evictions"):
-            got, want = getattr(prod_c, name), getattr(ref_c, name)
-            if got != want:
-                raise OracleError(f"{level} {name}: production {got}, reference {want}")
-        if prod_c.resident_blocks() != ref_c.resident_blocks():
-            raise OracleError(f"{level} resident sets differ")
-    if prod.demand_accesses != ref.demand_accesses:
-        raise OracleError(
-            f"demand accesses: production {prod.demand_accesses}, "
-            f"reference {ref.demand_accesses}"
-        )
+    # The lane's own counters, and (every other tenant being idle) the
+    # aggregates and the live caches' counters, must all match the reference.
+    for source, counters in (("lane", prod.view(tenant)), ("aggregate", prod)):
+        pf = counters.prefetch
+        got_pf = (pf.issued, pf.redundant, pf.useful, pf.late, pf.wasted)
+        if got_pf != ref.prefetch.as_tuple():
+            raise OracleError(
+                f"{where}: {source} prefetch (issued, redundant, useful, late, wasted) "
+                f"differ: production {got_pf}, reference {ref.prefetch.as_tuple()}"
+            )
+        for level, prod_c, ref_c in (("L1", counters.l1, ref.l1), ("L2", counters.l2, ref.l2)):
+            for name in ("hits", "misses", "evictions"):
+                got, want = getattr(prod_c, name), getattr(ref_c, name)
+                if got != want:
+                    raise OracleError(
+                        f"{where}: {source} {level} {name}: production {got}, reference {want}"
+                    )
+        if counters.demand_accesses != ref.demand_accesses:
+            raise OracleError(
+                f"{where}: {source} demand accesses: production "
+                f"{counters.demand_accesses}, reference {ref.demand_accesses}"
+            )
+    offset = tenant << TENANT_SHIFT
+    for level, cache, ref_c in (("L1", prod.l1, ref.l1), ("L2", prod.l2, ref.l2)):
+        if {block - offset for block in cache.resident_blocks()} != ref_c.resident_blocks():
+            raise OracleError(f"{where}: {level} resident sets differ")
 
 
 def grammar_state_diff(got: dict, want: dict) -> str:

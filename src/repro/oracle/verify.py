@@ -5,7 +5,8 @@ Sections (all seeded, all deterministic for a given ``--seed``):
 ``cache``       randomized differential runs, production Cache vs RefCache,
                 on a conflict-heavy tiny geometry and the paper's L1.
 ``hierarchy``   randomized differential runs, MemoryHierarchy vs RefHierarchy,
-                per-op stalls and full counter fingerprints.
+                per-op stalls and full counter fingerprints, as the one
+                tenant (lane 0) and as tenant 1 of two in both sharing modes.
 ``sequitur``    randomized traces through production Sequitur, its own
                 ``verify_invariants`` and the independent brute-force checker.
 ``streams``     randomized traces: fast grammar analysis vs the O(n²)
@@ -146,13 +147,14 @@ def _verify_hierarchy(rng: random.Random, runs: int) -> SectionResult:
     section = SectionResult("hierarchy")
     for _ in range(runs):
         ops = fuzz.gen_hierarchy_ops(rng, 300, STRESS_MACHINE)
-        section.run_case(
-            lambda o=ops: fuzz.check_with_shrinking(
-                o,
-                lambda seq: fuzz.diff_hierarchy(STRESS_MACHINE, seq),
-                "hierarchy differential",
+        for tenant in (0, 1):
+            section.run_case(
+                lambda o=ops, t=tenant: fuzz.check_with_shrinking(
+                    o,
+                    lambda seq: fuzz.diff_hierarchy(STRESS_MACHINE, seq, t),
+                    f"hierarchy differential (tenant {t})",
+                )
             )
-        )
     return section
 
 

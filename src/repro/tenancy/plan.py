@@ -29,12 +29,10 @@ from repro.core.config import OptimizerConfig
 from repro.engine.spec import CACHE_SALT_ENV, code_version
 from repro.errors import ConfigError
 from repro.machine.config import MachineConfig, PAPER_MACHINE
+from repro.machine.hierarchy import SHARING_MODES
 
 #: Format version stamped into serialized tenant plans; bump on schema changes.
 TENANCY_FORMAT = 1
-
-#: Valid hierarchy sharing modes.
-SHARING_MODES = ("shared", "private-l1")
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@
 Each tenant is set up exactly the way :func:`repro.engine.levels.execute_workload`
 sets up a single run — same instrumentation, same level attach hook, same
 telemetry wiring — except that every interpreter is constructed over one
-shared :class:`~repro.tenancy.hierarchy.TenantHierarchy` and started in
-sliced mode.  The scheduler then grants quantum-sized instruction slices in
-fixed tenant order, carrying one global cycle clock across slices: before a
-tenant runs, its parked clock is advanced to "now", so its memory operations
-land on the shared caches at globally ordered times; after the slice, the
-cycles it consumed advance the global clock for everyone else.
+shared :class:`~repro.tenancy.hierarchy.TenantHierarchy` (the one memory
+hierarchy, with a lane per tenant) and started in sliced mode.  The
+scheduler then grants quantum-sized instruction slices in fixed tenant
+order, carrying one global cycle clock across slices: before a tenant runs,
+its parked clock is advanced to "now", so its memory operations land on the
+shared caches at globally ordered times; after the slice, the cycles it
+consumed advance the global clock for everyone else.
 
 Determinism falls out of construction: no wall-clock, no OS threads, one
 fixed interleaving — the same plan always produces byte-identical results.
@@ -55,11 +56,10 @@ def run_tenant_plan(
     metrics-only session, mirroring the single-run engine.
 
     ``fast`` selects the compiled execution kernel for every tenant slice
-    (None defers to ``REPRO_FASTPATH``).  Tenant runs share a
-    :class:`~repro.tenancy.hierarchy.TenantHierarchy`, which the kernel's
-    cache mirror does not specialize — the compiled dispatch still applies,
-    the hierarchy is driven through its own (attribution-aware) methods, and
-    results stay bit-identical either way.
+    (None defers to ``REPRO_FASTPATH``).  The kernel's inline L1 path serves
+    one-tenant hierarchies only, so tenant slices are compiled-dispatched but
+    call the shared hierarchy's own ``access``/``issue_prefetch`` for every
+    memory operation; results stay bit-identical either way.
     """
     if sessions is not None and len(sessions) != len(plan):
         raise ConfigError(

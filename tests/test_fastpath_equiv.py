@@ -57,6 +57,10 @@ def hierarchy_snapshot(hier):
             key: (s.issued, s.useful, s.late, s.wasted, s.redundant)
             for key, s in hier.stream_stats.items()
         },
+        # The compiled inline path batches lane 0's level counters apart from
+        # the caches' own; both must come out the same.
+        "lane0": hier.view(0),
+        "shared_evictions": (hier.demand_shared_evictions, hier.prefetch_shared_evictions),
     }
 
 
@@ -125,6 +129,17 @@ class TestFaultConfigEquivalence:
 def _fresh_interp(small_params):
     workload = build_chainmix(small_params)
     return Interpreter(workload.program, workload.memory, MACHINE), workload.args
+
+
+class TestCompiledCodeMemo:
+    def test_memo_is_keyed_by_procedure_not_address(self, monkeypatch):
+        """The dynamic editor frees patched-out procedure copies mid-run, and
+        a new copy can reuse a freed copy's address.  Making every ``id()``
+        in the kernel collide turns any address-keyed memo into one that
+        runs the wrong procedure's compiled code."""
+        monkeypatch.setattr("repro.fastpath.kernel.id", lambda o: 0, raising=False)
+        reference, compiled = both_ways("vortex", "dyn")
+        assert compiled == reference
 
 
 class TestSliceComposition:

@@ -110,6 +110,29 @@ class TestDifferential:
         rng = random.Random(seed)
         diff_hierarchy(STRESS_MACHINE, gen_hierarchy_ops(rng, 500, STRESS_MACHINE))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nonzero_lane_agrees_on_random_ops(self, seed):
+        rng = random.Random(seed)
+        diff_hierarchy(STRESS_MACHINE, gen_hierarchy_ops(rng, 500, STRESS_MACHINE), tenant=1)
+
+    def test_planted_lane_bug_is_caught_off_lane_zero(self, monkeypatch):
+        """Prefetching without the lane offset is invisible on lane 0 and
+        must be flagged on lane 1."""
+
+        class OffsetlessPrefetch(MemoryHierarchy):
+            def issue_prefetch(self, addr, now, source="sw"):
+                offset, self._offset = self._offset, 0
+                try:
+                    super().issue_prefetch(addr, now, source)
+                finally:
+                    self._offset = offset
+
+        monkeypatch.setattr("repro.oracle.fuzz.MemoryHierarchy", OffsetlessPrefetch)
+        ops = gen_hierarchy_ops(random.Random(0), 500, STRESS_MACHINE)
+        diff_hierarchy(STRESS_MACHINE, ops)
+        with pytest.raises(OracleError):
+            diff_hierarchy(STRESS_MACHINE, ops, tenant=1)
+
     def test_hierarchy_agrees_with_flush_and_finalize_mixed(self):
         ops = [
             ("prefetch", 0), ("access", 0), ("prefetch", 64), ("flush", 0),
