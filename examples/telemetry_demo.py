@@ -2,9 +2,10 @@
 """Telemetry walkthrough: events, metrics and exporters on one short run.
 
 Runs the vpr-like workload under full dynamic prefetching with an in-memory
-telemetry session, prints the event/metric summary, then demonstrates the
-file exporters (JSONL event log + JSON metrics snapshot) round-tripping
-through their own loaders.
+telemetry session, prints the event/metric summary, then streams a rerun
+into a chunk log (the one on-disk event format) and writes a JSON metrics
+snapshot, round-tripping both through their loaders and rendering the log
+as a Chrome trace.
 
 Run:  python examples/telemetry_demo.py
 """
@@ -15,10 +16,12 @@ import tempfile
 from pathlib import Path
 
 from repro import TelemetrySession, run_level
+from repro.obs import StreamingTraceSink, load_chunk_events, split_runs
 from repro.telemetry.export import (
-    load_events_jsonl,
+    load_chrome_trace,
     load_metrics_json,
     summarize,
+    write_chrome_trace,
     write_metrics_json,
 )
 
@@ -42,21 +45,32 @@ def main() -> None:
     assert counters["prefetch.issued"] == result.hierarchy.prefetch.issued
 
     with tempfile.TemporaryDirectory() as tmp:
-        events_path = Path(tmp) / "events.jsonl"
+        log_dir = Path(tmp) / "log"
         metrics_path = Path(tmp) / "metrics.json"
+        trace_path = Path(tmp) / "trace.json"
 
-        # File exporters: a JSONL log (one typed event per line) and a JSON
-        # snapshot; both round-trip through their loaders.
-        file_session = TelemetrySession.to_jsonl(events_path)
+        # The chunk log: sealed, digest-tagged JSONL chunks (one typed event
+        # per line) with bounded memory; close() seals the tail.  A JSON
+        # metrics snapshot sits beside it.  Both round-trip through loaders.
+        file_session = TelemetrySession(sinks=[StreamingTraceSink(log_dir)])
         rerun = run_level("vpr", "dyn", passes=PASSES, telemetry=file_session)
         file_session.close()
         write_metrics_json(file_session.snapshot(), metrics_path)
 
-        events = load_events_jsonl(events_path)
+        events, load = load_chunk_events(log_dir)
+        assert load.complete
         snapshot = load_metrics_json(metrics_path)
         kinds = sorted({event.kind for event in events})
-        print(f"\nJSONL round-trip: {len(events)} events, kinds: {', '.join(kinds)}")
+        print(
+            f"\nchunk-log JSONL round-trip: {len(events)} events in {load.chunks} "
+            f"chunk(s), kinds: {', '.join(kinds)}"
+        )
         print(f"metrics snapshot context: {snapshot['context']}")
+
+        # Every other view is a render of the log, e.g. a Chrome trace.
+        entries = write_chrome_trace(split_runs(events), trace_path, summaries=load.summaries)
+        load_chrome_trace(trace_path)
+        print(f"chrome trace rendered from the log: {entries} entries")
 
         # Telemetry is observer-effect-free: cycle counts are identical with
         # sampled file telemetry, exhaustive in-memory telemetry, or none.

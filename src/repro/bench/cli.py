@@ -30,17 +30,25 @@ deoptimization, :mod:`repro.resilience`) for every optimized run;
 ``--fault-seed N`` injects deterministic faults from that seed — runs must
 complete with the failures contained and reported in telemetry.
 
-Telemetry: ``--telemetry run.jsonl`` streams every simulated run's event log
-(``RunBegin``/``RunEnd`` delimit runs) and ``--metrics run.json`` writes one
-metrics snapshot per (workload, level), keyed ``workload/level`` and carrying
-the serialized optimizer summary.  Both files round-trip through
-:mod:`repro.telemetry.export`.
+Telemetry: ``--telemetry DIR`` streams every simulated run's event log
+(``RunBegin``/``RunEnd`` delimit runs) into a chunk directory — sealed,
+size-bounded, digest-tagged JSONL chunks plus a manifest (:mod:`repro.obs`),
+bounded in memory, and a SIGKILLed run leaves a valid prefix.  It is the
+only on-disk event format; ``cat DIR/chunk-*.jsonl`` is the whole log.
+``--metrics run.json`` writes one metrics snapshot per (workload, level),
+keyed ``workload/level`` and carrying the serialized optimizer summary.
 
 Tracing (:mod:`repro.tracing`): ``repro-bench trace --out trace.json`` runs
-every workload at ``--level`` (default ``dyn``) with span tracing enabled and
-writes one Chrome trace-event JSON loadable in ``chrome://tracing`` or
-`ui.perfetto.dev <https://ui.perfetto.dev>`_ — one process per run, threads
-for the run/epoch/analysis span tree, profiling bursts and instant events.
+every workload at ``--level`` (default ``dyn``) with span tracing enabled,
+logs the events to ``--telemetry DIR`` (a temporary directory when absent)
+and renders that log to ``--out``: Chrome trace-event JSON loadable in
+``chrome://tracing`` or `ui.perfetto.dev <https://ui.perfetto.dev>`_ — one
+process per run, threads for the run/epoch/analysis span tree, profiling
+bursts and instant events — or, when ``--out`` ends in ``.pftrace``, a
+Perfetto protobuf trace with the same tracks plus one per procedure.
+``trace --from PATH`` renders an existing chunk directory (its valid prefix;
+torn suffixes are reported and dropped) or monolithic trace JSON the same
+way, so a live trace and a merged one are equal by construction.
 ``repro-bench explain`` prints each workload's cycle-attribution breakdown
 (the Figure 11 decomposition, conservation-checked) and a per-stream prefetch
 scorecard built from the lifecycle ledger; ``--stream s3`` (with a single
@@ -49,19 +57,11 @@ distribution and watchdog verdicts.  ``--against orig`` diffs the
 attribution tables of two levels instead — both sides replay from the result
 cache when warm.  ``--by-proc`` adds the per-procedure split of the same
 seven categories (sums are conservation-checked against the totals).
-
-Streaming observability (:mod:`repro.obs`): ``--stream DIR`` on ``trace``
-(or any figures-path artifact combined with ``--telemetry``/``--metrics``)
-exports events incrementally as sealed, size-bounded, digest-tagged JSONL
-chunks plus a streaming Perfetto protobuf sidecar — bounded memory, and a
-SIGKILLed run leaves a valid trace prefix.  ``trace --from PATH`` and
-``explain --from PATH`` accept a chunk directory or a monolithic trace JSON
-interchangeably: ``trace --from`` merges to ``--out``; ``explain --from``
-renders the embedded run summaries offline.  ``repro-bench status
-[run-dir]`` renders a supervised run's live progress file (per-task state,
-instruction/cycle counters, hit/accuracy EWMAs, ETA) whether the run is
-alive, finished, or dead.  ``--flush-every N`` bounds the JSONL sink's
-buffer.
+``explain --from PATH`` renders the run summaries embedded in a chunk
+directory or trace JSON offline.  ``repro-bench status [run-dir]`` renders a
+supervised run's live progress file (per-task state, instruction/cycle
+counters, hit/accuracy EWMAs, ETA) whether the run is alive, finished, or
+dead.
 
 Experiment engine (:mod:`repro.engine`): every simulated run is described by
 a content-fingerprinted :class:`~repro.engine.spec.RunSpec` and memoized in
@@ -313,111 +313,94 @@ def _print_tables() -> None:
     _print_figure8()
 
 
-class _SummaryCollector:
-    """Silent sink that keeps the per-run summary docs the engine publishes.
+def _render_trace(path, out: str, parser) -> tuple[str, str]:
+    """Render a chunk log or monolithic trace JSON to ``out``.
 
-    Attached next to the real sinks so the monolithic trace carries exactly
-    the documents a chunk manifest would — the interchangeability contract
-    of ``trace --from`` / ``explain --from``.
-    """
-
-    def __init__(self) -> None:
-        self.docs: list[dict] = []
-
-    def handle(self, event) -> None:
-        pass
-
-    def note_run_summary(self, doc: dict) -> None:
-        self.docs.append(doc)
-
-
-def _trace_from(args, parser) -> int:
-    """``trace --from``: merge an existing artifact, simulating nothing.
-
-    Accepts a chunk directory (the valid prefix loads; torn suffixes are
-    reported and dropped) or a monolithic Chrome trace JSON (validated and
-    rewritten), producing one monolithic trace at ``--out``.
+    The one render path of ``trace``, live or ``--from``: a chunk directory
+    loads its valid prefix (torn suffixes are reported and dropped) and is
+    laid out as a Chrome trace document; a trace JSON is validated.  The
+    document is written as Chrome JSON, or as Perfetto protobuf when
+    ``out`` ends in ``.pftrace``.  Returns what was read and what was
+    written, for the caller's report.
     """
     import json
 
     from repro.errors import ConfigError
     from repro.obs.chunks import is_chunk_dir, load_chunk_events
+    from repro.obs.perfetto import parse_packet_count, perfetto_trace
     from repro.obs.stream import split_runs
-    from repro.telemetry.export import load_chrome_trace, write_chrome_trace
+    from repro.telemetry.export import (
+        chrome_trace_document,
+        load_chrome_trace,
+        write_trace_document,
+    )
 
-    path = args.from_path
     try:
         if is_chunk_dir(path):
             events, load = load_chunk_events(path)
             for note in load.notes:
                 print(f"  dropped: {note}", file=sys.stderr)
-            runs = split_runs(events)
-            entries = write_chrome_trace(runs, args.out, summaries=load.summaries)
+            document = chrome_trace_document(split_runs(events), summaries=load.summaries)
             state = "complete" if load.complete else f"prefix ({load.dropped} entries dropped)"
-            print(
-                f"merged {load.chunks} chunks / {len(load.records)} records "
-                f"[{state}] from {path} -> {args.out} ({entries} entries)"
-            )
+            source = f"{load.chunks} chunks / {len(load.records)} records [{state}]"
         else:
             document = load_chrome_trace(path)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(document, fh, separators=(",", ":"))
-                fh.write("\n")
-            print(f"validated {path} -> {args.out} ({len(document['traceEvents'])} entries)")
+            source = f"{len(document['traceEvents'])} trace entries"
+        if out.endswith(".pftrace"):
+            data = perfetto_trace(document)
+            Path(out).write_bytes(data)
+            written = f"perfetto trace written to {out} ({parse_packet_count(data)} packets)"
+        else:
+            write_trace_document(document, out)
+            written = f"chrome trace written to {out} ({len(document['traceEvents'])} entries)"
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read {path}: {exc}")
-    return 0
+        parser.error(f"cannot render {path}: {exc}")
+    return source, written
 
 
 def _run_trace(args, names: Sequence[str], cache: ResultCache, parser) -> int:
+    import tempfile
+
     from repro.bench.runner import run_level
     from repro.errors import ConfigError
-    from repro.telemetry.export import write_chrome_trace
+    from repro.obs.chunks import StreamingTraceSink
     from repro.telemetry.session import TelemetrySession
-    from repro.telemetry.sinks import ListSink
 
     if args.from_path is not None:
-        return _trace_from(args, parser)
-
-    stream_sink = None
-    if args.stream is not None:
-        from repro.obs.stream import StreamingTraceSink
-
+        source, written = _render_trace(args.from_path, args.out, parser)
+        print(f"read {source} from {args.from_path}; {written}")
+        return 0
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
+        log_dir = args.telemetry or Path(tmp) / "log"
         try:
-            stream_sink = StreamingTraceSink(args.stream)
-        except ConfigError as exc:
+            sink = StreamingTraceSink(log_dir)
+        except (ConfigError, OSError) as exc:
             parser.error(str(exc))
-    collector = _SummaryCollector()
-    runs = []
-    try:
-        for name in names:
-            sink = ListSink()
-            sinks = [sink, collector] + ([stream_sink] if stream_sink is not None else [])
-            session = TelemetrySession(
-                sinks=sinks,
-                miss_sample_every=args.miss_sample,
-                prefetch_sample_every=args.prefetch_sample,
-                tracing=True,
-                proc_attribution=args.by_proc or stream_sink is not None,
-            )
-            result = run_level(
-                name, args.level, opt=cache.opt, passes=cache.passes_for(name), telemetry=session
-            )
-            runs.append((f"{name}/{args.level}", sink.events))
-            print(f"  traced {name}/{args.level}: {result.cycles} cycles, {len(sink.events)} events")
-    finally:
-        if stream_sink is not None:
-            stream_sink.close()
-    entries = write_chrome_trace(runs, args.out, summaries=collector.docs)
-    print(
-        f"chrome trace written to {args.out} ({entries} entries); "
-        "open in chrome://tracing or ui.perfetto.dev"
-    )
-    if stream_sink is not None:
-        print(
-            f"streamed chunks + perfetto sidecar in {args.stream} "
-            "(repro-bench trace --from <dir> merges them)"
-        )
+        try:
+            for name in names:
+                before = sink.records_total
+                session = TelemetrySession(
+                    sinks=[sink],
+                    miss_sample_every=args.miss_sample,
+                    prefetch_sample_every=args.prefetch_sample,
+                    tracing=True,
+                    # A kept log records the by-proc split for explain --from.
+                    proc_attribution=args.by_proc or args.telemetry is not None,
+                )
+                result = run_level(
+                    name, args.level, opt=cache.opt, passes=cache.passes_for(name),
+                    telemetry=session,
+                )
+                print(
+                    f"  traced {name}/{args.level}: {result.cycles} cycles, "
+                    f"{sink.records_total - before} events"
+                )
+        finally:
+            sink.close()
+        _source, written = _render_trace(log_dir, args.out, parser)
+    print(f"{written}; open in ui.perfetto.dev or chrome://tracing")
+    if args.telemetry:
+        print(f"event log kept in {args.telemetry} (repro-bench trace --from <dir> renders it)")
     return 0
 
 
@@ -791,9 +774,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--telemetry",
-        metavar="OUT.JSONL",
+        metavar="DIR",
         default=None,
-        help="stream every run's telemetry events to this JSONL file",
+        help="figures/trace: stream every run's telemetry events into this "
+        "fresh directory as sealed, digest-tagged JSONL chunks (the event log "
+        "that trace --from and explain --from read)",
     )
     parser.add_argument(
         "--metrics",
@@ -829,9 +814,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--out",
-        metavar="TRACE.JSON",
+        metavar="TRACE.JSON|TRACE.PFTRACE",
         default="trace.json",
-        help="trace: output path for the Chrome trace-event JSON (default trace.json)",
+        help="trace: output path of the rendered trace; Perfetto protobuf when it "
+        "ends in .pftrace, else Chrome trace-event JSON (default trace.json)",
     )
     parser.add_argument(
         "--level",
@@ -840,11 +826,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--stream",
-        metavar="ID|DIR",
+        metavar="ID",
         default=None,
-        help="explain: zoom into one stream's scorecard (id from the summary "
-        "table); trace/figures: also stream events into this directory as "
-        "sealed, digest-tagged chunks with a Perfetto sidecar",
+        help="explain: zoom into one stream's scorecard (id from the summary table)",
     )
     parser.add_argument(
         "--from",
@@ -852,7 +836,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="PATH",
         default=None,
         help="trace/explain: read an existing chunk directory or monolithic "
-        "trace JSON instead of simulating (trace: merge to --out; "
+        "trace JSON instead of simulating (trace: render to --out; "
         "explain: render the embedded run summaries)",
     )
     parser.add_argument(
@@ -860,14 +844,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="explain/trace: record per-procedure cycle attribution "
         "(explain renders the per-proc table; trace embeds it in summaries)",
-    )
-    parser.add_argument(
-        "--flush-every",
-        type=int,
-        default=512,
-        metavar="N",
-        help="telemetry JSONL sink: flush buffered events every N records "
-        "(default 512; 1 = line-buffered)",
     )
     parser.add_argument(
         "--against",
@@ -923,8 +899,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--task-timeout must be > 0")
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         parser.error("--checkpoint-every must be >= 1")
-    if args.flush_every < 1:
-        parser.error("--flush-every must be >= 1")
+    if args.stream is not None and args.artifact != "explain":
+        parser.error("--stream names a stream id for explain; "
+                     "log events with --telemetry DIR instead")
     if args.artifact == "cache":
         return _run_cache(args, parser)
     if args.artifact == "status":
@@ -939,31 +916,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     unknown = set(names) - set(presets.names())
     if unknown:
         parser.error(f"unknown workloads: {sorted(unknown)}")
-    for path in (args.telemetry, args.metrics):
-        if path:
-            try:
-                # Fail fast: a bad path should not surface minutes into a run.
-                open(path, "a", encoding="utf-8").close()
-            except OSError as exc:
-                parser.error(f"cannot write {path}: {exc}")
-    # For figures-path artifacts --stream is a chunk directory wired into the
-    # shared recorder; trace manages its own streaming sink and explain keeps
-    # the historical stream-id zoom semantics.
-    figures_stream = args.stream if args.artifact not in ("trace", "explain") else None
+    if args.metrics:
+        try:
+            # Fail fast: a bad path should not surface minutes into a run.
+            open(args.metrics, "a", encoding="utf-8").close()
+        except OSError as exc:
+            parser.error(f"cannot write {args.metrics}: {exc}")
+    # trace logs its own events and explain replays none; every other
+    # artifact records through the shared recorder, whose sink refuses a
+    # used --telemetry directory before any run starts.
     recorder = None
-    if args.telemetry or args.metrics or figures_stream:
+    if (args.telemetry or args.metrics) and args.artifact not in ("trace", "explain"):
         from repro.errors import ConfigError
 
         try:
             recorder = TelemetryRecorder(
-                events_path=args.telemetry,
+                events_dir=args.telemetry,
                 metrics_path=args.metrics,
                 miss_sample_every=args.miss_sample,
                 prefetch_sample_every=args.prefetch_sample,
-                flush_every=args.flush_every,
-                stream_dir=figures_stream,
             )
-        except ConfigError as exc:
+        except (ConfigError, OSError) as exc:
             parser.error(str(exc))
     opt = OptimizerConfig()
     if args.watchdog:
@@ -1027,11 +1000,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"telemetry events written to {args.telemetry}")
         if args.metrics:
             print(f"metrics snapshots written to {args.metrics}")
-        if figures_stream:
-            print(
-                f"streamed chunks + perfetto sidecar in {figures_stream} "
-                "(repro-bench trace --from <dir> merges them)"
-            )
     _print_cache_summary(store)
     return 0
 

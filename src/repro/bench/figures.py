@@ -123,7 +123,7 @@ class ResultCache:
     When a :class:`~repro.telemetry.session.TelemetryRecorder` is attached,
     every execution runs live and in-process (events cannot be replayed from
     the store nor shipped across a pool boundary), streams its events into
-    the recorder's shared JSONL log and contributes a ``workload/level``
+    the recorder's shared chunk log and contributes a ``workload/level``
     metrics snapshot.
     """
 

@@ -27,12 +27,12 @@ entry to recomputation, never to a wrong result.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.digestlines import decode_tagged_line, encode_tagged_line
 from repro.engine.spec import RunPlan
 from repro.telemetry.events import JournalReplayed
 from repro.telemetry.sinks import NULL_SINK
@@ -54,10 +54,6 @@ def plan_fingerprint(plan: RunPlan) -> str:
 def journal_path(root: Union[str, os.PathLike], plan_fp: str) -> Path:
     """Journal file for one plan under the journal root."""
     return Path(root) / f"{plan_fp}.jsonl"
-
-
-def _canonical(body: dict) -> str:
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -90,13 +86,7 @@ class RunJournal:
         The write-ahead contract: once :meth:`append` returns, the record
         survives a SIGKILL of this process.
         """
-        body = {"format": JOURNAL_FORMAT, **body}
-        canonical = _canonical(body)
-        line = json.dumps(
-            {"sha256": hashlib.sha256(canonical.encode()).hexdigest(), "body": body},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        line = encode_tagged_line(body, JOURNAL_FORMAT)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
@@ -150,8 +140,10 @@ class RunJournal:
         for raw in text.splitlines():
             if not raw.strip():
                 continue
-            body = self._validate_line(raw)
-            if body is None:
+            body = decode_tagged_line(raw, JOURNAL_FORMAT)
+            if body is None or (
+                body.get("type") == "task_done" and not isinstance(body.get("result"), dict)
+            ):
                 replay.corrupt += 1
                 continue
             replay.entries += 1
@@ -169,19 +161,3 @@ class RunJournal:
                 replayed=len(replay.results), corrupt=replay.corrupt,
             ))
         return replay
-
-    @staticmethod
-    def _validate_line(raw: str) -> Optional[dict]:
-        """Digest-check one line; None if torn, tampered or foreign."""
-        try:
-            record = json.loads(raw)
-            body = record["body"]
-            if record["sha256"] != hashlib.sha256(_canonical(body).encode()).hexdigest():
-                return None
-            if body.get("format") != JOURNAL_FORMAT:
-                return None
-            if body.get("type") == "task_done" and not isinstance(body.get("result"), dict):
-                return None
-            return body
-        except (ValueError, KeyError, TypeError):
-            return None

@@ -1,13 +1,15 @@
-"""repro.obs — streaming observability for long runs.
+"""repro.obs — the event log and its views, for runs of any length.
 
 Three surfaces, all observer-effect-zero (nothing here charges simulated
 cycles or perturbs the architectural state):
 
-- :mod:`repro.obs.chunks` / :mod:`repro.obs.stream`: bounded-memory trace
-  export in sealed, digest-tagged chunks with a streaming Perfetto
-  protobuf sidecar (:mod:`repro.obs.perfetto`).  A SIGKILLed run leaves a
-  valid trace prefix; the surviving chunks concatenate byte-identically to
-  the buffered exporter's log.
+- :mod:`repro.obs.chunks` / :mod:`repro.obs.stream`: the one on-disk event
+  format and the run structure within it.  :class:`StreamingTraceSink`
+  writes sealed, digest-tagged chunks with bounded memory;
+  :func:`load_chunk_events` reads back the valid prefix, so a SIGKILLed
+  run still leaves a loadable log.  Chrome trace JSON and Perfetto
+  protobuf (:mod:`repro.obs.perfetto`) are renders of that log, never
+  written live.
 - :mod:`repro.obs.status`: the atomic ``status.json`` progress file the
   supervised runner maintains, plus its reader/renderer for
   ``repro-bench status``.
@@ -21,13 +23,14 @@ from repro.obs.chunks import (
     DEFAULT_MAX_BYTES,
     MANIFEST_NAME,
     ChunkLoad,
-    ChunkWriter,
+    StreamingTraceSink,
     chunk_name,
+    flush_all_sinks,
     is_chunk_dir,
     load_chunk_events,
     load_chunks,
 )
-from repro.obs.perfetto import PerfettoWriter, parse_packet_count
+from repro.obs.perfetto import parse_packet_count, perfetto_trace
 from repro.obs.status import (
     STATUS_FORMAT,
     STATUS_NAME,
@@ -35,32 +38,26 @@ from repro.obs.status import (
     read_status,
     render_status,
 )
-from repro.obs.stream import (
-    PFTRACE_NAME,
-    StreamingTraceSink,
-    run_summary_doc,
-    split_runs,
-)
+from repro.obs.stream import run_summary_doc, split_runs
 
 __all__ = [
     "CHUNK_FORMAT",
     "DEFAULT_MAX_BYTES",
     "MANIFEST_NAME",
     "ChunkLoad",
-    "ChunkWriter",
     "chunk_name",
     "is_chunk_dir",
     "load_chunk_events",
     "load_chunks",
-    "PerfettoWriter",
     "parse_packet_count",
+    "perfetto_trace",
     "STATUS_FORMAT",
     "STATUS_NAME",
     "StatusWriter",
     "read_status",
     "render_status",
-    "PFTRACE_NAME",
     "StreamingTraceSink",
+    "flush_all_sinks",
     "run_summary_doc",
     "split_runs",
 ]

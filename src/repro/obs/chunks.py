@@ -1,9 +1,11 @@
-"""Sealed, size-bounded, digest-tagged event chunks: the streaming trace format.
+"""The chunk log: the one on-disk event format, its writer and its loader.
 
-A chunk directory replaces the buffer-then-dump monolithic trace for long
-runs.  Records (serialized :meth:`~repro.telemetry.events.Event.to_record`
-dicts) accumulate in a bounded in-memory buffer; when the buffer reaches
-``max_bytes`` (or ``max_records``) it is *sealed*:
+A chunk directory is the record of one execution's telemetry events
+(serialized :meth:`~repro.telemetry.events.Event.to_record` dicts, one
+compact-JSON line each).  :class:`StreamingTraceSink`, an ordinary event
+sink, is its only writer and holds one bounded buffer: records accumulate
+in it, and when it reaches ``max_bytes`` (or the sink is flushed or closed)
+it is *sealed*:
 
 1. the buffered lines are written to ``chunk-NNNNNNNN.jsonl.part``,
    flushed and fsync'd,
@@ -11,21 +13,22 @@ dicts) accumulate in a bounded in-memory buffer; when the buffer reaches
    atomic: a chunk either exists complete or not at all),
 3. a digest-tagged line naming the chunk — its sequence number, record
    count, byte size and content sha256 — is appended (flush + fsync) to
-   ``MANIFEST.jsonl``, in exactly the per-line integrity scheme of
-   :mod:`repro.durability.journal`.
+   ``MANIFEST.jsonl``, in the per-line integrity scheme of
+   :mod:`repro.digestlines` that the run journal also uses.
 
-Crash tolerance is therefore by construction, not by recovery code: a
-SIGKILL at any instant loses at most the open buffer (bounded by
-``max_bytes``) plus one torn manifest line, and :func:`load_chunks`
-validates line digests and chunk content hashes in order, stopping at the
-first invalid entry — the surviving prefix is always a valid trace, torn
-or tampered suffixes are *dropped and counted*, never silently accepted,
-and corruption never raises.
+Crash tolerance is therefore by construction, not by recovery code: every
+live sink registers with SIGTERM/atexit hooks that seal its open buffer
+(the exit status still says "killed by SIGTERM"), a SIGKILL at any instant
+loses at most the open buffer (bounded by ``max_bytes``) plus one torn
+manifest line, and :func:`load_chunks` validates line digests and chunk
+content hashes in order, stopping at the first invalid entry — the
+surviving prefix is always a valid trace, torn or tampered suffixes are
+*dropped and counted*, never silently accepted, and corruption never
+raises.
 
-The concatenated sealed chunks are byte-identical to the JSONL log a
-buffered :class:`~repro.telemetry.sinks.JsonlSink` would have produced for
-the same events (same serialization, same order) — the property the
-``obs`` verify section pins on the golden grid.
+``cat chunk-*.jsonl`` is the whole event log in emission order.  Chrome
+trace JSON and Perfetto protobuf traces are renders of it
+(``repro-bench trace --from <dir>``).
 
 ``summary`` manifest records carry per-run summary documents (cycle
 attribution, per-procedure rows) so chunk directories are self-describing:
@@ -34,15 +37,20 @@ attribution, per-procedure rows) so chunk directories are self-describing:
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import json
 import os
+import signal
+import threading
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.digestlines import decode_tagged_line, encode_tagged_line
 from repro.errors import ConfigError
-from repro.telemetry.events import Event, from_record
+from repro.telemetry.events import Event, RecordSkipped, from_record
 
 #: Chunk/manifest format version; foreign versions stop the loader's prefix.
 CHUNK_FORMAT = 1
@@ -52,103 +60,62 @@ MANIFEST_NAME = "MANIFEST.jsonl"
 DEFAULT_MAX_BYTES = 1 << 20
 
 
-def _canonical(body: dict) -> str:
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-
-def _tagged_line(body: dict) -> str:
-    body = {"format": CHUNK_FORMAT, **body}
-    canonical = _canonical(body)
-    return json.dumps(
-        {"sha256": hashlib.sha256(canonical.encode()).hexdigest(), "body": body},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def _validate_line(line: str) -> Optional[dict]:
-    """Digest-check one manifest line; the body dict, or None if unreadable."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict):
-        return None
-    body = record.get("body")
-    digest = record.get("sha256")
-    if not isinstance(body, dict) or not isinstance(digest, str):
-        return None
-    if hashlib.sha256(_canonical(body).encode()).hexdigest() != digest:
-        return None
-    if body.get("format") != CHUNK_FORMAT:
-        return None
-    return body
-
-
 def chunk_name(seq: int) -> str:
     return f"chunk-{seq:08d}.jsonl"
 
 
-class ChunkWriter:
-    """Streams records into a chunk directory with bounded memory.
+# ---------------------------------------------------------------- writing
+
+
+class StreamingTraceSink:
+    """Event sink writing a chunk directory with bounded memory.
 
     Append-once: a directory that already holds a manifest is refused —
     resumed or repeated runs stream into a fresh directory, so a chunk
     directory is always the record of exactly one execution.
     """
 
-    def __init__(
-        self,
-        root: Union[str, os.PathLike],
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        max_records: Optional[int] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, os.PathLike], max_bytes: int = DEFAULT_MAX_BYTES) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._manifest_path = self.root / MANIFEST_NAME
-        if self._manifest_path.exists():
+        manifest_path = self.root / MANIFEST_NAME
+        if manifest_path.exists():
             raise ConfigError(
                 f"chunk directory {self.root} already holds a manifest; "
                 "stream each run into a fresh directory"
             )
         self.max_bytes = max(1, max_bytes)
-        self.max_records = max_records
         self._buffer: list[str] = []
         self._buffered_bytes = 0
         self._seq = 0
         self.records_total = 0
-        self._manifest = open(self._manifest_path, "w", encoding="utf-8")
+        self._manifest = open(manifest_path, "w", encoding="utf-8")
         self._append_manifest({"type": "begin"})
         self._closed = False
+        _install_seal_hooks()
+        _LIVE_SINKS.add(self)
 
-    # ------------------------------------------------------------- writing
+    def handle(self, event: Event) -> None:
+        self.append(event.to_record())
 
-    def append(self, record: dict) -> Optional[str]:
-        """Buffer one record; seals a chunk when the buffer fills.
-
-        Returns the sealed chunk's file name when this append crossed the
-        threshold, else None — the hook sidecar writers (Perfetto) use to
-        flush at exactly the chunk boundaries.
-        """
+    def append(self, record: dict) -> None:
+        """Buffer one record; seals a chunk when the buffer fills."""
         line = json.dumps(record, separators=(",", ":")) + "\n"
         self._buffer.append(line)
         self._buffered_bytes += len(line)
         self.records_total += 1
-        if self._buffered_bytes >= self.max_bytes or (
-            self.max_records is not None and len(self._buffer) >= self.max_records
-        ):
-            return self.seal()
-        return None
+        if self._buffered_bytes >= self.max_bytes:
+            self.seal()
 
-    def seal(self) -> Optional[str]:
-        """Seal the open buffer into a durable chunk; its file name, or None.
+    def seal(self) -> None:
+        """Seal the open buffer into a durable chunk (no-op when empty).
 
         fsync-then-rename: once the manifest line for a chunk exists, the
         chunk's bytes are already durable, so the loader may trust any
         manifest entry whose content hash matches.
         """
         if not self._buffer:
-            return None
+            return
         data = "".join(self._buffer).encode("utf-8")
         name = chunk_name(self._seq)
         part = self.root / (name + ".part")
@@ -170,10 +137,9 @@ class ChunkWriter:
         self._seq += 1
         self._buffer.clear()
         self._buffered_bytes = 0
-        return name
 
-    def note_summary(self, doc: dict) -> None:
-        """Record one run's summary document in the manifest.
+    def note_run_summary(self, doc: dict) -> None:
+        """Record one finished run's summary (attribution, per-proc rows).
 
         Sealed first, so the summary always refers to fully-durable events.
         """
@@ -197,9 +163,71 @@ class ChunkWriter:
         self._closed = True
 
     def _append_manifest(self, body: dict) -> None:
-        self._manifest.write(_tagged_line(body) + "\n")
+        self._manifest.write(encode_tagged_line(body, CHUNK_FORMAT) + "\n")
         self._manifest.flush()
         os.fsync(self._manifest.fileno())
+
+
+# ------------------------------------------------------------ seal hooks
+
+#: Weak registry of live sinks; entries vanish with their sinks.
+_LIVE_SINKS: "weakref.WeakSet[StreamingTraceSink]" = weakref.WeakSet()
+_HOOKS_LOCK = threading.Lock()
+_HOOKS_INSTALLED = False
+
+
+def flush_all_sinks() -> int:
+    """Seal every live sink's open buffer; count the sinks flushed.
+
+    Safe to call at any time (idempotent, never raises): a sink whose files
+    are already broken is skipped rather than aborting the sweep.
+    """
+    flushed = 0
+    for sink in list(_LIVE_SINKS):
+        try:
+            sink.flush()
+            flushed += 1
+        except Exception:
+            continue
+    return flushed
+
+
+def _sigterm_flush(signum, frame) -> None:
+    flush_all_sinks()
+    previous = _sigterm_flush.previous
+    if callable(previous):
+        previous(signum, frame)
+    else:
+        # Default disposition: re-deliver so the exit status still says
+        # "killed by SIGTERM" instead of silently swallowing the signal.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+
+_sigterm_flush.previous = None
+
+
+def _install_seal_hooks() -> None:
+    """Register the atexit + SIGTERM seal hooks, once per process.
+
+    Deferred to first sink construction so merely importing never touches
+    signal state; worker threads (where ``signal.signal`` raises ValueError)
+    just skip the signal half and keep atexit.
+    """
+    global _HOOKS_INSTALLED
+    with _HOOKS_LOCK:
+        if _HOOKS_INSTALLED:
+            return
+        _HOOKS_INSTALLED = True
+    atexit.register(flush_all_sinks)
+    try:
+        previous = signal.getsignal(signal.SIGTERM)
+        if previous not in (signal.SIG_IGN, _sigterm_flush):
+            _sigterm_flush.previous = previous if previous is not signal.SIG_DFL else None
+            signal.signal(signal.SIGTERM, _sigterm_flush)
+    except ValueError:
+        # Not the main thread: atexit coverage only.
+        pass
 
 
 # ---------------------------------------------------------------- loading
@@ -249,7 +277,7 @@ def load_chunks(root: Union[str, os.PathLike]) -> ChunkLoad:
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        body = _validate_line(line)
+        body = decode_tagged_line(line, CHUNK_FORMAT)
         if body is None:
             load.dropped += 1
             load.notes.append(f"manifest line {line_no}: torn or tampered; prefix ends")
@@ -327,12 +355,10 @@ def load_chunk_events(root: Union[str, os.PathLike]) -> tuple[list[Event], Chunk
     """Typed-event view of :func:`load_chunks` (records round-trip exactly).
 
     A digest-valid record that still fails event reconstruction (a foreign
-    writer, a renamed kind) degrades to a visible
-    :class:`~repro.telemetry.events.RecordSkipped` in sequence, exactly like
-    :func:`~repro.telemetry.export.load_events_jsonl`.
+    writer, a renamed kind, missing or extra fields) degrades to a visible
+    :class:`~repro.telemetry.events.RecordSkipped` at its index, carrying its
+    1-based line number in ``cat chunk-*.jsonl``, the reason and a snippet.
     """
-    from repro.telemetry.events import RecordSkipped
-
     load = load_chunks(root)
     events: list[Event] = []
     for index, record in enumerate(load.records):

@@ -1,12 +1,11 @@
-"""Streaming Perfetto protobuf export: incremental TracePacket emission.
+"""Perfetto protobuf render of a trace: one more view of the chunk log.
 
-The chunked JSONL format (:mod:`repro.obs.chunks`) is the source of truth;
-this sidecar renders the same event stream as a binary perfetto ``Trace``
-(`ui.perfetto.dev <https://ui.perfetto.dev>`_ opens it natively, no JSON
-conversion) written *incrementally* — packets buffer in memory and are
-appended with flush + fsync every time the chunk writer seals, so a
-SIGKILLed run leaves a loadable trace prefix with at most the final append
-torn off.
+:func:`perfetto_trace` turns the Chrome trace document that
+:mod:`repro.telemetry.export` lays out from a chunk log (or loads from a
+monolithic trace JSON) into a binary perfetto ``Trace`` that
+`ui.perfetto.dev <https://ui.perfetto.dev>`_ opens natively.  The track
+layout is the Chrome exporter's, so both renders show the same runs,
+threads and slices; ``repro-bench trace --out t.pftrace`` selects it.
 
 No protobuf dependency exists in this environment, so the wire format is
 hand-encoded.  Only three message types are needed, all shallow:
@@ -22,33 +21,21 @@ hand-encoded.  Only three message types are needed, all shallow:
 
 Field numbers are fixed by the public perfetto schema; varint/length-
 delimited encoding is the standard protobuf wire format.  One simulated
-cycle maps to one nanosecond of trace time.
-
-Track layout mirrors the Chrome exporter's virtual threads (run / epochs /
-analysis / bursts / instants), one set per run, prefixed with the run
-label; :meth:`PerfettoWriter.add_proc_tracks` adds one track per procedure
-at run end carrying the per-procedure cycle attribution as named slices —
-the procedure dimension of the 7-category split, visible directly in the
-track list.
+cycle maps to one nanosecond of trace time.  Packets are self-delimiting,
+so :func:`parse_packet_count` reads any prefix of a trace: a torn tail only
+shortens the count.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-from typing import Union
-
-from repro.telemetry.events import Event
+from repro.errors import ConfigError
 
 _TYPE_SLICE_BEGIN = 1
 _TYPE_SLICE_END = 2
 _TYPE_INSTANT = 3
 
-#: Span category -> virtual track, matching the Chrome exporter's layout.
-_SPAN_TRACKS = {"run": "run", "epoch": "optimizer epochs", "analysis": "analysis/injection/watchdog",
-                "injection": "analysis/injection/watchdog", "watchdog": "analysis/injection/watchdog"}
-_TRACK_BURST = "profiling bursts"
-_TRACK_INSTANT = "events"
+#: Chrome trace phase -> TrackEvent type.
+_CHROME_PHASES = {"B": _TYPE_SLICE_BEGIN, "E": _TYPE_SLICE_END, "i": _TYPE_INSTANT}
 
 
 def _varint(value: int) -> bytes:
@@ -95,107 +82,62 @@ def track_event_packet(
     return _field_bytes(1, packet)
 
 
-class PerfettoWriter:
-    """Incremental perfetto trace writer over the telemetry event stream.
+def perfetto_trace(document: dict) -> bytes:
+    """Render a Chrome trace document (:mod:`repro.telemetry.export`) as Perfetto.
 
-    Feed it events with :meth:`handle`; call :meth:`flush` at chunk-seal
-    boundaries (durability points) and :meth:`close` at end of run.  Track
-    uuids are dense positive integers assigned on first use, one namespace
-    per writer.
+    One track per ``(pid, tid)`` thread of the document, titled
+    ``"<process name>: <thread name>"``; its ``B``/``E``/``i`` entries become
+    slice-begin, slice-end and instant packets in document order, so a
+    balanced Chrome thread is a balanced Perfetto track.  Each run summary
+    carrying ``by_proc`` rows adds one track per procedure whose slices are
+    that procedure's attribution categories laid end to end from cycle 0,
+    so bar lengths read as the per-procedure split.  Raises
+    :class:`~repro.errors.ConfigError` on an entry it cannot place.
     """
-
-    def __init__(self, path: Union[str, os.PathLike]) -> None:
-        self.path = Path(path)
-        self._fh = open(self.path, "wb")
-        self._pending = bytearray()
-        self._tracks: dict[str, int] = {}
-        self._open_spans: dict[int, tuple[int, str]] = {}
-        self._burst_track: int = 0
-        self._run_label = ""
-        self.packets = 0
-
-    # -------------------------------------------------------------- tracks
-
-    def _track(self, name: str) -> int:
-        uuid = self._tracks.get(name)
-        if uuid is None:
-            uuid = len(self._tracks) + 1
-            self._tracks[name] = uuid
-            self._pending += track_descriptor_packet(uuid, name)
-            self.packets += 1
-        return uuid
-
-    def _labeled(self, track: str) -> str:
-        return f"{self._run_label}: {track}" if self._run_label else track
-
-    # -------------------------------------------------------------- events
-
-    def handle(self, event: Event) -> None:
-        kind = event.kind
-        ts = event.cycle
-        if kind == "RunBegin":
-            self._run_label = f"{event.workload}/{event.level}"
-            return
-        if kind == "SpanBegin":
-            track = self._track(self._labeled(_SPAN_TRACKS.get(event.category, "analysis/injection/watchdog")))
-            self._open_spans[event.span_id] = (track, event.name)
-            self._emit(track_event_packet(ts, track, _TYPE_SLICE_BEGIN, event.name))
-        elif kind == "SpanEnd":
-            opened = self._open_spans.pop(event.span_id, None)
-            if opened is not None:
-                self._emit(track_event_packet(ts, opened[0], _TYPE_SLICE_END))
-        elif kind == "BurstBegin":
-            track = self._track(self._labeled(_TRACK_BURST))
-            self._burst_track = track
-            self._emit(track_event_packet(ts, track, _TYPE_SLICE_BEGIN, "burst"))
-        elif kind == "BurstEnd":
-            if self._burst_track:
-                self._emit(track_event_packet(ts, self._burst_track, _TYPE_SLICE_END))
-                self._burst_track = 0
-        else:
-            track = self._track(self._labeled(_TRACK_INSTANT))
-            self._emit(track_event_packet(ts, track, _TYPE_INSTANT, kind))
-
-    def add_proc_tracks(self, label: str, by_proc: dict) -> None:
-        """One track per procedure, its 7-category split as named slices.
-
-        ``by_proc`` maps procedure name -> {category: cycles}; each category
-        becomes a zero-based slice of its cycle length, so relative bar
-        lengths inside a ``proc:`` track read as the attribution split.
-        """
+    entries = document["traceEvents"]
+    processes: dict[int, str] = {}
+    threads: dict[tuple, str] = {}
+    for entry in entries:
+        key = (entry["pid"], entry.get("tid", 0))
+        if entry["ph"] != "M":
+            threads.setdefault(key, f"tid {key[1]}")
+        elif entry["name"] in ("thread_name", "process_name"):
+            name = str(entry.get("args", {}).get("name", ""))
+            if entry["name"] == "thread_name":
+                threads[key] = name
+            else:
+                processes[key[0]] = name
+    out = bytearray()
+    tracks = {key: uuid for uuid, key in enumerate(threads, start=1)}
+    for key, uuid in tracks.items():
+        process = processes.get(key[0], f"run {key[0]}")
+        out += track_descriptor_packet(uuid, f"{process}: {threads[key]}")
+    for entry in entries:
+        event_type = _CHROME_PHASES.get(entry["ph"])
+        if event_type is None:
+            continue
+        ts = entry["ts"]
+        if not isinstance(ts, int) or ts < 0:
+            raise ConfigError(f"cannot render ts {ts!r} as a Perfetto timestamp")
+        name = "" if event_type == _TYPE_SLICE_END else str(entry["name"])
+        out += track_event_packet(ts, tracks[entry["pid"], entry.get("tid", 0)], event_type, name)
+    uuid = len(tracks)
+    for doc in document.get("reproSummaries", ()):
+        by_proc = doc.get("by_proc") or {}
+        label = f"{doc.get('workload', '?')}/{doc.get('level', '?')}"
         for proc_name in sorted(by_proc):
             categories = by_proc[proc_name]
             spent = sum(int(v) for k, v in categories.items() if k != "total")
-            track = self._track(f"{label}: proc {proc_name} ({spent} cycles)")
+            uuid += 1
+            out += track_descriptor_packet(uuid, f"{label}: proc {proc_name} ({spent} cycles)")
             at = 0
             for category, cycles in categories.items():
                 if category == "total" or not cycles:
                     continue
-                self._emit(track_event_packet(at, track, _TYPE_SLICE_BEGIN, category))
+                out += track_event_packet(at, uuid, _TYPE_SLICE_BEGIN, category)
                 at += int(cycles)
-                self._emit(track_event_packet(at, track, _TYPE_SLICE_END))
-
-    def _emit(self, packet: bytes) -> None:
-        self._pending += packet
-        self.packets += 1
-
-    # ----------------------------------------------------------- lifecycle
-
-    def flush(self) -> None:
-        """Append pending packets durably (the chunk-seal boundary hook)."""
-        if self._fh.closed:
-            return
-        if self._pending:
-            self._fh.write(bytes(self._pending))
-            self._pending.clear()
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if self._fh.closed:
-            return
-        self.flush()
-        self._fh.close()
+                out += track_event_packet(at, uuid, _TYPE_SLICE_END)
+    return bytes(out)
 
 
 def parse_packet_count(data: bytes) -> int:

@@ -1,87 +1,20 @@
-"""The streaming trace sink: bounded-memory export behind the telemetry bus.
+"""Run structure of the event log: its writer, run summaries and run splits.
 
-:class:`StreamingTraceSink` is an ordinary event sink (``handle(event)``)
-that can sit next to the buffered sinks on any
-:class:`~repro.telemetry.session.TelemetrySession` — it writes each record
-into a sealed-chunk directory (:mod:`repro.obs.chunks`) and mirrors the
-stream into an incremental Perfetto protobuf trace
-(:mod:`repro.obs.perfetto`), flushing the protobuf sidecar at exactly the
-chunk-seal boundaries so both artifacts share durability points.  Memory
-held is one open chunk buffer, regardless of run length.
-
-Because the sink serializes with the same ``to_record`` + compact-JSON
-encoding as :class:`~repro.telemetry.sinks.JsonlSink`, the concatenation
-of the sealed chunks is byte-identical to the buffered JSONL log of the
-same session, and a merged chunk directory renders byte-identical Chrome
-trace JSON — the ``obs`` verify section pins both on the golden grid.
-
-Like ``JsonlSink``, every live streaming sink registers with the
-interrupt-flush hooks, so SIGTERM/atexit seals the open buffer before the
-process dies; SIGKILL loses at most that buffer (the crash-tolerance
-contract lives in :mod:`repro.obs.chunks`).
+:class:`StreamingTraceSink` (defined with the format in
+:mod:`repro.obs.chunks`) is the event sink that writes the log; every run
+it records is delimited by ``RunBegin`` and closed by a summary document.
+:func:`run_summary_doc` builds that document and :func:`split_runs` cuts a
+loaded log back into per-run event lists for rendering.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from repro.obs.chunks import DEFAULT_MAX_BYTES, ChunkWriter
-from repro.obs.perfetto import PerfettoWriter
+from repro.obs.chunks import StreamingTraceSink, flush_all_sinks
 from repro.telemetry.events import Event
-from repro.telemetry.sinks import _install_flush_hooks, _LIVE_SINKS
 
-#: Perfetto sidecar file name inside a chunk directory.
-PFTRACE_NAME = "trace.pftrace"
-
-
-class StreamingTraceSink:
-    """Event sink streaming into a chunk directory (+ Perfetto sidecar)."""
-
-    def __init__(
-        self,
-        root: Union[str, os.PathLike],
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        max_records: Optional[int] = None,
-        perfetto: bool = True,
-    ) -> None:
-        self.root = Path(root)
-        self.writer = ChunkWriter(self.root, max_bytes=max_bytes, max_records=max_records)
-        self.perfetto: Optional[PerfettoWriter] = (
-            PerfettoWriter(self.root / PFTRACE_NAME) if perfetto else None
-        )
-        _install_flush_hooks()
-        _LIVE_SINKS.add(self)
-
-    def handle(self, event: Event) -> None:
-        sealed = self.writer.append(event.to_record())
-        if self.perfetto is not None:
-            self.perfetto.handle(event)
-            if sealed is not None:
-                self.perfetto.flush()
-
-    def note_run_summary(self, doc: dict) -> None:
-        """Record one finished run's summary (attribution, per-proc rows)."""
-        self.writer.note_summary(doc)
-        if self.perfetto is not None:
-            by_proc = doc.get("by_proc")
-            if by_proc:
-                self.perfetto.add_proc_tracks(
-                    f"{doc.get('workload', '?')}/{doc.get('level', '?')}", by_proc
-                )
-            self.perfetto.flush()
-
-    def flush(self) -> None:
-        """Seal the open buffer durably (SIGTERM/atexit hook)."""
-        self.writer.flush()
-        if self.perfetto is not None:
-            self.perfetto.flush()
-
-    def close(self) -> None:
-        self.writer.close()
-        if self.perfetto is not None:
-            self.perfetto.close()
+__all__ = ["StreamingTraceSink", "flush_all_sinks", "run_summary_doc", "split_runs"]
 
 
 # ------------------------------------------------------------ run summaries
@@ -92,9 +25,9 @@ def run_summary_doc(
 ) -> dict:
     """One run's self-describing summary for the chunk manifest / trace JSON.
 
-    Built from the same inputs both the streamed and the buffered exporter
-    hold, so the two paths produce identical documents — a requirement of
-    the byte-identity verify check.
+    Built once per run and handed to every sink that records summaries, so
+    the manifest and an in-memory :class:`~repro.telemetry.sinks.ListSink`
+    hold the same document.
     """
     from repro.tracing.attribution import CycleAttribution, ProcAttribution
 
@@ -118,8 +51,8 @@ def split_runs(events: Sequence[Event]) -> list[tuple[str, list[Event]]]:
 
     ``RunBegin`` events (emitted by every session before anything else)
     delimit runs; the delimiter stays in its run's stream, so splitting a
-    merged chunk load reproduces exactly the per-run event lists a buffered
-    per-run sink would have collected.
+    loaded chunk log reproduces exactly the per-run event lists a per-run
+    in-memory sink would have collected.
     """
     runs: list[tuple[str, list[Event]]] = []
     current: Optional[list[Event]] = None

@@ -542,58 +542,41 @@ def check_fastpath_identity(spec=None) -> None:
     )
 
 
-class _SummaryProbe:
-    """Minimal sink that captures the run-summary docs the engine publishes."""
-
-    def __init__(self) -> None:
-        self.docs: list[dict] = []
-
-    def handle(self, event) -> None:
-        pass
-
-    def note_run_summary(self, doc: dict) -> None:
-        self.docs.append(doc)
-
-
 def check_streaming_trace_identity(spec=None) -> None:
-    """Streamed chunked export must be byte-identical to buffered export.
+    """A render of the loaded chunk log must equal a render of the live events.
 
-    Runs ``spec`` (default: vortex/dyn, one pass) once with the full export
-    stack attached — buffered JSONL sink, in-memory sink and the chunked
-    :class:`~repro.obs.stream.StreamingTraceSink` with a deliberately tiny
-    chunk bound so many seals occur — and requires:
+    Runs ``spec`` (default: vortex/dyn, one pass) once with an in-memory
+    sink and the chunk-log writer
+    (:class:`~repro.obs.chunks.StreamingTraceSink`, with a deliberately tiny
+    chunk bound so many seals occur) attached, and requires:
 
     * zero observer effect: the instrumented run is fingerprint-identical
       to a plain run of the same spec;
-    * the concatenated sealed chunks are byte-identical to the buffered
-      JSONL file;
-    * a Chrome trace merged from the chunk directory is byte-identical to
-      one written by the buffered exporter from the live event list;
-    * the Perfetto sidecar parses to a nonzero packet count.
+    * the log loads completely, and the Chrome trace laid out from it is
+      byte-identical to the one laid out from the live event list and run
+      summaries;
+    * the Perfetto render of that trace parses to a nonzero packet count.
     """
+    import json
     import tempfile
     from pathlib import Path
 
     from repro.engine.spec import RunSpec
-    from repro.obs.chunks import load_chunk_events
-    from repro.obs.perfetto import parse_packet_count
-    from repro.obs.stream import PFTRACE_NAME, StreamingTraceSink, split_runs
-    from repro.telemetry.export import write_chrome_trace
-    from repro.telemetry.sinks import JsonlSink, ListSink
+    from repro.obs.chunks import StreamingTraceSink, load_chunk_events
+    from repro.obs.perfetto import parse_packet_count, perfetto_trace
+    from repro.obs.stream import split_runs
+    from repro.telemetry.export import chrome_trace_document
+    from repro.telemetry.sinks import ListSink
 
     spec = spec if spec is not None else RunSpec("vortex", "dyn", passes=1)
     context = f"streaming trace identity ({spec.label})"
     plain = run_workload(spec.build(), spec.level, machine=spec.machine, opt=spec.opt)
     with tempfile.TemporaryDirectory() as tmp_name:
-        tmp = Path(tmp_name)
-        chunk_dir = tmp / "chunks"
-        buffered_path = tmp / "buffered.jsonl"
-        events = ListSink()
-        probe = _SummaryProbe()
-        jsonl = JsonlSink(buffered_path, flush_every=64)
+        chunk_dir = Path(tmp_name) / "chunks"
+        live = ListSink()
         stream = StreamingTraceSink(chunk_dir, max_bytes=1 << 14)
         session = TelemetrySession(
-            sinks=[events, probe, jsonl, stream],
+            sinks=[live, stream],
             miss_sample_every=1,
             prefetch_sample_every=1,
             tracing=True,
@@ -602,33 +585,20 @@ def check_streaming_trace_identity(spec=None) -> None:
         streamed = run_workload(
             spec.build(), spec.level, machine=spec.machine, opt=spec.opt, telemetry=session
         )
-        jsonl.close()
         stream.close()
         _diff_fingerprints(run_fingerprint(plain), run_fingerprint(streamed), context)
 
         load_events, load = load_chunk_events(chunk_dir)
         _require(load.complete and load.ok, f"{context}: chunk load incomplete ({load.notes})")
-        chunk_bytes = b"".join(
-            path.read_bytes() for path in sorted(chunk_dir.glob("chunk-*.jsonl"))
-        )
-        _require(
-            chunk_bytes == buffered_path.read_bytes(),
-            f"{context}: concatenated chunks differ from the buffered JSONL "
-            f"({len(chunk_bytes)} vs {buffered_path.stat().st_size} bytes)",
-        )
-
         label = f"{streamed.workload}/{streamed.level}"
-        buffered_trace = tmp / "buffered.json"
-        merged_trace = tmp / "merged.json"
-        write_chrome_trace([(label, events.events)], buffered_trace, summaries=probe.docs)
-        write_chrome_trace(split_runs(load_events), merged_trace, summaries=load.summaries)
+        rendered = chrome_trace_document([(label, live.events)], summaries=live.summaries)
+        merged = chrome_trace_document(split_runs(load_events), summaries=load.summaries)
         _require(
-            buffered_trace.read_bytes() == merged_trace.read_bytes(),
-            f"{context}: chunk-merged Chrome trace differs from the buffered render",
+            json.dumps(rendered, separators=(",", ":")) == json.dumps(merged, separators=(",", ":")),
+            f"{context}: Chrome trace rendered from the chunk log differs from the live render",
         )
-
-        packets = parse_packet_count((chunk_dir / PFTRACE_NAME).read_bytes())
-        _require(packets > 0, f"{context}: Perfetto sidecar parsed to zero packets")
+        packets = parse_packet_count(perfetto_trace(merged))
+        _require(packets > 0, f"{context}: Perfetto render parsed to zero packets")
 
 
 def check_proc_attribution(spec=None, machine: MachineConfig = PAPER_MACHINE) -> None:

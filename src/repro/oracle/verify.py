@@ -21,13 +21,12 @@ Sections (all seeded, all deterministic for a given ``--seed``):
                 cell executed by the reference dispatch loop and by
                 ``repro.fastpath``, bit-compared (store bypassed, so cache
                 hits cannot make the comparison vacuous).
-``obs``         streaming observability: every golden cell run with the
-                chunked exporter attached — zero observer effect, the
-                concatenated sealed chunks byte-identical to the buffered
-                JSONL, the chunk-merged Chrome trace byte-identical to the
-                buffered render — and per-procedure attribution summing
-                exactly to the 7-category totals, reference vs fastpath
-                rows identical.
+``obs``         the event log: every golden cell run with the chunk-log
+                writer attached — zero observer effect, the Chrome trace
+                rendered from the loaded log byte-identical to the render
+                of the live events, a non-empty Perfetto render — and
+                per-procedure attribution summing exactly to the
+                7-category totals, reference vs fastpath rows identical.
 ``golden``      the frozen corpus under ``tests/golden/`` (skippable).
 
 Differential failures are delta-debugged to 1-minimal reproducers before
@@ -237,12 +236,12 @@ def _verify_fastpath() -> SectionResult:
 
 
 def _verify_obs() -> SectionResult:
-    """Streaming export identity + per-procedure attribution, golden grid.
+    """Chunk-log render identity + per-procedure attribution, golden grid.
 
-    Every golden (workload, level) cell runs with the chunked streaming
-    exporter attached and is byte-compared against the buffered exporter
-    (chunks vs JSONL, merged vs buffered Chrome render, zero observer
-    effect), then re-runs with per-procedure recording through both
+    Every golden (workload, level) cell runs with the chunk-log writer
+    attached; the Chrome render of the loaded log is byte-compared against
+    the render of the live events (and the run against a plain one, zero
+    observer effect), then re-runs with per-procedure recording through both
     execution engines to hold the by-proc split to the category totals.
     All legs execute fresh builds directly, never through the result store.
     """

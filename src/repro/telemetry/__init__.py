@@ -4,15 +4,18 @@ Quick tour::
 
     from repro.telemetry import TelemetrySession
     from repro.bench.runner import run_level
+    from repro.obs import StreamingTraceSink, load_chunk_events
 
-    session = TelemetrySession.to_jsonl("run.jsonl")
+    session = TelemetrySession(sinks=[StreamingTraceSink("run-log")])
     result = run_level("vpr", "dyn", telemetry=session)
-    session.close()                       # flush the event log
+    session.close()                       # seal the chunk log
+    events, load = load_chunk_events("run-log")
     print(session.registry.snapshot())    # exact run metrics
 
-See :mod:`repro.telemetry.events` for the event taxonomy,
-:mod:`repro.telemetry.export` for the JSONL/JSON/CSV formats and
-:mod:`repro.telemetry.session` for wiring details.
+The chunk directory of :mod:`repro.obs` is the one on-disk event format;
+see :mod:`repro.telemetry.events` for the event taxonomy,
+:mod:`repro.telemetry.export` for the metrics JSON/CSV and Chrome trace
+views and :mod:`repro.telemetry.session` for wiring details.
 """
 
 from repro.telemetry.events import (
@@ -37,16 +40,14 @@ from repro.telemetry.events import (
     from_record,
 )
 from repro.telemetry.export import (
-    load_events_jsonl,
     load_metrics_json,
     summarize,
-    write_events_jsonl,
     write_metrics_csv,
     write_metrics_json,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.session import TelemetryRecorder, TelemetrySession
-from repro.telemetry.sinks import NULL_SINK, JsonlSink, ListSink, NullSink
+from repro.telemetry.sinks import NULL_SINK, ListSink, NullSink
 
 __all__ = [
     "EVENT_TYPES",
@@ -68,9 +69,7 @@ __all__ = [
     "CacheMiss",
     "CacheFlushed",
     "RecordSkipped",
-    "load_events_jsonl",
     "load_metrics_json",
-    "write_events_jsonl",
     "write_metrics_csv",
     "write_metrics_json",
     "summarize",
@@ -82,6 +81,5 @@ __all__ = [
     "TelemetrySession",
     "NULL_SINK",
     "NullSink",
-    "JsonlSink",
     "ListSink",
 ]

@@ -13,7 +13,7 @@ loop therefore pays exactly one attribute check per potential emission site
 when telemetry is off.
 
 Event classes register themselves in :data:`EVENT_TYPES` keyed by class name,
-which is also the ``kind`` discriminator used by the JSONL exporter; a record
+which is also the ``kind`` discriminator of the chunk log's records; a record
 round-trips through :meth:`Event.to_record` / :func:`from_record`.
 """
 
@@ -292,12 +292,13 @@ class CacheFlushed(Event):
 
 @dataclass(frozen=True, slots=True)
 class RecordSkipped(Event):
-    """A loader skipped one unreadable line of an event log.
+    """A loader skipped one unreadable record of an event log.
 
-    Synthesized by :func:`repro.telemetry.export.load_events_jsonl` in
-    non-strict mode, never emitted by a simulation (``cycle`` is always 0).
-    ``line_no`` is 1-based; ``snippet`` holds a truncated copy of the bad
-    line so the original file is not needed to diagnose it.
+    Synthesized by :func:`repro.obs.chunks.load_chunk_events` for a
+    digest-valid record that is not a known event, never emitted by a
+    simulation (``cycle`` is always 0).  ``line_no`` is 1-based; ``snippet``
+    holds a truncated copy of the bad record so the original log is not
+    needed to diagnose it.
     """
 
     line_no: int

@@ -1,11 +1,10 @@
 """Exporters and loaders for telemetry data.
 
-Three formats:
+The event log itself has one on-disk format, the chunk directory written by
+:class:`~repro.obs.chunks.StreamingTraceSink` and read back by
+:func:`~repro.obs.chunks.load_chunk_events`.  This module holds the other
+views:
 
-* **JSONL event log** — one ``Event.to_record()`` dict per line, written
-  incrementally by :class:`~repro.telemetry.sinks.JsonlSink` or in one shot by
-  :func:`write_events_jsonl`; :func:`load_events_jsonl` reconstructs the typed
-  events, so a log round-trips exactly.
 * **JSON metrics snapshot** — the dict produced by
   :meth:`~repro.telemetry.session.TelemetrySession.snapshot` (or any registry
   snapshot); :func:`load_metrics_json` is its loader.
@@ -14,7 +13,9 @@ Three formats:
 * **Chrome trace-event JSON** — the span tree and event stream rendered in
   the `Trace Event Format` consumed by ``chrome://tracing`` and
   `ui.perfetto.dev <https://ui.perfetto.dev>`_; one simulated cycle maps to
-  one microsecond of trace time.  :func:`write_chrome_trace` is the writer,
+  one microsecond of trace time.  :func:`chrome_trace_document` is the one
+  track layout (the Perfetto render in :mod:`repro.obs.perfetto` reuses
+  it), :func:`write_chrome_trace` its writer and
   :func:`load_chrome_trace`/:func:`validate_chrome_trace` the loader and
   schema check (required keys ``ph``/``ts``/``pid``/``name`` per entry,
   balanced B/E nesting per thread).
@@ -27,63 +28,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.errors import ConfigError
-from repro.telemetry.events import Event, RecordSkipped, from_record
+from repro.telemetry.events import Event
 
 PathLike = Union[str, os.PathLike]
-
-
-# ----------------------------------------------------------------- JSONL log
-
-
-def write_events_jsonl(events: Iterable[Event], path: PathLike) -> int:
-    """Write ``events`` to ``path`` as JSON Lines; returns the record count."""
-    n = 0
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event.to_record(), separators=(",", ":")) + "\n")
-            n += 1
-    return n
-
-
-def load_events_jsonl(path: PathLike, strict: bool = False) -> list[Event]:
-    """Load a JSONL event log back into typed event objects.
-
-    A well-formed log round-trips exactly.  An unreadable line — broken
-    JSON, a non-object, an unknown ``kind``, missing or extra fields — is
-    replaced in sequence by a :class:`~repro.telemetry.events.RecordSkipped`
-    event carrying the line number, the reason and a snippet of the bad
-    line, so partially corrupted logs (truncated writes, editor mishaps)
-    still load and the damage stays visible.  ``strict=True`` restores
-    raising :class:`~repro.errors.ConfigError` on the first bad line.
-    """
-    events: list[Event] = []
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ConfigError(f"expected a JSON object, got {type(record).__name__}")
-                events.append(from_record(record))
-            except (json.JSONDecodeError, ConfigError) as exc:
-                if strict:
-                    if isinstance(exc, ConfigError):
-                        raise
-                    raise ConfigError(f"line {line_no}: invalid JSON: {exc}") from exc
-                events.append(
-                    RecordSkipped(
-                        cycle=0,
-                        line_no=line_no,
-                        reason=str(exc),
-                        snippet=line[:120],
-                    )
-                )
-    return events
 
 
 # ----------------------------------------------------------- metrics exports
@@ -265,41 +215,53 @@ def chrome_trace_events(events: Sequence[Event], pid: int = 1, label: str = "") 
     return entries + body
 
 
-def write_chrome_trace(
+def chrome_trace_document(
     runs: Sequence[tuple[str, Sequence[Event]]],
-    path: PathLike,
     summaries: Optional[Sequence[dict]] = None,
-) -> int:
-    """Write one Chrome trace-event JSON document covering ``runs``.
+) -> dict:
+    """One Chrome trace-event document covering ``runs``.
 
     ``runs`` is a sequence of ``(label, events)`` pairs, one per simulated
     run; each becomes its own process (pid) in the trace so multiple
-    workloads/levels land side by side on a shared timeline.  Returns the
-    number of trace entries written.
+    workloads/levels land side by side on a shared timeline.
 
-    ``summaries`` (when given) is attached verbatim under the extra
-    ``reproSummaries`` key — the same per-run summary documents a chunk
+    ``summaries`` (when given) is attached under the extra
+    ``reproSummaries`` key — the per-run summary documents a chunk
     directory's manifest carries, so monolithic traces and chunk
     directories are interchangeable inputs to ``repro-bench explain
     --from``.  Trace viewers and :func:`validate_chrome_trace` ignore
     unknown document keys, and the key is omitted entirely when no
-    summaries are supplied, so existing outputs are byte-unchanged.
+    summaries are supplied.
     """
     entries: list[dict] = []
     for pid, (label, events) in enumerate(runs, start=1):
         entries.extend(chrome_trace_events(events, pid=pid, label=label))
     document = {"traceEvents": entries, "displayTimeUnit": "ms"}
     if summaries is not None:
-        # Canonicalize key order so a trace merged from chunks (whose
-        # manifest bodies are canonical-sorted) is byte-identical to one
-        # written live from the same runs.
+        # Canonical key order, as the chunk manifest stores them, so a render
+        # of live summaries equals a render of the same run's loaded log.
         document["reproSummaries"] = [
             json.loads(json.dumps(doc, sort_keys=True)) for doc in summaries
         ]
+    return document
+
+
+def write_trace_document(document: dict, path: PathLike) -> None:
+    """Write a Chrome trace document as compact JSON plus a newline."""
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
         json.dump(document, fh, separators=(",", ":"))
         fh.write("\n")
-    return len(entries)
+
+
+def write_chrome_trace(
+    runs: Sequence[tuple[str, Sequence[Event]]],
+    path: PathLike,
+    summaries: Optional[Sequence[dict]] = None,
+) -> int:
+    """Write :func:`chrome_trace_document` of ``runs``; the entry count."""
+    document = chrome_trace_document(runs, summaries)
+    write_trace_document(document, path)
+    return len(document["traceEvents"])
 
 
 def load_chrome_trace(path: PathLike) -> dict:

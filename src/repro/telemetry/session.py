@@ -11,12 +11,12 @@ optimizer reads the interpreter's bus dynamically).  Three modes:
   :class:`~repro.bench.runner.RunResult` carries a filled registry for free.
 * ``TelemetrySession(sinks=[...])`` — full event flow into the given sinks,
   plus a :class:`MetricsSink` feeding live, event-derived metrics
-  (``events.*`` counters, the prefetch lead-time histogram).
-* :meth:`TelemetrySession.recording` / :meth:`TelemetrySession.to_jsonl` —
-  shorthands for the in-memory and JSONL-file variants.
+  (``events.*`` counters, the prefetch lead-time histogram).  To keep the
+  events on disk, pass a :class:`~repro.obs.chunks.StreamingTraceSink`.
+* :meth:`TelemetrySession.recording` — shorthand for the in-memory variant.
 
 :class:`TelemetryRecorder` spans *several* runs (the bench CLI's
-``--telemetry/--metrics`` flags): all runs append to one shared JSONL log,
+``--telemetry/--metrics`` flags): all runs append to one shared chunk log,
 delimited by ``RunBegin``/``RunEnd`` events, and each run's snapshot lands in
 one JSON document keyed ``workload/level``.
 """
@@ -34,7 +34,7 @@ from repro.telemetry.metrics import (
     STREAM_LENGTH_BUCKETS,
     MetricsRegistry,
 )
-from repro.telemetry.sinks import JsonlSink, ListSink
+from repro.telemetry.sinks import ListSink
 from repro.tracing.ledger import PrefetchLedger
 from repro.tracing.spans import NULL_TRACER, SpanCollector, SpanTracer
 
@@ -122,21 +122,6 @@ class TelemetrySession:
             tracing=tracing,
             track_prefetches=track_prefetches,
             proc_attribution=proc_attribution,
-        )
-
-    @classmethod
-    def to_jsonl(
-        cls,
-        path: Union[str, os.PathLike],
-        miss_sample_every: int = DEFAULT_MISS_SAMPLE_EVERY,
-        prefetch_sample_every: int = DEFAULT_PREFETCH_SAMPLE_EVERY,
-        flush_every: int = 512,
-    ) -> "TelemetrySession":
-        """Session streaming events to a JSONL file (close() flushes it)."""
-        return cls(
-            sinks=[JsonlSink(path, flush_every=flush_every)],
-            miss_sample_every=miss_sample_every,
-            prefetch_sample_every=prefetch_sample_every,
         )
 
     @property
@@ -256,61 +241,52 @@ class TelemetrySession:
         return snap
 
     def close(self) -> None:
-        """Close sinks owned by this session (flushes JSONL files)."""
+        """Close sinks that hold files (seals a streaming sink's log)."""
         self.bus.close()
 
 
 class TelemetryRecorder:
     """Telemetry spanning a whole bench session (many workload × level runs).
 
-    All runs share one JSONL sink; per-run metrics snapshots accumulate and
-    are written as a single JSON document on :meth:`close`.
+    All runs stream into one shared chunk log (``events_dir``); per-run
+    metrics snapshots accumulate and are written as a single JSON document
+    on :meth:`close`.  The log's sink is created here, so a used directory
+    is refused before any run starts.
     """
 
     def __init__(
         self,
-        events_path: Optional[Union[str, os.PathLike]] = None,
+        events_dir: Optional[Union[str, os.PathLike]] = None,
         metrics_path: Optional[Union[str, os.PathLike]] = None,
         miss_sample_every: int = DEFAULT_MISS_SAMPLE_EVERY,
         prefetch_sample_every: int = DEFAULT_PREFETCH_SAMPLE_EVERY,
-        flush_every: int = 512,
-        stream_dir: Optional[Union[str, os.PathLike]] = None,
     ) -> None:
-        self.events_path = events_path
+        self.events_dir = events_dir
         self.metrics_path = metrics_path
         self.miss_sample_every = miss_sample_every
         self.prefetch_sample_every = prefetch_sample_every
         self.snapshots: dict[str, object] = {}
-        self._jsonl = JsonlSink(events_path, flush_every=flush_every) if events_path else None
-        #: bounded-memory chunked export (``--stream DIR``), shared by every
-        #: run of the session exactly like the JSONL sink
-        self.stream_dir = stream_dir
-        if stream_dir is not None:
-            from repro.obs.stream import StreamingTraceSink
+        if events_dir is not None:
+            from repro.obs.chunks import StreamingTraceSink
 
-            self._stream = StreamingTraceSink(stream_dir)
+            self._stream = StreamingTraceSink(events_dir)
         else:
             self._stream = None
 
     @property
     def enabled(self) -> bool:
-        return (
-            self.events_path is not None
-            or self.metrics_path is not None
-            or self.stream_dir is not None
-        )
+        return self.events_dir is not None or self.metrics_path is not None
 
     def session_for(self, workload: str, level: str) -> Optional[TelemetrySession]:
-        """A fresh session for one run, sharing the recorder's JSONL sink."""
+        """A fresh session for one run, sharing the recorder's chunk log."""
         if not self.enabled:
             return None
-        sinks = [s for s in (self._jsonl, self._stream) if s is not None]
         session = TelemetrySession(
-            sinks=sinks,
+            sinks=[self._stream] if self._stream is not None else [],
             miss_sample_every=self.miss_sample_every,
             prefetch_sample_every=self.prefetch_sample_every,
-            # Streamed runs record per-procedure attribution so chunk
-            # summaries and Perfetto proc tracks carry the by-proc split.
+            # Logged runs record per-procedure attribution so the chunk
+            # summaries carry the by-proc split.
             proc_attribution=self._stream is not None,
         )
         session.begin_run(workload, level)
@@ -321,9 +297,7 @@ class TelemetryRecorder:
         self.snapshots[f"{workload}/{level}"] = session.snapshot()
 
     def close(self) -> None:
-        """Flush the shared JSONL log and write the metrics JSON document."""
-        if self._jsonl is not None:
-            self._jsonl.close()
+        """Seal the shared chunk log and write the metrics JSON document."""
         if self._stream is not None:
             self._stream.close()
         if self.metrics_path is not None:

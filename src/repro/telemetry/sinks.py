@@ -1,29 +1,18 @@
 """Event sinks: where emitted telemetry events go.
 
 A sink is anything with ``handle(event)``; sinks holding external resources
-also expose ``close()``.  The important one is :data:`NULL_SINK` — a shared,
-always-disabled stand-in that instrumented components hold *by default*, so
-the simulation's hot paths pay a single ``.enabled`` attribute check when no
-telemetry has been requested.
+also expose ``close()``, and sinks that want each finished run's summary
+document (cycle attribution, per-procedure rows) expose
+``note_run_summary(doc)``.  The important one is :data:`NULL_SINK` — a
+shared, always-disabled stand-in that instrumented components hold *by
+default*, so the simulation's hot paths pay a single ``.enabled`` attribute
+check when no telemetry has been requested.
 
-File-backed sinks buffer lines for throughput, which would normally mean a
-SIGTERM (CI timeout, scheduler preemption) truncates the event log mid-line.
-Every live :class:`JsonlSink` therefore registers in a module-level weak set
-that :func:`flush_all_sinks` drains; the drain is hooked into ``atexit`` and
-chained onto any existing ``SIGTERM`` handler, so an interrupted run still
-leaves a valid (if shorter) JSONL artifact behind.
+The one file-backed sink is :class:`~repro.obs.chunks.StreamingTraceSink`,
+the chunk-log writer; :class:`ListSink` is its in-memory counterpart.
 """
 
 from __future__ import annotations
-
-import atexit
-import io
-import json
-import os
-import signal
-import threading
-import weakref
-from typing import Union
 
 from repro.telemetry.events import Event
 
@@ -52,13 +41,17 @@ NULL_SINK = NullSink()
 
 
 class ListSink:
-    """Collects events in memory — the test/debugging sink."""
+    """Collects events and run summaries in memory — the test/debugging sink."""
 
     def __init__(self) -> None:
         self.events: list[Event] = []
+        self.summaries: list[dict] = []
 
     def handle(self, event: Event) -> None:
         self.events.append(event)
+
+    def note_run_summary(self, doc: dict) -> None:
+        self.summaries.append(doc)
 
     def counts(self) -> dict[str, int]:
         """Number of collected events per kind."""
@@ -66,124 +59,3 @@ class ListSink:
         for event in self.events:
             out[event.kind] = out.get(event.kind, 0) + 1
         return out
-
-
-#: Weak registry of live JsonlSinks; entries vanish with their sinks.
-_LIVE_SINKS: "weakref.WeakSet[JsonlSink]" = weakref.WeakSet()
-_HOOKS_LOCK = threading.Lock()
-_HOOKS_INSTALLED = False
-
-
-def flush_all_sinks() -> int:
-    """Drain every live :class:`JsonlSink`'s buffer to disk; count drained.
-
-    Safe to call at any time (idempotent, never raises): a sink whose file
-    is already broken is skipped rather than aborting the sweep.
-    """
-    flushed = 0
-    for sink in list(_LIVE_SINKS):
-        try:
-            sink.flush()
-            flushed += 1
-        except Exception:
-            continue
-    return flushed
-
-
-def _sigterm_flush(signum, frame) -> None:
-    flush_all_sinks()
-    previous = _sigterm_flush.previous
-    if callable(previous):
-        previous(signum, frame)
-    else:
-        # Default disposition: re-deliver so the exit status still says
-        # "killed by SIGTERM" instead of silently swallowing the signal.
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGTERM)
-
-
-_sigterm_flush.previous = None
-
-
-def _install_flush_hooks() -> None:
-    """Register the atexit + SIGTERM flush hooks, once per process.
-
-    Deferred to first JsonlSink construction so merely importing telemetry
-    never touches signal state; worker threads (where ``signal.signal``
-    raises ValueError) just skip the signal half and keep atexit.
-    """
-    global _HOOKS_INSTALLED
-    with _HOOKS_LOCK:
-        if _HOOKS_INSTALLED:
-            return
-        _HOOKS_INSTALLED = True
-    atexit.register(flush_all_sinks)
-    try:
-        previous = signal.getsignal(signal.SIGTERM)
-        if previous not in (signal.SIG_IGN, _sigterm_flush):
-            _sigterm_flush.previous = previous if previous is not signal.SIG_DFL else None
-            signal.signal(signal.SIGTERM, _sigterm_flush)
-    except ValueError:
-        # Not the main thread: atexit coverage only.
-        pass
-
-
-class JsonlSink:
-    """Streams events to a JSON-Lines file, one record per line.
-
-    Serialized lines are buffered and written in chunks of ``flush_every`` so
-    a dyn-level run with tens of thousands of prefetch events stays well under
-    the <10% wall-clock budget.  Accepts a path or an open text file; paths
-    are opened lazily on the first event and closed by :meth:`close`.
-    """
-
-    def __init__(self, target: Union[str, os.PathLike, io.TextIOBase], flush_every: int = 512) -> None:
-        self._target = target
-        self._file: io.TextIOBase | None = target if hasattr(target, "write") else None
-        self._owns_file = self._file is None
-        self._created = False
-        self._buffer: list[str] = []
-        self._flush_every = max(1, flush_every)
-        self.records_written = 0
-        _install_flush_hooks()
-        _LIVE_SINKS.add(self)
-
-    def handle(self, event: Event) -> None:
-        self._buffer.append(json.dumps(event.to_record(), separators=(",", ":")))
-        self.records_written += 1
-        if len(self._buffer) >= self._flush_every:
-            self._drain()
-
-    def _drain(self) -> None:
-        if not self._buffer:
-            return
-        if self._file is None:
-            # "a" after a close so a reused sink appends rather than truncates.
-            self._file = open(os.fspath(self._target), "a" if self._created else "w", encoding="utf-8")
-            self._created = True
-        self._file.write("\n".join(self._buffer) + "\n")
-        self._buffer.clear()
-
-    def flush(self) -> None:
-        """Push buffered lines through to the OS (interrupt-safety hook)."""
-        self._drain()
-        if self._file is not None:
-            self._file.flush()
-
-    def close(self) -> None:
-        """Flush buffered lines and close the file (if this sink opened it).
-
-        A path-backed sink that never saw an event still creates the (empty)
-        file, so callers can promise the artifact exists after close().
-        """
-        self._drain()
-        if self._file is None and self._owns_file and not self._created:
-            open(os.fspath(self._target), "w", encoding="utf-8").close()
-            self._created = True
-        if self._file is None:
-            return
-        if self._owns_file:
-            self._file.close()
-            self._file = None
-        else:
-            self._file.flush()

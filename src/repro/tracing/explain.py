@@ -210,7 +210,7 @@ def offline_explanations(path) -> list[WorkloadExplanation]:
         )
     if not out:
         raise ConfigError(
-            f"{path} carries no run summaries; re-export with --stream or "
+            f"{path} carries no run summaries; re-export with --telemetry DIR or "
             "a summaries-enabled trace"
         )
     return out

@@ -1,4 +1,4 @@
-"""CLI surface of the observability stack: status, --stream, --from, --by-proc.
+"""CLI surface of the observability stack: status, --telemetry, --from, --by-proc.
 
 Chunk directories and monolithic trace JSONs must be interchangeable inputs
 to ``trace --from`` and ``explain --from``; ``status`` must work on live,
@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.bench.cli import main as cli_main
-from repro.obs.chunks import load_chunks
+from repro.obs.chunks import load_chunk_events, load_chunks
+from repro.obs.perfetto import parse_packet_count
 from repro.obs.status import StatusWriter
 
 _FAST = ["--workloads", "vortex", "--scale", "0.05"]
@@ -68,12 +69,30 @@ class TestTraceStream:
         live = tmp_path / "live.json"
         merged = tmp_path / "merged.json"
         chunks = tmp_path / "chunks"
-        assert cli_main(["trace", *_FAST, "--out", str(live), "--stream", str(chunks)]) == 0
+        assert cli_main(["trace", *_FAST, "--out", str(live), "--telemetry", str(chunks)]) == 0
         load = load_chunks(chunks)
         assert load.complete and load.summaries
         assert cli_main(["trace", "--from", str(chunks), "--out", str(merged)]) == 0
         assert live.read_bytes() == merged.read_bytes()
-        assert (chunks / "trace.pftrace").stat().st_size > 0
+        pftrace = tmp_path / "t.pftrace"
+        assert cli_main(["trace", "--from", str(chunks), "--out", str(pftrace)]) == 0
+        assert parse_packet_count(pftrace.read_bytes()) > 0
+
+    def test_live_perfetto_equals_merged_perfetto(self, tmp_path, capsys):
+        live = tmp_path / "live.pftrace"
+        merged = tmp_path / "merged.pftrace"
+        chunks = tmp_path / "chunks"
+        assert cli_main(["trace", *_FAST, "--out", str(live), "--telemetry", str(chunks)]) == 0
+        assert cli_main(["trace", "--from", str(chunks), "--out", str(merged)]) == 0
+        assert live.read_bytes() == merged.read_bytes()
+        assert "perfetto trace written" in capsys.readouterr().out
+
+    def test_stream_flag_is_explain_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["trace", *_FAST, "--stream", str(tmp_path / "chunks")])
+        assert excinfo.value.code == 2
+        assert "--telemetry" in capsys.readouterr().err
+        assert not (tmp_path / "chunks").exists()
 
     def test_from_monolithic_validates_and_rewrites(self, tmp_path, capsys):
         live = tmp_path / "live.json"
@@ -90,9 +109,9 @@ class TestTraceStream:
 
     def test_stream_into_used_directory_rejected(self, tmp_path, capsys):
         chunks = tmp_path / "chunks"
-        assert cli_main(["trace", *_FAST, "--out", str(tmp_path / "a.json"), "--stream", str(chunks)]) == 0
+        assert cli_main(["trace", *_FAST, "--out", str(tmp_path / "a.json"), "--telemetry", str(chunks)]) == 0
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["trace", *_FAST, "--out", str(tmp_path / "b.json"), "--stream", str(chunks)])
+            cli_main(["trace", *_FAST, "--out", str(tmp_path / "b.json"), "--telemetry", str(chunks)])
         assert excinfo.value.code == 2
         assert "fresh directory" in capsys.readouterr().err
 
@@ -105,12 +124,12 @@ class TestExplain:
 
     def test_explain_from_chunk_dir(self, tmp_path, capsys):
         chunks = tmp_path / "chunks"
-        assert cli_main(["trace", *_FAST, "--out", str(tmp_path / "t.json"), "--stream", str(chunks)]) == 0
+        assert cli_main(["trace", *_FAST, "--out", str(tmp_path / "t.json"), "--telemetry", str(chunks)]) == 0
         capsys.readouterr()
         assert cli_main(["explain", "--from", str(chunks)]) == 0
         out = capsys.readouterr().out
         assert "cycle attribution" in out
-        assert "per-procedure attribution" in out  # streamed runs record by-proc
+        assert "per-procedure attribution" in out  # logged runs record by-proc
         assert "offline explanation" in out
 
     def test_explain_from_monolithic_trace(self, tmp_path, capsys):
@@ -135,27 +154,30 @@ class TestExplain:
 
 class TestFiguresStreaming:
     def test_figures_stream_matches_buffered_jsonl(self, tmp_path, capsys, monkeypatch):
+        """The figures log is, byte for byte, the compact-JSON lines of its
+        typed events — what a buffered JSONL export of them would hold."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         chunks = tmp_path / "chunks"
-        events = tmp_path / "events.jsonl"
+        metrics = tmp_path / "metrics.json"
         assert (
-            cli_main(
-                [
-                    "figures",
-                    *_FAST,
-                    "--stream",
-                    str(chunks),
-                    "--telemetry",
-                    str(events),
-                    "--flush-every",
-                    "1",
-                ]
-            )
+            cli_main(["figures", *_FAST, "--telemetry", str(chunks), "--metrics", str(metrics)])
             == 0
         )
         chunk_bytes = b"".join(p.read_bytes() for p in sorted(chunks.glob("chunk-*.jsonl")))
-        assert chunk_bytes == events.read_bytes()
-        load = load_chunks(chunks)
-        # One summary per live (workload, level) run across the figures grid.
+        events, load = load_chunk_events(chunks)
+        buffered = "".join(json.dumps(e.to_record(), separators=(",", ":")) + "\n" for e in events)
+        assert chunk_bytes == buffered.encode()
+        assert all(e.kind != "RecordSkipped" for e in events)
+        # One run and one summary per live (workload, level) run of the grid.
+        assert sum(e.kind == "RunBegin" for e in events) == 7
         assert load.complete and len(load.summaries) == 7
         assert all("by_proc" in doc for doc in load.summaries)
+        assert len(json.loads(metrics.read_text())) == 7
+
+    def test_used_telemetry_directory_rejected_before_any_run(self, tmp_path, capsys):
+        chunks = tmp_path / "chunks"
+        assert cli_main(["figure4", "--telemetry", str(chunks)]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["figures", *_FAST, "--telemetry", str(chunks)])
+        assert excinfo.value.code == 2
+        assert "fresh directory" in capsys.readouterr().err

@@ -15,6 +15,8 @@ from repro.bench.runner import run_level
 from repro.errors import ConfigError
 from repro.machine.config import CacheGeometry, MachineConfig
 from repro.machine.hierarchy import MemoryHierarchy
+from repro.obs.chunks import load_chunk_events
+from repro.obs.stream import StreamingTraceSink
 from repro.telemetry.events import (
     EVENT_TYPES,
     BurstBegin,
@@ -26,16 +28,14 @@ from repro.telemetry.events import (
     from_record,
 )
 from repro.telemetry.export import (
-    load_events_jsonl,
     load_metrics_json,
     summarize,
-    write_events_jsonl,
     write_metrics_csv,
     write_metrics_json,
 )
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.session import TelemetryRecorder, TelemetrySession
-from repro.telemetry.sinks import NULL_SINK, JsonlSink, ListSink
+from repro.telemetry.sinks import NULL_SINK, ListSink
 
 TINY = MachineConfig(
     l1=CacheGeometry(512, 2), l2=CacheGeometry(4096, 4), l2_latency=10, memory_latency=100
@@ -144,29 +144,14 @@ class TestEventModel:
 
 
 class TestSinksAndExporters:
-    def test_jsonl_sink_round_trip(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        sink = JsonlSink(path)
+    def test_stream_sink_round_trip(self, tmp_path):
+        sink = StreamingTraceSink(tmp_path / "log")
         events = [SAMPLE_EVENTS[k]() for k in sorted(SAMPLE_EVENTS)]
         for event in events:
             sink.handle(event)
         sink.close()
-        assert load_events_jsonl(path) == events
-
-    def test_jsonl_sink_appends_after_close(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        sink = JsonlSink(path)
-        sink.handle(BurstBegin(1))
-        sink.close()
-        sink.handle(BurstBegin(2))
-        sink.close()
-        assert load_events_jsonl(path) == [BurstBegin(1), BurstBegin(2)]
-
-    def test_write_events_jsonl_helper(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        events = [RunBegin(0, "vpr", "dyn"), PrefetchIssued(5, 1, "sw", False)]
-        write_events_jsonl(events, path)
-        assert load_events_jsonl(path) == events
+        loaded, load = load_chunk_events(tmp_path / "log")
+        assert load.complete and loaded == events
 
     def test_metrics_json_round_trip(self, tmp_path):
         reg = MetricsRegistry()
@@ -263,8 +248,10 @@ class TestObserverEffect:
     @pytest.mark.parametrize("name", ["vpr", "mcf"])
     def test_cycles_identical_on_vs_off(self, name, tmp_path):
         plain = run_level(name, "dyn", passes=2)
-        session = TelemetrySession.to_jsonl(
-            tmp_path / "t.jsonl", miss_sample_every=1, prefetch_sample_every=1
+        session = TelemetrySession(
+            sinks=[StreamingTraceSink(tmp_path / "log")],
+            miss_sample_every=1,
+            prefetch_sample_every=1,
         )
         traced = run_level(name, "dyn", passes=2, telemetry=session)
         session.close()
@@ -289,15 +276,16 @@ class TestSamplingInvariants:
 
 class TestRecorder:
     def test_recorder_round_trips_jsonl_and_json(self, tmp_path):
-        events_path = tmp_path / "events.jsonl"
+        events_dir = tmp_path / "log"
         metrics_path = tmp_path / "metrics.json"
-        recorder = TelemetryRecorder(events_path=events_path, metrics_path=metrics_path)
+        recorder = TelemetryRecorder(events_dir=events_dir, metrics_path=metrics_path)
         for level in ("orig", "dyn"):
             session = recorder.session_for("vpr", level)
             run_level("vpr", level, passes=2, telemetry=session)
             recorder.record("vpr", level, session)
         recorder.close()
-        events = load_events_jsonl(events_path)
+        events, load = load_chunk_events(events_dir)
+        assert load.complete and [doc["level"] for doc in load.summaries] == ["orig", "dyn"]
         kinds = {event.kind for event in events}
         assert {"RunBegin", "RunEnd"} <= kinds
         assert all(isinstance(event, Event) for event in events)
