@@ -10,13 +10,14 @@ Three tiers, each bit-identity-checked while it is timed:
                      one pass), cold (first compile included) and warm.
 
 The hard gates are deliberately honest rather than aspirational.  The
-end-to-end figures grid is Amdahl-bound: the paper's pipeline spends most
-of its time in grammar construction, stream analysis and cache-miss
-modelling — Python that the kernel does not (and must not) touch — so the
-whole-run speedup sits well below the kernel-only speedup.  The aspirational
-targets (10x dispatch, 5x end-to-end) are recorded in the JSON and produce a
-soft warning when missed; dropping below the hard floor fails the run, which
-is the regression signal CI acts on.
+end-to-end figures grid is Amdahl-bound: its ``dyn`` cells spend much of
+their time in Sequitur grammar construction and hot-stream analysis — Python
+that the kernel does not (and must not) touch — so the whole-run speedup
+sits well below the kernel-only speedup.  One extra compiled pass over the
+grid measures those layers' share of its time, and a missed figures target
+cites it.  The aspirational targets (10x dispatch, 5x end-to-end) are
+recorded in the JSON and produce a soft warning when missed; dropping below
+the hard floor fails the run, which is the regression signal CI acts on.
 
 Usage:
     python benchmarks/bench_fastpath.py            # full run, writes BENCH_fastpath.json
@@ -33,11 +34,14 @@ import sys
 import time
 from pathlib import Path
 
+from repro.analysis.hotstreams import HotStreamAnalyzer
+from repro.core.optimizer import DynamicPrefetcher
 from repro.engine.levels import execute_workload
 from repro.fastpath.compiler import clear_cache
 from repro.interp.interpreter import Interpreter
 from repro.ir.builder import ProcedureBuilder, build_program
 from repro.machine.memory import Memory
+from repro.sequitur.sequitur import Sequitur
 from repro.workloads import build_named, names
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +61,16 @@ GATES = {
 }
 
 FIGURES_LEVELS = ("orig", "dyn")
+
+#: Layers the compiled kernel does not run, by the name the end-to-end
+#: benchmark gives them: their share of a compiled figures run bounds its
+#: speedup.  ``core.optimizer`` is the rest of the online optimizer (DFSM
+#: build, handler codegen, Vulcan patching).
+UNTOUCHED_LAYERS = {
+    "sequitur.extend_batch": (Sequitur, "extend_batch"),
+    "analysis.hot_streams": (HotStreamAnalyzer, "find_hot_streams"),
+    "core.optimizer": (DynamicPrefetcher, "burst_end"),
+}
 
 
 def _ring_memory(nodes=64, stride=32):
@@ -139,6 +153,38 @@ def _time_micro(program, iters, repeats):
     }
 
 
+def _untouched_shares(run):
+    """Each of UNTOUCHED_LAYERS' self-time share of ``run()``'s wall time
+    (time in a nested call of another listed layer is that layer's)."""
+    spent = dict.fromkeys(UNTOUCHED_LAYERS, 0.0)
+    nested = [0.0]  # per open call: time spent in listed calls inside it
+
+    def timed(layer, fn):
+        def wrapper(*args, **kwargs):
+            nested.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                dt = time.perf_counter() - t0
+                spent[layer] += dt - nested.pop()
+                nested[-1] += dt
+        return wrapper
+
+    saved = []
+    for layer, (owner, attr) in UNTOUCHED_LAYERS.items():
+        saved.append((owner, attr, owner.__dict__[attr]))
+        setattr(owner, attr, timed(layer, owner.__dict__[attr]))
+    try:
+        t0 = time.perf_counter()
+        run()
+        total = time.perf_counter() - t0
+    finally:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, fn)
+    return {layer: round(s / total, 3) for layer, s in spent.items()}
+
+
 def _time_figures(passes, repeats):
     """The experiment grid under each kernel; cold includes first compile."""
     grid = [(w, lv) for w in names() for lv in FIGURES_LEVELS]
@@ -165,6 +211,7 @@ def _time_figures(passes, repeats):
         warm_times.append(dt)
     if cold_docs != ref_docs or warm_docs != ref_docs:
         raise SystemExit("identity violation in figures grid — aborting")
+    shares = _untouched_shares(lambda: one_pass(True))
     ref = min(ref_times)
     return {
         "grid": [f"{w}/{lv}" for w, lv in grid],
@@ -174,6 +221,7 @@ def _time_figures(passes, repeats):
         "fastpath_warm_s": round(min(warm_times), 3),
         "speedup_cold": round(ref / cold, 2),
         "speedup_warm": round(ref / min(warm_times), 2),
+        "untouched_shares": shares,
     }
 
 
@@ -191,16 +239,20 @@ def run_benchmark(quick=False):
         "figures_cold": sections["figures"]["speedup_cold"],
         "figures_warm": sections["figures"]["speedup_warm"],
     }
+    shares = sections["figures"]["untouched_shares"]
+    amdahl = (
+        f"Amdahl-bound: {sum(shares.values()):.0%} of the compiled grid's time is in "
+        "layers the kernel does not run: "
+        + ", ".join(f"{layer} {share:.0%}" for layer, share in shares.items())
+    )
     failures, warnings = [], []
     for key, gate in GATES.items():
         got = speedups[key]
         if got < gate["fail_below"]:
             failures.append(f"{key}: {got}x < hard floor {gate['fail_below']}x")
         elif got < gate["target"]:
-            warnings.append(
-                f"{key}: {got}x below aspirational {gate['target']}x "
-                "(Amdahl-bound: analysis/miss-path Python dominates)"
-            )
+            reason = f" ({amdahl})" if key.startswith("figures_") else ""
+            warnings.append(f"{key}: {got}x below aspirational {gate['target']}x{reason}")
     return {
         "schema": 1,
         "quick": quick,

@@ -21,12 +21,13 @@ single Python function of the shape::
 Each *trace* is the straight-line superblock starting at a leader: emission
 walks forward through the tuple code, inlining ALU/compare/mov/const as
 plain expressions, conditional branches as ``if reg: ip = T; continue``
-(fallthrough stays inside the trace), and memory references as either an
-inline L1-hit/clean-miss path (one-tenant
-:class:`~repro.machine.hierarchy.MemoryHierarchy` only) or a call to the real
-``hierarchy.access``.  ``icount``/``cycles``
-increments are batched between observation points, which is where most of
-the speedup comes from.
+(fallthrough stays inside the trace), and memory references as an inline
+L1-hit/clean-miss path that calls the real ``hierarchy.access`` for every
+other case.  A trace ends with ``ip = L; continue`` where it would fall into
+a loop head (the target of a backward branch) or exceed ``TRACE_CAP``, so
+each loop body is emitted once.  ``icount``/``cycles`` increments are
+batched between observation points, which is where most of the speedup
+comes from.
 
 Instructions that leave the procedure or mutate interpreter-global state
 (CALL, RET, HALT, a CHECK whose counter reaches zero) flush the locals and
@@ -39,13 +40,14 @@ Bit-identity ground rules (see DESIGN.md §5h):
   in exactly the reference order — the generated source for each opcode is a
   transliteration of the matching ``Interpreter._dispatch`` arm;
 * the inline L1 path is the only other copy of ``MemoryHierarchy.access``
-  and short-circuits just two cases: an L1 hit on a block that is neither
-  in flight nor prefetched-and-unused (counters plus an LRU promotion), and
-  a miss while no prefetch is outstanding at all (the L2 lookup, inclusion
-  eviction and latency charge).  It makes exactly the lane-0 and cache
-  counter updates ``access`` makes for those cases; every other case calls
-  the real ``access`` so classification, sampling and the ledger are
-  untouched;
+  and short-circuits just two cases on the active tenant's lane: an L1 hit
+  on a block that is neither in flight nor prefetched-and-unused (counters
+  plus an LRU promotion), and a miss while no prefetch is outstanding at all
+  and the lane's telemetry is off (the L2 lookup, inclusion eviction from
+  the victim owner's L1, and latency charge).  Neither case emits an event
+  or reaches a ledger hook, and the path makes exactly the lane and cache
+  counter updates ``access`` makes for them; every other case calls the
+  real ``access`` so classification, sampling and the ledger are untouched;
 * anything the compiler cannot prove equivalent is not compiled — the
   trampoline falls back to the reference dispatch loop instruction by
   instruction.
@@ -80,6 +82,7 @@ from repro.interp.lowering import (
     lower_procedure,
 )
 from repro.errors import MemoryFault
+from repro.machine.hierarchy import TENANT_SHIFT
 
 #: Signals a compiled kernel returns to the trampoline.
 SIG_PARK = 0    #: limit proximity or unknown leader; state flushed, not done
@@ -117,6 +120,86 @@ _CMP_SYM = {
 }
 
 
+#: The inline memory path, emitted once per load/store on ``addr``: an
+#: L1 hit on a block with no prefetch state, or a miss while no prefetch is
+#: outstanding anywhere and the lane's telemetry is off; every other case
+#: calls ``access``.
+#:
+#: ``lblk`` memoizes the previous access's block: every inline path leaves
+#: its block MRU in L1 and outside the prefetch dicts, and nothing between
+#: two memory ops can disturb that (any prefetch issue or slow call resets
+#: the memo), so a back-to-back re-access is exactly a hit whose LRU
+#: promotion is a no-op.  Hit/miss/eviction and demand counters batch into
+#: locals (``hits1``/``miss1``/``hits2``/``miss2``/``ev1``/``ev2``/``d_acc``)
+#: that the function's finally block adds to the active lane's and the
+#: caches' counters — pure monotonic counters nothing reads mid-kernel.  An
+#: L2 victim leaves its owner's L1 (inclusion), which need not be the active
+#: lane's.
+_MEMORY_PATH = f"""\
+block = (addr >> bshift) + boff
+if block == lblk:
+    d_acc += 1
+    hits1 += 1
+else:
+    way = l1_sets[block & l1_mask]
+    if block in way:
+        if block in inflight or block in pf_unused:
+            stall = access(addr, cycles)
+            cycles += stall
+            mem_stall += stall
+            lblk = -1
+        else:
+            d_acc += 1
+            hits1 += 1
+            if way[-1] != block:
+                way.remove(block)
+                way.append(block)
+            lblk = block
+    elif inflight or pf_unused or bus_on:
+        stall = access(addr, cycles)
+        cycles += stall
+        mem_stall += stall
+        lblk = -1
+    else:
+        d_acc += 1
+        miss1 += 1
+        way2 = l2_sets[block & l2_mask]
+        if block in way2:
+            hits2 += 1
+            if way2[-1] != block:
+                way2.remove(block)
+                way2.append(block)
+            cycles += l2_lat
+            mem_stall += l2_lat
+        else:
+            miss2 += 1
+            cycles += mem_lat
+            mem_stall += mem_lat
+            if len(way2) >= l2_assoc:
+                victim = way2.pop(0)
+                ev2 += 1
+                wv = lane_sets[victim >> {TENANT_SHIFT}][victim & l1_mask]
+                if victim in wv:
+                    wv.remove(victim)
+            way2.append(block)
+        if len(way) >= l1_assoc:
+            way.pop(0)
+            ev1 += 1
+        way.append(block)
+        lblk = block
+""".splitlines()
+
+#: The :class:`~repro.fastpath.kernel.FastCtx` fields every kernel binds to
+#: locals of the same name for its loads and stores (``_MEMORY_PATH`` and the
+#: memory words) and for the counter flush.
+_MEMORY_BINDINGS = (
+    "hier", "access", "mem", "lane", "l1", "l1s", "l1_sets", "lane_sets",
+    "l1_mask", "l1_assoc", "l1_shared", "l2", "l2s", "l2_sets", "l2_mask",
+    "l2_assoc", "l2_lat", "mem_lat", "inflight", "pf_unused", "bshift", "boff",
+    "bus_on",
+)
+
+
 class CompiledMode:
     """One compiled procedure version plus the metadata the trampoline needs."""
 
@@ -141,7 +224,7 @@ class _Emitter:
 
 
 def _compile_mode(
-    code: list[tuple], num_regs: int, mode: int, mirror: bool, hwkind: str
+    code: list[tuple], num_regs: int, mode: int, hwkind: str
 ) -> CompiledMode:
     """Compile one lowered code list; raises on anything unrecognised."""
     n = len(code)
@@ -155,18 +238,23 @@ def _compile_mode(
         leaders.add(target)
         refcount[target] = refcount.get(target, 0) + 1
 
+    # Loop heads (targets of backward branches): a trace that falls into one
+    # ends there, so each loop body is emitted once, in the head's own trace.
+    heads: set[int] = set()
     for i, t in enumerate(code):
         op = t[0]
-        if op in (OP_BZ, OP_BNZ):
-            _lead(t[2])
-        elif op == OP_JMP:
-            _lead(t[1])
+        if op in (OP_BZ, OP_BNZ, OP_JMP):
+            target = t[1] if op == OP_JMP else t[2]
+            _lead(target)
+            if target <= i:
+                heads.add(target)
         elif op in (OP_CALL, OP_CHECK):
             # re-entry points after a trampoline crossing
             _lead(i + 1)
     # Targets outside the body (including == n) are left to the reference
     # loop, which raises the exact IndexError/ExecutionError the program earns.
     leaders = {L for L in leaders if 0 <= L < n}
+    heads &= leaders
 
     consts: list[object] = []
     const_ix: dict[int, int] = {}
@@ -184,8 +272,8 @@ def _compile_mode(
     def _emit_trace(L: int, em: _Emitter) -> tuple[int, list[int]]:
         """Emit the superblock starting at leader ``L`` at em's indent.
 
-        Returns (instructions emitted, extra leaders discovered via the
-        trace cap)."""
+        Returns (instructions emitted, the ips its cap or loop-head exit
+        continues at; a cap can mint a new leader)."""
         extra: list[int] = []
         pend_ic = 0  # batched icount increments not yet materialised
         pend_cy = 0  # batched cycles increments not yet materialised
@@ -230,7 +318,7 @@ def _compile_mode(
                 em.w(f"ip = {n}")
                 em.w("continue")
                 break
-            if count >= TRACE_CAP:
+            if count >= TRACE_CAP or (count and i in heads):
                 flush_ic()
                 flush_cy()
                 em.w(f"ip = {i}")
@@ -245,7 +333,6 @@ def _compile_mode(
 
             if op in (OP_LOAD, OP_STORE):
                 # (op, dst/src, base, offset, pc, traced, detect)
-                uses.add("mem_ops")
                 word = "load" if op == OP_LOAD else "store"
                 off = t[3]
                 if off:
@@ -259,109 +346,8 @@ def _compile_mode(
                 )
                 em.indent -= 1
                 flush_cy()
-                if mirror:
-                    # Inline L1-hit and pure-miss paths: exact while no
-                    # prefetch state is outstanding (no in-flight blocks, no
-                    # prefetched-unused blocks), because then the classify/
-                    # ledger/attribution branches of ``access`` and the
-                    # eviction accounting are all no-ops; anything else goes
-                    # through ctx.access (the hierarchy's own method).
-                    #
-                    # ``lblk`` memoizes the previous access's block: every
-                    # inline path leaves its block MRU in L1 and outside the
-                    # prefetch dicts, and nothing between two memory ops can
-                    # disturb that (any prefetch issue or slow call resets
-                    # the memo), so a back-to-back re-access is exactly a
-                    # hit whose LRU promotion is a no-op.  Hit/miss/eviction
-                    # and demand counters batch into locals (``hits1``/
-                    # ``miss1``/``hits2``/``miss2``/``ev1``/``ev2``/``d_acc``)
-                    # that the function's finally block adds to lane 0's and
-                    # the caches' counters — pure monotonic counters nothing
-                    # reads mid-kernel.
-                    uses.add("mirror")
-                    em.w("block = addr >> bshift")
-                    em.w("if block == lblk:")
-                    em.indent += 1
-                    em.w("d_acc += 1")
-                    em.w("hits1 += 1")
-                    em.indent -= 1
-                    em.w("else:")
-                    em.indent += 1
-                    em.w("way = l1_sets[block & l1_mask]")
-                    em.w("if block in way:")
-                    em.indent += 1
-                    em.w("if block in inflight or block in pf_unused:")
-                    em.indent += 1
-                    em.w("stall = access(addr, cycles)")
-                    em.w("cycles += stall")
-                    em.w("mem_stall += stall")
-                    em.w("lblk = -1")
-                    em.indent -= 1
-                    em.w("else:")
-                    em.indent += 1
-                    em.w("d_acc += 1")
-                    em.w("hits1 += 1")
-                    em.w("if way[-1] != block:")
-                    em.indent += 1
-                    em.w("way.remove(block)")
-                    em.w("way.append(block)")
-                    em.indent -= 1
-                    em.w("lblk = block")
-                    em.indent -= 1
-                    em.indent -= 1
-                    em.w("elif inflight or pf_unused:")
-                    em.indent += 1
-                    em.w("stall = access(addr, cycles)")
-                    em.w("cycles += stall")
-                    em.w("mem_stall += stall")
-                    em.w("lblk = -1")
-                    em.indent -= 1
-                    em.w("else:")
-                    em.indent += 1
-                    em.w("d_acc += 1")
-                    em.w("miss1 += 1")
-                    em.w("way2 = l2_sets[block & l2_mask]")
-                    em.w("if block in way2:")
-                    em.indent += 1
-                    em.w("hits2 += 1")
-                    em.w("if way2[-1] != block:")
-                    em.indent += 1
-                    em.w("way2.remove(block)")
-                    em.w("way2.append(block)")
-                    em.indent -= 1
-                    em.w("cycles += l2_lat")
-                    em.w("mem_stall += l2_lat")
-                    em.indent -= 1
-                    em.w("else:")
-                    em.indent += 1
-                    em.w("miss2 += 1")
-                    em.w("cycles += mem_lat")
-                    em.w("mem_stall += mem_lat")
-                    em.w("if len(way2) >= l2_assoc:")
-                    em.indent += 1
-                    em.w("victim = way2.pop(0)")
-                    em.w("ev2 += 1")
-                    em.w("wv = l1_sets[victim & l1_mask]")
-                    em.w("if victim in wv:")
-                    em.indent += 1
-                    em.w("wv.remove(victim)")
-                    em.indent -= 1
-                    em.indent -= 1
-                    em.w("way2.append(block)")
-                    em.indent -= 1
-                    em.w("if len(way) >= l1_assoc:")
-                    em.indent += 1
-                    em.w("way.pop(0)")
-                    em.w("ev1 += 1")
-                    em.indent -= 1
-                    em.w("way.append(block)")
-                    em.w("lblk = block")
-                    em.indent -= 1
-                    em.indent -= 1
-                else:
-                    em.w("stall = access(addr, cycles)")
-                    em.w("cycles += stall")
-                    em.w("mem_stall += stall")
+                for line in _MEMORY_PATH:
+                    em.w(line)
                 em.w("mem_refs += 1")
                 if op == OP_LOAD:
                     em.w(f"_r{t[1]} = mget(addr, 0)")
@@ -399,8 +385,7 @@ def _compile_mode(
                     em.w("cycles += pf_cost")
                     em.indent -= 1
                     em.w("pf_issued += len(prefetches)")
-                    if mirror:
-                        em.w("lblk = -1")
+                    em.w("lblk = -1")
                     em.indent -= 1
                 if hwkind == "stride":
                     # Transliterated StridePrefetcher.observe with the table,
@@ -447,8 +432,7 @@ def _compile_mode(
                     em.w('issue_prefetch(target, cycles, "stride")')
                     em.indent -= 1
                     em.indent -= 1
-                    if mirror:
-                        em.w("lblk = -1")
+                    em.w("lblk = -1")
                     em.indent -= 1
                     em.indent -= 1
                 elif hwkind == "markov":
@@ -482,8 +466,7 @@ def _compile_mode(
                     em.indent += 1
                     em.w('issue_prefetch(successor << mk_shift, cycles, "markov")')
                     em.indent -= 1
-                    if mirror:
-                        em.w("lblk = -1")
+                    em.w("lblk = -1")
                     em.indent -= 1
                     em.indent -= 1
                     em.w("hwpref._last_block = block")
@@ -491,8 +474,7 @@ def _compile_mode(
                     # Unknown prefetcher implementation: keep the method call.
                     uses.add("hwpref")
                     em.w(f"hwpref.observe({K(t[4])}, addr, cycles, hier)")
-                    if mirror:
-                        em.w("lblk = -1")
+                    em.w("lblk = -1")
 
             elif op == OP_ALUI:
                 # (op, func, dst, a, imm)
@@ -579,8 +561,7 @@ def _compile_mode(
                     em.w("cycles += pf_cost")
                     em.indent -= 1
                     em.w(f"pf_issued += {len(t[1])}")
-                    if mirror:
-                        em.w("lblk = -1")
+                    em.w("lblk = -1")
             elif op == OP_HALT:
                 emit_exit(SIG_DONE, i + 1)
                 break
@@ -618,12 +599,10 @@ def _compile_mode(
     out.w("def _fp(ctx, state, limit):")
     out.indent += 1
     out.w("interp = ctx.interp")
-    if uses & {"mem_ops", "mirror", "hwpref"}:
-        out.w("hier = ctx.hier")
-    if "mem_ops" in uses:
-        out.w("access = ctx.access")
-        out.w("mem = ctx.mem")
-        out.w("mget = mem.get")
+    # The active lane's memory path (FastCtx binds it per run_fast call).
+    for name in _MEMORY_BINDINGS:
+        out.w(f"{name} = ctx.{name}")
+    out.w("mget = mem.get")
     if uses & {"detect", "prefetch", "hwstride", "hwmarkov"}:
         out.w("issue_prefetch = ctx.issue_prefetch")
     if uses & {"detect", "prefetch"}:
@@ -661,23 +640,6 @@ def _compile_mode(
         out.w("mk_size = hwpref.table_size")
         out.w("mk_fanout = hwpref.fanout")
         out.w("mk_shift = ctx.hier.config.block_bytes.bit_length() - 1")
-    if "mirror" in uses:
-        out.w("lane = ctx.lane")
-        out.w("l1 = ctx.l1")
-        out.w("l1s = ctx.l1_stats")
-        out.w("l1_sets = ctx.l1_sets")
-        out.w("l1_mask = ctx.l1_mask")
-        out.w("l1_assoc = ctx.l1_assoc")
-        out.w("l2 = ctx.l2")
-        out.w("l2s = ctx.l2_stats")
-        out.w("l2_sets = ctx.l2_sets")
-        out.w("l2_mask = ctx.l2_mask")
-        out.w("l2_assoc = ctx.l2_assoc")
-        out.w("l2_lat = ctx.l2_lat")
-        out.w("mem_lat = ctx.mem_lat")
-        out.w("inflight = ctx.inflight")
-        out.w("pf_unused = ctx.pf_unused")
-        out.w("bshift = ctx.block_shift")
     out.w("dstate = interp.dfsm_state")
     out.w("regs = state.regs")
     for r in range(num_regs):
@@ -694,22 +656,15 @@ def _compile_mode(
     out.w("detects = state.detects")
     out.w("pf_issued = state.pf_issued")
     out.w(f"ncnt = state.{counter_attr}")
-    batched = "mirror" in uses
-    if batched:
-        # Monotonic hierarchy counters batch into locals; the finally block
-        # flushes them on every exit — returns, limit parks, and exceptions
-        # (MemoryFault / ZeroDivisionError abort mid-trace, and the reference
-        # applies these counters eagerly, so the flush must still happen).
-        out.w("d_acc = 0")
-        out.w("hits1 = 0")
-        out.w("miss1 = 0")
-        out.w("hits2 = 0")
-        out.w("miss2 = 0")
-        out.w("ev1 = 0")
-        out.w("ev2 = 0")
-        out.w("lblk = -1")
-        out.w("try:")
-        out.indent += 1
+    # Monotonic hierarchy counters batch into locals; the finally block
+    # flushes them on every exit — returns, limit parks, and exceptions
+    # (MemoryFault / ZeroDivisionError abort mid-trace, and the reference
+    # applies these counters eagerly, so the flush must still happen).
+    for name in ("d_acc", "hits1", "miss1", "hits2", "miss2", "ev1", "ev2"):
+        out.w(f"{name} = 0")
+    out.w("lblk = -1")
+    out.w("try:")
+    out.indent += 1
     out.w("while True:")
     out.indent += 1
     out.w(f"if icount + {max_trace} > limit:")
@@ -731,33 +686,30 @@ def _compile_mode(
     for line in _flush_stmts(num_regs, counter_attr):
         out.w(line)
     out.w(f"return {SIG_PARK}")
-    if batched:
-        out.indent -= 1
-        out.w("finally:")
-        out.indent += 1
-        out.w("if d_acc:")
-        out.indent += 1
-        # Exactly the counters MemoryHierarchy.access updates for an L1 hit
-        # or a clean miss: lane 0's and the caches' own (the L2 eviction is
-        # a demand-caused eviction of the shared L2).
-        out.w("lane.demand += d_acc")
-        out.w("l1.hits += hits1")
-        out.w("l1s.hits += hits1")
-        out.w("if miss1:")
-        out.indent += 1
-        for stmt in (
-            "l1.misses += miss1", "l1s.misses += miss1",
-            "l1.evictions += ev1", "l1s.evictions += ev1",
-            "l2.hits += hits2", "l2s.hits += hits2",
-            "l2.misses += miss2", "l2s.misses += miss2",
-            "l2.evictions += ev2", "l2s.evictions += ev2",
-            "hier.demand_shared_evictions += ev2",
-        ):
-            out.w(stmt)
-        out.indent -= 1
-        out.indent -= 1
-        out.indent -= 1
     out.indent -= 1
+    out.w("finally:")
+    out.indent += 1
+    out.w("if d_acc:")
+    out.indent += 1
+    # Exactly the counters MemoryHierarchy.access updates for an L1 hit or a
+    # clean miss: the active lane's and the caches' own.  Every L2 eviction,
+    # and an L1 eviction when the L1 is shared, is a demand-caused eviction
+    # of a shared level.
+    out.w("lane.demand += d_acc")
+    out.w("l1.hits += hits1")
+    out.w("l1s.hits += hits1")
+    out.w("if miss1:")
+    out.indent += 1
+    for stmt in (
+        "l1.misses += miss1", "l1s.misses += miss1",
+        "l1.evictions += ev1", "l1s.evictions += ev1",
+        "l2.hits += hits2", "l2s.hits += hits2",
+        "l2.misses += miss2", "l2s.misses += miss2",
+        "l2.evictions += ev2", "l2s.evictions += ev2",
+        "hier.demand_shared_evictions += ev2 + (ev1 if l1_shared else 0)",
+    ):
+        out.w(stmt)
+    out.indent -= 4  # out of `if miss1`, `if d_acc`, `finally` and `_fp`
     out.w("return _fp")
 
     source = "\n".join(out.lines) + "\n"
@@ -806,7 +758,7 @@ def _flush_stmts(num_regs: int, counter_attr: str) -> list[str]:
     return stmts
 
 
-#: proc -> {(mode, mirror, hwkind) -> CompiledMode | None}.  Keyed weakly so
+#: proc -> {(mode, hwkind) -> CompiledMode | None}.  Keyed weakly so
 #: compiled functions never become part of the procedure object (checkpoints
 #: pickle procedures; generated functions are unpicklable and are instead
 #: transparently recompiled after a restore).
@@ -815,7 +767,7 @@ _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _MISSING = object()
 
 
-def compiled_entry(proc, mode: int, mirror: bool, hwkind: str) -> Optional[CompiledMode]:
+def compiled_entry(proc, mode: int, hwkind: str) -> Optional[CompiledMode]:
     """Compiled kernel for one procedure version, or None if not compilable.
 
     ``hwkind`` selects the hardware-prefetcher specialization: "" (none),
@@ -825,12 +777,12 @@ def compiled_entry(proc, mode: int, mirror: bool, hwkind: str) -> Optional[Compi
     if per is None:
         per = {}
         _CACHE[proc] = per
-    key = (mode, mirror, hwkind)
+    key = (mode, hwkind)
     entry = per.get(key, _MISSING)
     if entry is _MISSING:
         try:
             code = lower_procedure(proc)[mode]
-            entry = _compile_mode(code, proc.num_regs, mode, mirror, hwkind)
+            entry = _compile_mode(code, proc.num_regs, mode, hwkind)
         except Exception:
             # Anything unrecognised falls back to the reference interpreter.
             entry = None

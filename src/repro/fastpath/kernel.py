@@ -5,16 +5,24 @@ straight-line traces inside one procedure version.  Everything else — calls,
 returns, burst transitions, instruction limits, and any instruction pointer
 the compiled dispatcher does not recognise — crosses back into this
 trampoline, which replays the exact code the reference dispatch loop runs
-for the same event.  For instruction-pointer positions that are not trace
-leaders (a slice can park anywhere) and for the final instructions of a
-bounded slice, the trampoline executes the *reference* ``_dispatch`` one
-instruction at a time (``limit = icount + 1``), which is bit-identical by
-construction — the slice-composition invariant pinned since PR 7 guarantees
-that N single-instruction slices equal one N-instruction run.
+for the same event.  An instruction pointer that is not a trace leader (a
+slice can park anywhere) is resynchronised by running the *reference*
+``_dispatch`` for one instruction (``limit = icount + 1``), and the tail of
+a bounded slice — once fewer instructions remain than the longest trace —
+runs in one reference call up to the limit.  Both are bit-identical by
+construction: the slice-composition invariant guarantees that any split of
+a run into slices, on either kernel, equals the run in one piece.
+
+The kernels serve whichever lane of the hierarchy is active when
+:func:`run_fast` is called (a tenancy scheduler activates each tenant
+before its slice); a hierarchy whose ``access`` or ``issue_prefetch`` is not
+:class:`~repro.machine.hierarchy.MemoryHierarchy`'s own runs on the
+reference loop instead.
 """
 
 from __future__ import annotations
 
+import inspect
 from types import MethodType
 
 from repro.core.hwpref import MarkovPrefetcher, StridePrefetcher
@@ -34,7 +42,7 @@ from repro.fastpath.compiler import (
 _CHECKING, _INSTRUMENTED = 0, 1
 
 #: The hierarchy's own demand/prefetch functions, as they were when this
-#: module was imported.  A plain hierarchy's kernel calls these directly, so
+#: module was imported.  The kernel's slow path calls these directly, so
 #: instrumentation wrapped around the class methods later sees no more calls
 #: than it would if the inline L1 path had handled every access.
 _ACCESS = MemoryHierarchy.access
@@ -42,37 +50,39 @@ _ISSUE_PREFETCH = MemoryHierarchy.issue_prefetch
 
 
 def mirror_eligible(hier) -> bool:
-    """Whether the compiled inline L1 path is exact for ``hier`` right now.
+    """Whether the compiled kernel is exact for ``hier``.
 
-    The inline path makes the counter updates ``MemoryHierarchy.access``
-    makes for a one-tenant, private-L1 hierarchy with unpatched methods,
-    telemetry off and no ledger; any other hierarchy is driven through its
-    own (possibly patched) methods.
+    The kernel's inline path copies ``MemoryHierarchy.access`` and its slow
+    path calls the import-time functions above, so ``access`` and
+    ``issue_prefetch`` must be those of ``hier``'s class — not patched on
+    the instance — and the class's must be ``MemoryHierarchy``'s own,
+    possibly under a class-level wrapper that sets ``__wrapped__``.
     """
-    return (
-        type(hier) is MemoryHierarchy
-        and hier.num_tenants == 1
-        and hier.sharing == "private-l1"
-        and getattr(hier.access, "__func__", None) is MemoryHierarchy.access
-        and getattr(hier.issue_prefetch, "__func__", None) is MemoryHierarchy.issue_prefetch
-        and not hier.telemetry.enabled
-        and hier.ledger is None
-    )
+    for name, own in (("access", _ACCESS), ("issue_prefetch", _ISSUE_PREFETCH)):
+        method = getattr(type(hier), name)
+        if getattr(getattr(hier, name), "__func__", None) is not method:
+            return False  # patched on the instance
+        if inspect.unwrap(method) is not own:
+            return False  # overridden by a subclass
+    return True
 
 
 class FastCtx:
     """Per-run bindings the compiled kernels read (rebuilt every entry).
 
-    Nothing here is part of the architectural state: a checkpoint restore
-    builds a fresh context (and recompiles procedures) transparently.
+    The memory-path fields describe the lane active at :func:`run_fast`
+    entry; nothing switches lanes inside one call.  Nothing here is part of
+    the architectural state: a checkpoint restore builds a fresh context
+    (and recompiles procedures) transparently.
     """
 
     __slots__ = (
         "interp", "hier", "access", "issue_prefetch", "mem", "allocate",
         "check_cost", "trace_cost", "detect_base", "detect_per_case", "pf_cost",
-        "mirror", "lane", "l1", "l1_stats", "l1_sets", "l1_mask", "l1_assoc",
-        "l2", "l2_stats", "l2_sets", "l2_mask", "l2_assoc", "l2_lat", "mem_lat",
-        "inflight", "pf_unused", "block_shift", "call", "ret_value",
+        "lane", "l1", "l1s", "l1_sets", "lane_sets", "l1_mask", "l1_assoc",
+        "l1_shared", "l2", "l2s", "l2_sets", "l2_mask", "l2_assoc", "l2_lat",
+        "mem_lat", "inflight", "pf_unused", "bshift", "boff", "bus_on",
+        "call", "ret_value",
     )
 
     def __init__(self, interp) -> None:
@@ -87,35 +97,33 @@ class FastCtx:
         self.detect_base = cfg.detect_base
         self.detect_per_case = cfg.detect_per_case
         self.pf_cost = cfg.prefetch_issue_cost
-        # The inline L1-hit/clean-miss path works on the hierarchy's own set
-        # lists and counters, and is only sound for the hierarchies
-        # mirror_eligible admits; tenancy co-runs, sampled telemetry runs and
-        # `explain` ledger runs call the hierarchy's methods for every
-        # access (still fast-dispatched, just not cache-inlined).
-        self.mirror = mirror_eligible(hier)
-        if self.mirror:
-            self.access = MethodType(_ACCESS, hier)
-            self.issue_prefetch = MethodType(_ISSUE_PREFETCH, hier)
-            lane = hier._lanes[0]
-            self.lane = lane
-            self.l1 = lane.l1
-            self.l1_stats = lane.l1_stats
-            self.l1_sets = lane.l1._sets
-            self.l1_mask = hier._l1_mask
-            self.l1_assoc = hier._l1_assoc
-            self.l2 = hier.l2
-            self.l2_stats = lane.l2_stats
-            self.l2_sets = hier._l2_sets
-            self.l2_mask = hier._l2_mask
-            self.l2_assoc = hier._l2_assoc
-            self.l2_lat = hier.config.l2_latency
-            self.mem_lat = hier.config.memory_latency
-            self.inflight = hier._inflight
-            self.pf_unused = hier._prefetched_unused
-            self.block_shift = hier._block_shift
-        else:
-            self.access = hier.access
-            self.issue_prefetch = hier.issue_prefetch
+        # The inline L1-hit/clean-miss path works on the active lane's set
+        # lists and counters; every other access goes through `access`.
+        self.access = MethodType(_ACCESS, hier)
+        self.issue_prefetch = MethodType(_ISSUE_PREFETCH, hier)
+        lane = hier._lane
+        self.lane = lane
+        self.l1 = lane.l1
+        self.l1s = lane.l1_stats
+        self.l1_sets = hier._l1_sets
+        # An L2 inclusion victim leaves its owner's L1 (the tenant bits).
+        self.lane_sets = [other.l1._sets for other in hier._lanes]
+        self.l1_mask = hier._l1_mask
+        self.l1_assoc = hier._l1_assoc
+        self.l1_shared = hier._l1_shared
+        self.l2 = hier.l2
+        self.l2s = lane.l2_stats
+        self.l2_sets = hier._l2_sets
+        self.l2_mask = hier._l2_mask
+        self.l2_assoc = hier._l2_assoc
+        self.l2_lat = hier.config.l2_latency
+        self.mem_lat = hier.config.memory_latency
+        self.inflight = hier._inflight
+        self.pf_unused = hier._prefetched_unused
+        self.bshift = hier._block_shift
+        self.boff = hier._offset
+        # A miss with the lane's telemetry on may be sampled as a CacheMiss.
+        self.bus_on = lane.bus.enabled
         self.call = None
         self.ret_value = 0
 
@@ -186,9 +194,10 @@ def run_fast(interp, state, limit: int, raise_on_limit: bool):
     None when the instruction limit parks it (``raise_on_limit=False``), and
     raises :class:`~repro.errors.ExecutionError` on the limit otherwise.
     """
+    if not mirror_eligible(interp.hierarchy):
+        return interp._dispatch(state, limit, raise_on_limit)
     ctx = FastCtx(interp)
     program = interp.program
-    mirror = ctx.mirror
     hwpref = interp.hw_prefetcher
     # Exact-type match: a subclass may override observe(), so only the two
     # known implementations get their observers compiled inline.
@@ -226,18 +235,20 @@ def run_fast(interp, state, limit: int, raise_on_limit: bool):
         mkey = (state.proc, state.mode)
         entry = memo.get(mkey)
         if entry is None:
-            entry = compiled_entry(state.proc, state.mode, mirror, hwkind)
+            entry = compiled_entry(state.proc, state.mode, hwkind)
             memo[mkey] = entry if entry is not None else False
         elif entry is False:
             entry = None
-        if (
-            entry is None
-            or state.ip not in entry.leaders
-            or state.icount + entry.max_trace > limit
-        ):
-            # Reference single-step: resynchronise onto a trace leader, or
-            # finish a bounded slice with exact per-instruction limit checks.
+        if entry is None or state.ip not in entry.leaders:
+            # Reference single-step: resynchronise onto a trace leader.
             stats = interp._dispatch(state, state.icount + 1, False)
+            if stats is not None:
+                return stats
+            continue
+        if state.icount + entry.max_trace > limit:
+            # The slice's tail: fewer instructions remain than the kernel
+            # keeps in hand, so the reference loop runs them to the limit.
+            stats = interp._dispatch(state, limit, False)
             if stats is not None:
                 return stats
             continue

@@ -452,6 +452,30 @@ def check_tenancy_single_equivalence(
             )
 
 
+def _contended_plans(quantum: int, machine: Optional[MachineConfig]):
+    """A two-tenant ``dyn`` co-run on a deliberately small shared hierarchy,
+    one plan per sharing mode: small enough that the tenants evict each
+    other's lines, demand- and prefetch-caused alike."""
+    from repro.machine.config import CacheGeometry
+    from repro.tenancy import TenantPlan, TenantSpec
+
+    if machine is None:
+        machine = MachineConfig(
+            l1=CacheGeometry(512, 2),
+            l2=CacheGeometry(4096, 4),
+            l2_latency=10,
+            memory_latency=100,
+        )
+    tenants = (
+        TenantSpec("vortex", "dyn", passes=1),
+        TenantSpec("vpr", "dyn", passes=1),
+    )
+    return [
+        TenantPlan(tenants=tenants, quantum=quantum, sharing=sharing, machine=machine)
+        for sharing in ("shared", "private-l1")
+    ]
+
+
 def check_tenancy_pollution_reconciliation(
     quantum: int = 1024,
     machine: Optional[MachineConfig] = None,
@@ -466,41 +490,51 @@ def check_tenancy_pollution_reconciliation(
     (the co-run really did evict shared lines via prefetches, in both
     sharing modes).
     """
-    from repro.machine.config import CacheGeometry
-    from repro.tenancy import TenantPlan, TenantSpec, run_tenant_plan
+    from repro.tenancy import run_tenant_plan
     from repro.tenancy.ablation import check_result
 
-    if machine is None:
-        machine = MachineConfig(
-            l1=CacheGeometry(512, 2),
-            l2=CacheGeometry(4096, 4),
-            l2_latency=10,
-            memory_latency=100,
-        )
-    tenants = (
-        TenantSpec("vortex", "dyn", passes=1),
-        TenantSpec("vpr", "dyn", passes=1),
-    )
-    for sharing in ("shared", "private-l1"):
-        plan = TenantPlan(
-            tenants=tenants, quantum=quantum, sharing=sharing, machine=machine
-        )
+    for plan in _contended_plans(quantum, machine):
         result = run_tenant_plan(plan)
         problems = check_result(result)
         if problems:
             raise OracleError(
-                f"tenancy accounting failed to reconcile ({sharing}): "
+                f"tenancy accounting failed to reconcile ({plan.sharing}): "
                 + "; ".join(problems)
             )
         _require(
             result.prefetch_shared_evictions > 0,
-            f"pollution reconciliation is vacuous ({sharing}): the co-run "
+            f"pollution reconciliation is vacuous ({plan.sharing}): the co-run "
             "caused no prefetch-triggered shared evictions",
         )
         _require(
             result.pollution.suffered_by(0) + result.pollution.suffered_by(1) > 0,
-            f"pollution reconciliation is vacuous ({sharing}): no cross-tenant "
+            f"pollution reconciliation is vacuous ({plan.sharing}): no cross-tenant "
             "evictions occurred",
+        )
+
+
+def check_tenancy_fastpath_identity(
+    quantum: int = 1024,
+    machine: Optional[MachineConfig] = None,
+) -> None:
+    """A co-run on the compiled kernel is bit-identical to the reference.
+
+    The kernel's inline memory path serves whichever tenant lane is active,
+    so the contended two-tenant co-run of
+    :func:`check_tenancy_pollution_reconciliation` — whose tenants evict
+    each other's lines in both sharing modes — must serialize identically
+    under both kernels: every tenant's stats and hierarchy view, the
+    pollution matrix and the shared-eviction split.
+    """
+    from repro.tenancy import run_tenant_plan
+
+    for plan in _contended_plans(quantum, machine):
+        reference = run_tenant_plan(plan, fast=False).to_dict()
+        compiled = run_tenant_plan(plan, fast=True).to_dict()
+        drifted = sorted(k for k in reference if compiled.get(k) != reference[k])
+        _require(
+            not drifted,
+            f"fastpath tenancy identity ({plan.sharing}): co-runs differ on {drifted}",
         )
 
 

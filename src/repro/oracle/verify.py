@@ -20,7 +20,8 @@ Sections (all seeded, all deterministic for a given ``--seed``):
 ``fastpath``    compiled-kernel identity: every golden (workload, level)
                 cell executed by the reference dispatch loop and by
                 ``repro.fastpath``, bit-compared (store bypassed, so cache
-                hits cannot make the comparison vacuous).
+                hits cannot make the comparison vacuous), plus a contended
+                two-tenant co-run in both sharing modes.
 ``obs``         the event log: every golden cell run with the chunk-log
                 writer attached — zero observer effect, the Chrome trace
                 rendered from the loaded log byte-identical to the render
@@ -58,6 +59,7 @@ from repro.oracle.invariants import (
     check_proc_attribution,
     check_streaming_trace_identity,
     check_relabel_invariance,
+    check_tenancy_fastpath_identity,
     check_tenancy_pollution_reconciliation,
     check_tenancy_single_equivalence,
     check_tracing_observer_effect,
@@ -221,7 +223,8 @@ def _verify_tenancy() -> SectionResult:
 
 
 def _verify_fastpath() -> SectionResult:
-    """Reference vs compiled kernel over the golden grid (workloads x orig/dyn).
+    """Reference vs compiled kernel over the golden grid (workloads x orig/dyn)
+    and over a two-tenant co-run whose tenants evict each other's lines.
 
     Both legs execute fresh builds directly — never through the result store —
     so a warm cache cannot make the comparison vacuous.
@@ -232,6 +235,7 @@ def _verify_fastpath() -> SectionResult:
     for golden_run in golden.GOLDEN_RUNS:
         spec = RunSpec(golden_run.workload, golden_run.level, passes=1)
         section.run_case(lambda s=spec: check_fastpath_identity(s))
+    section.run_case(check_tenancy_fastpath_identity)
     return section
 
 

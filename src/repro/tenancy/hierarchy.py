@@ -21,6 +21,11 @@ class TenantHierarchy(MemoryHierarchy):
     (not merely inherited), so instrumentation that wraps methods on a class
     — the end-to-end benchmark's layer probe, for one — can time tenancy
     runs separately from single-tenant runs, and counts each call once.
+    Like a wrapper on ``MemoryHierarchy``, such a class-level wrapper keeps
+    the compiled kernel on its inline memory path and sees only the accesses
+    of instructions the trampoline runs on the reference loop; a method
+    patched on an instance instead sends that hierarchy's runs to the
+    reference loop, so it sees every call.
     """
 
     access = MemoryHierarchy.access

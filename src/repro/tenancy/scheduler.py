@@ -56,10 +56,9 @@ def run_tenant_plan(
     metrics-only session, mirroring the single-run engine.
 
     ``fast`` selects the compiled execution kernel for every tenant slice
-    (None defers to ``REPRO_FASTPATH``).  The kernel's inline L1 path serves
-    one-tenant hierarchies only, so tenant slices are compiled-dispatched but
-    call the shared hierarchy's own ``access``/``issue_prefetch`` for every
-    memory operation; results stay bit-identical either way.
+    (None defers to ``REPRO_FASTPATH``).  Each slice's kernel binds the lane
+    of the tenant activated for it, so its inline L1 path serves that
+    tenant; results stay bit-identical either way.
     """
     if sessions is not None and len(sessions) != len(plan):
         raise ConfigError(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.oracle.golden as golden_mod
 from repro.bench.cli import main as cli_main
 
 ARTIFACTS = [
@@ -58,6 +59,10 @@ def test_parser_help_exits_zero(capsys):
 @pytest.mark.parametrize("artifact", ARTIFACTS)
 def test_minimal_invocation_exits_zero(artifact, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # trace writes its default output file here
+    if artifact == "verify":
+        # verify's one-workload scale: its fastpath and obs sections iterate
+        # the golden grid, which tests/test_cli_verify.py runs in full.
+        monkeypatch.setattr(golden_mod, "GOLDEN_RUNS", golden_mod.GOLDEN_RUNS[:1])
     args = [artifact] + _EXTRA_ARGS.get(artifact, [])
     assert cli_main(args) == 0
     assert capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.oracle.golden as golden_mod
 from repro.bench.cli import main
 from repro.oracle.golden import GoldenRun
 from repro.oracle.verify import run_verify
@@ -12,6 +13,22 @@ def quick_report():
     # One shared driver run for the report-shape assertions (runs=2 keeps the
     # randomized sections fast; golden is covered by test_oracle_golden).
     return run_verify(seed=0, runs=2, include_golden=False)
+
+
+@pytest.fixture
+def one_cell_corpus(monkeypatch):
+    """Restrict the golden grid to one tiny cell.
+
+    The golden, fastpath and obs sections all iterate the grid, so a test
+    whose verdict does not depend on the full grid stays fast; the full
+    grid runs in ``quick_report``, ``test_seeds_are_reproducible`` and
+    ``test_exit_zero_on_pass``.
+    """
+    monkeypatch.setattr(
+        golden_mod,
+        "GOLDEN_RUNS",
+        (GoldenRun(workload="vortex", level="orig", passes=1),),
+    )
 
 
 class TestRunVerify:
@@ -44,7 +61,7 @@ class TestRunVerify:
         b = run_verify(seed=7, runs=1, include_golden=False)
         assert a.format() == b.format()
 
-    def test_golden_section_failure_fails_report(self, tmp_path):
+    def test_golden_section_failure_fails_report(self, tmp_path, one_cell_corpus):
         # Empty golden dir -> every corpus entry is "missing" -> not ok.
         report = run_verify(seed=0, runs=1, golden_dir=tmp_path, include_golden=True)
         assert not report.ok
@@ -60,13 +77,13 @@ class TestCliVerify:
         assert code == 0
         assert "VERIFY PASSED" in out
 
-    def test_cli_summary_echoes_seed(self, capsys):
+    def test_cli_summary_echoes_seed(self, capsys, one_cell_corpus):
         code = main(["verify", "--seed", "11", "--runs", "1", "--skip-golden"])
         out = capsys.readouterr().out
         assert code == 0
         assert "VERIFY PASSED (seed=11, runs=1)" in out
 
-    def test_exit_one_on_golden_failure(self, tmp_path, capsys):
+    def test_exit_one_on_golden_failure(self, tmp_path, capsys, one_cell_corpus):
         code = main(
             ["verify", "--seed", "0", "--runs", "1", "--golden-dir", str(tmp_path)]
         )
@@ -74,15 +91,7 @@ class TestCliVerify:
         assert code == 1
         assert "VERIFY FAILED" in out
 
-    def test_update_golden_records_corpus(self, tmp_path, capsys, monkeypatch):
-        import repro.oracle.golden as golden_mod
-
-        # Restrict the corpus to one tiny cell so --update-golden stays fast.
-        monkeypatch.setattr(
-            golden_mod,
-            "GOLDEN_RUNS",
-            (GoldenRun(workload="vortex", level="orig", passes=1),),
-        )
+    def test_update_golden_records_corpus(self, tmp_path, capsys, one_cell_corpus):
         code = main(["verify", "--update-golden", "--golden-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0

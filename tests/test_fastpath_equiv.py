@@ -6,7 +6,8 @@ executing through :mod:`repro.fastpath` must leave every observable —
 ExecStats, hierarchy counters, per-stream prefetch attribution, telemetry
 metrics, the serialized result — exactly equal to the reference interpreter.
 These tests state that as data: the full (workload × level) grid, the
-adversarial fault-injection configurations, error paths, and a hypothesis
+adversarial fault-injection configurations, multi-tenant co-runs, observed
+runs (telemetry, ledger, attribution), error paths, and a hypothesis
 property over arbitrary slice partitions.
 """
 
@@ -17,12 +18,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.levels import execute_workload
+from repro.engine.spec import RunSpec
 from repro.errors import MemoryFault
 from repro.fastpath import FASTPATH_ENV, fastpath_enabled, set_fastpath
 from repro.fastpath.compiler import clear_cache
 from repro.interp.interpreter import Interpreter
 from repro.machine.config import CacheGeometry, MachineConfig
 from repro.resilience import FaultPlan, WatchdogConfig
+from repro.telemetry.session import TelemetrySession
+from repro.telemetry.sinks import ListSink
+from repro.tenancy import TenantPlan, TenantSpec, run_tenant_plan
+from repro.tenancy import scheduler
+from repro.tenancy.hierarchy import TenantHierarchy
+from repro.tracing.attribution import ProcAttribution
 from repro.workloads import build_named, names
 from repro.workloads.chainmix import build_chainmix
 
@@ -57,10 +65,11 @@ def hierarchy_snapshot(hier):
             key: (s.issued, s.useful, s.late, s.wasted, s.redundant)
             for key, s in hier.stream_stats.items()
         },
-        # The compiled inline path batches lane 0's level counters apart from
-        # the caches' own; both must come out the same.
-        "lane0": hier.view(0),
+        # The compiled inline path batches the active lane's level counters
+        # apart from the caches' own; every lane must come out the same.
+        "lanes": [hier.view(t) for t in range(hier.num_tenants)],
         "shared_evictions": (hier.demand_shared_evictions, hier.prefetch_shared_evictions),
+        "pollution": dict(hier.pollution_counts),
     }
 
 
@@ -124,6 +133,99 @@ class TestFaultConfigEquivalence:
                 execute_workload(workload, "dyn", MACHINE, opt, fast=fast)
             )
         assert runs[True] == runs[False]
+
+
+#: The three-tenant mix of the tenancy CI smoke plan: a prefetching tenant,
+#: a plain one and the phase-shifting thrasher.
+TENANT_MIX = (("vpr", "dyn"), ("twolf", "orig"), ("phaseshift", "dyn"))
+
+
+def co_run(sharing, quantum, fast, monkeypatch):
+    """Run the mix on MACHINE; the result and its hierarchy's snapshot."""
+    built = []
+
+    def capture(*args):
+        hier = TenantHierarchy(*args)
+        built.append(hier)
+        return hier
+
+    monkeypatch.setattr(scheduler, "TenantHierarchy", capture)
+    plan = TenantPlan(
+        tenants=tuple(TenantSpec(w, level, passes=1) for w, level in TENANT_MIX),
+        quantum=quantum,
+        sharing=sharing,
+        machine=MACHINE,
+    )
+    result = run_tenant_plan(plan, fast=fast)
+    return result.to_dict(), hierarchy_snapshot(built[0])
+
+
+class TestTenancyEquivalence:
+    """Every tenant runs on its own lane of one hierarchy; the inline memory
+    path must serve each lane exactly, including evictions across lanes."""
+
+    @pytest.mark.parametrize("sharing", ("shared", "private-l1"))
+    @pytest.mark.parametrize("quantum", (37, 2048))
+    def test_three_tenant_mix(self, sharing, quantum, monkeypatch):
+        reference = co_run(sharing, quantum, False, monkeypatch)
+        compiled = co_run(sharing, quantum, True, monkeypatch)
+        assert compiled == reference
+        # The machine is small enough that lanes evict each other's lines.
+        assert reference[1]["shared_evictions"][0] > 0
+        assert reference[1]["pollution"]
+
+
+class TestObservedRunEquivalence:
+    def test_dyn_run_with_every_observer(self):
+        """Telemetry, span tracing, the ledger and attribution observe the
+        compiled kernel's run exactly as they observe the reference one."""
+        spec = RunSpec("vpr", "dyn", passes=1)
+        runs = {}
+        for fast in (False, True):
+            session = TelemetrySession(
+                sinks=[ListSink()],
+                tracing=True,
+                track_prefetches=True,
+                proc_attribution=True,
+            )
+            result = execute_workload(
+                spec.build(), spec.level, spec.machine, spec.opt,
+                telemetry=session, fast=fast,
+            )
+            runs[fast] = (
+                result_snapshot(result),
+                [event.to_record() for event in session.events],
+                session.ledger.records,
+                ProcAttribution.from_recorder(session.proc_attr, spec.machine).to_dict(),
+            )
+        assert runs[True] == runs[False]
+        assert runs[True][2], "the ledger recorded no prefetches"
+
+
+class TestPatchedHierarchy:
+    def test_instance_patched_access_runs_on_reference_loop(self, small_params, monkeypatch):
+        """A hierarchy whose ``access`` is patched on the instance must see
+        every demand access, so the compiled kernel steps aside."""
+        def forbid(*args):
+            raise AssertionError("compiled a kernel for a patched hierarchy")
+
+        reference, args = _fresh_interp(small_params)
+        stats_ref = reference.run(args, fast=False)
+        interp, args = _fresh_interp(small_params)
+        hier = interp.hierarchy
+        seen = []
+        original = hier.access
+
+        def access(addr, now):
+            seen.append(addr)
+            return original(addr, now)
+
+        hier.access = access
+        monkeypatch.setattr("repro.fastpath.kernel.compiled_entry", forbid)
+        stats = interp.run(args, fast=True)
+        assert stats.to_dict() == stats_ref.to_dict()
+        assert len(seen) == stats.memory_refs == hier.demand_accesses
+        assert hierarchy_snapshot(hier) == hierarchy_snapshot(reference.hierarchy)
 
 
 def _fresh_interp(small_params):
