@@ -27,6 +27,7 @@ from repro.oracle.fuzz import (
     diff_streams,
     gen_cache_ops,
     gen_hierarchy_ops,
+    gen_periodic_trace,
     gen_trace,
     shrink_ops,
 )
@@ -88,6 +89,7 @@ __all__ = [
     # fuzzing
     "gen_cache_ops",
     "gen_hierarchy_ops",
+    "gen_periodic_trace",
     "gen_trace",
     "diff_cache",
     "diff_hierarchy",

@@ -91,6 +91,32 @@ def gen_trace(rng, length: int, alphabet: int = 8, motif_bias: float = 0.6) -> l
     return out[:length]
 
 
+def gen_periodic_trace(rng, length: int, alphabet: int = 16) -> list[int]:
+    """Random trace of long motifs repeated back to back, with truncation and noise.
+
+    A profiled loop over a pointer-chasing structure repeats the same
+    reference sequence, tens of symbols long; each repeat lengthens one
+    Sequitur rule a symbol at a time (the in-place lengthening step).
+    Truncated repeats and noise end the chains at arbitrary points, and
+    motif symbols recurring inside a motif send some steps to the general
+    repair path.  ``gen_trace``'s 2-5 symbol motifs rarely build such bodies.
+    """
+    motifs = [
+        [rng.randrange(alphabet) for _ in range(rng.randint(2, 40))]
+        for _ in range(rng.randint(1, 3))
+    ]
+    out: list[int] = []
+    while len(out) < length:
+        if rng.random() < 0.05:
+            out.append(rng.randrange(alphabet))
+            continue
+        motif = rng.choice(motifs)
+        if rng.random() < 0.2:
+            motif = motif[: rng.randint(1, len(motif))]
+        out.extend(motif)
+    return out[:length]
+
+
 # ------------------------------------------------------- differential drivers
 
 

@@ -8,7 +8,8 @@ Sections (all seeded, all deterministic for a given ``--seed``):
                 per-op stalls and full counter fingerprints, as the one
                 tenant (lane 0) and as tenant 1 of two in both sharing modes.
 ``sequitur``    randomized traces through production Sequitur, its own
-                ``verify_invariants`` and the independent brute-force checker.
+                ``verify_invariants`` and the independent brute-force checker;
+                short-motif traces plus long periodic ones per run.
 ``streams``     randomized traces: fast grammar analysis vs the O(n²)
                 enumerator (conservativeness + membership), and the two
                 brute-force enumerators against each other.
@@ -162,14 +163,19 @@ def _verify_hierarchy(rng: random.Random, runs: int) -> SectionResult:
 def _verify_sequitur(rng: random.Random, runs: int) -> SectionResult:
     section = SectionResult("sequitur")
     for _ in range(runs):
-        trace = fuzz.gen_trace(rng, rng.randint(20, 300), alphabet=rng.randint(2, 10))
-        section.run_case(
-            lambda t=trace: fuzz.check_with_shrinking(
-                [("tok", s) for s in t],
-                lambda seq: fuzz.diff_sequitur([s for _, s in seq]),
-                "sequitur differential",
-            )
+        traces = (
+            fuzz.gen_trace(rng, rng.randint(20, 300), alphabet=rng.randint(2, 10)),
+            # Rule bodies tens of symbols long: the in-place lengthening path.
+            fuzz.gen_periodic_trace(rng, rng.randint(100, 600), alphabet=rng.randint(3, 32)),
         )
+        for trace in traces:
+            section.run_case(
+                lambda t=trace: fuzz.check_with_shrinking(
+                    [("tok", s) for s in t],
+                    lambda seq: fuzz.diff_sequitur([s for _, s in seq]),
+                    "sequitur differential",
+                )
+            )
     return section
 
 

@@ -60,8 +60,7 @@ class TemporalProfiler:
         """Intern and feed all buffered references to the grammar."""
         buf = self.ref_buffer
         if buf:
-            intern = self.symbols.intern
-            self.sequitur.extend_batch([intern(pc, addr) for pc, addr in buf])
+            self.sequitur.extend_batch(self.symbols.intern_batch(buf))
             self.total_recorded += len(buf)
             buf.clear()
 

@@ -8,7 +8,7 @@ non-terminals into prefetchable streams.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from repro.errors import AnalysisError
 from repro.ir.instructions import Pc
@@ -40,6 +40,28 @@ class SymbolTable:
             self._ids[ref] = sid
             self._refs.append(ref)
         return sid
+
+    def intern_batch(self, pairs: Iterable[tuple[Pc, int]]) -> list[int]:
+        """Ids for ``(pc, addr)`` pairs in order, exactly as :meth:`intern`.
+
+        A ``(pc, addr)`` tuple hashes and compares equal to its
+        :class:`DataRef`, so a known pair costs one dict lookup; the
+        ``DataRef`` key is built only on first sighting.
+        """
+        ids = self._ids
+        get = ids.get
+        refs = self._refs
+        out: list[int] = []
+        append = out.append
+        for pair in pairs:
+            sid = get(pair)  # type: ignore[call-overload]
+            if sid is None:
+                sid = len(refs)
+                ref = DataRef(*pair)
+                ids[ref] = sid
+                refs.append(ref)
+            append(sid)
+        return out
 
     def lookup(self, sid: int) -> DataRef:
         """The reference interned as ``sid``.

@@ -2,7 +2,7 @@
 
 Since the flat-core refactor the grammar's structure lives in parallel
 integer arrays owned by :class:`~repro.sequitur.sequitur.Sequitur` (prev/
-next links, digram keys, owner rule ids, a free list).  A :class:`Rule` is a
+next links, digram keys, owners, a free list).  A :class:`Rule` is a
 *handle* into that storage: it carries the rule id, the externally-mutable
 refcount and the slot index of the rule's guard node, plus a backref to the
 engine so the public ``rhs()`` view keeps working for downstream consumers

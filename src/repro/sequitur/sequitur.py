@@ -15,16 +15,27 @@ references ``(pc, addr)`` to such ids).
 than per-symbol linked objects: ``_nxt``/``_prv`` hold the doubly-linked
 body lists (slot indices), ``_key`` holds each slot's digram key (terminal
 ``t`` as ``t``, rule ``r`` as ``-1 - r``, guards as ``None``), ``_own``
-holds the owning rule id, and ``_free`` recycles slots.  The digram index
-maps a packed 64-bit key (two 32-bit-masked digram keys) to the left slot
-of the indexed occurrence.  :meth:`extend_batch` consumes a whole batch of
-tokens in one call frame, inlining the no-repetition fast path; the rare
-repair paths (``_match``/``_substitute``/``_expand``) transliterate the
-reference algorithm exactly — same rule-creation order, same digram-index
+holds ownership (a body slot holds its rule's guard slot, a guard slot
+holds its rule id, so renaming a rule is one write), and ``_free``
+recycles slots.  The digram index maps a packed 64-bit key (two
+32-bit-masked digram keys) to the left slot of the indexed occurrence.
+:meth:`extend_batch` consumes a whole batch of tokens in one call frame,
+inlining the no-repetition fast path; the repair paths
+(``_match``/``_substitute``/``_expand``) transliterate the reference
+algorithm exactly — same rule-creation order, same digram-index
 insertion/deletion sequence — so the produced grammar, including the
 ``rules`` and ``_digrams`` dict insertion orders that downstream analysis
 iterates, is bit-identical to the linked-object implementation retained in
 :mod:`repro.oracle.refsequitur` as the differential reference.
+
+**In-place lengthening.**  On repetitive traces most tokens extend a
+repeat that is already a rule: the start rule ends in ``R``, used twice,
+and the appended ``t`` repeats the digram ``(R, t)`` found after ``R``'s
+other use.  The reference creates ``R' -> R t``, substitutes both sites
+and inlines ``R`` again; :meth:`_lengthen` applies the net effect (``R'``
+takes over ``R``'s slots, the other site's ``t`` moves to the end of the
+body) and the same digram-index operations in O(1), and falls back to
+``_match`` whenever the reference would do anything else.
 
 The engine additionally tracks the set of rules whose bodies changed since
 the last :meth:`take_dirty` call, which drives the incremental hot-stream
@@ -84,7 +95,11 @@ class Sequitur:
     # ------------------------------------------------------------- plumbing
 
     def _alloc(self, key: Optional[int], owner: int) -> int:
-        """Allocate a slot (recycling the free list); links start unset."""
+        """Allocate a slot (recycling the free list); links start unset.
+
+        ``owner`` is the rule id for a guard slot and the owning rule's
+        guard slot for a body slot.
+        """
         free = self._free
         if free:
             s = free.pop()
@@ -267,10 +282,10 @@ class Sequitur:
             self._dirty.add(rule.id)
             k1 = key[new]
             k2 = key[nxt[new]]
-            first = self._alloc(k1, rule.id)
+            first = self._alloc(k1, rule.guard)
             if k1 is not None and k1 < 0:
                 self.rules[-1 - k1].refcount += 1
-            second = self._alloc(k2, rule.id)
+            second = self._alloc(k2, rule.guard)
             if k2 is not None and k2 < 0:
                 self.rules[-1 - k2].refcount += 1
             self._insert_after(rule.guard, first)
@@ -290,9 +305,10 @@ class Sequitur:
     def _substitute(self, s: int, rule: Rule) -> None:
         """Replace the digram starting at ``s`` with non-terminal ``rule``."""
         nxt = self._nxt
+        own = self._own
         prev = self._prv[s]
-        owner = self._own[prev]
-        self._dirty.add(owner)
+        owner = prev if self._key[prev] is None else own[prev]
+        self._dirty.add(own[owner])
         self._delete(nxt[prev])
         self._delete(nxt[prev])
         rule.refcount += 1
@@ -311,8 +327,8 @@ class Sequitur:
         prv = self._prv
         own = self._own
         rule = self.rules[-1 - self._key[s]]  # type: ignore[operator]
-        target = own[s]
-        self._dirty.add(target)
+        target = own[s]  # the surrounding rule's guard slot
+        self._dirty.add(own[target])
         # The dying rule's id goes into the dirty stream too, so incremental
         # consumers can prune its cached facts without scanning all rules.
         self._dirty.add(rule.id)
@@ -336,6 +352,99 @@ class Sequitur:
         prv[g] = -1
         self._free.append(g)
 
+    def _lengthen(self, last: int, m: int, t: int) -> bool:
+        """Lengthen rule ``R`` by terminal ``t`` in place, if that is all
+        the reference sequence would do; False (nothing touched) otherwise.
+
+        ``last`` is the start rule's tail, an ``R`` slot; ``t`` is the
+        terminal being appended (not yet linked) and ``m`` the indexed other
+        occurrence of ``(R, t)``, site 1: ``p1 R t q1``.  When ``R`` is used
+        exactly twice, ``_match`` creates ``R' -> R t``, substitutes both
+        sites and ``_expand``s ``R`` back into ``R'``.  The net effect is
+        applied here: ``R'`` takes over ``R``'s guard and body, site 1's
+        ``t`` slot moves to the end of that body, and the two ``R`` slots
+        become ``R'``.  The digram index sees the reference's operations in
+        its order, less an add/delete pair of ``(R, t)`` that cancels out.
+        """
+        key = self._key
+        lk = key[last]
+        rules = self.rules
+        old = rules[-1 - lk]  # type: ignore[operator]
+        if old.refcount != 2:
+            return False  # R survives: _match keeps R' -> R t as a new rule
+        nxt = self._nxt
+        prv = self._prv
+        p1 = prv[m]
+        t1 = nxt[m]  # never ``last``: keys R and t differ, so no overlap
+        q1 = nxt[t1]
+        p2 = prv[last]
+        k1 = key[p1]
+        kq = key[q1]
+        k2 = key[p2]
+        # Fall back where _match reuses a rule (site 1 is a whole body) and
+        # wherever an overlapping-triple repair or a second digram match
+        # could fire in the reference sequence.  The sites touch only when
+        # q1 is ``last``, and then p2 is site 1's ``t`` slot; R neighbours
+        # neither site, since it is used exactly twice.
+        if (
+            (k1 is None and kq is None)
+            or t == k1 or t == kq or t == k2
+            or (k1 is not None and (k1 == kq or k1 == k2))
+        ):
+            return False
+        own = self._own
+        digrams = self._digrams
+        dget = digrams.get
+        rid = self._next_rule_id
+        self._next_rule_id = rid + 1
+        # Dirty in the reference's first-insertion order: R', site 1's rule,
+        # the start rule (site 2's, already dirty in extend_batch), R.
+        dirty = self._dirty
+        dirty.add(rid)
+        dirty.add(own[p1] if k1 is None else own[own[p1]])
+        dirty.add(old.id)
+        lm = lk & _M  # type: ignore[operator]
+        nm = (-1 - rid) & _M
+        # _substitute(site 1): unindex (p1, R), (R, t), (t, q1); index
+        # (p1, R'), (R', q1).
+        if k1 is not None:
+            d = ((k1 & _M) << 32) | lm
+            if dget(d) == p1:
+                del digrams[d]
+        del digrams[(lm << 32) | t]
+        if kq is not None:
+            d = (t << 32) | (kq & _M)
+            if dget(d) == t1:
+                del digrams[d]
+        if k1 is not None:
+            digrams[((k1 & _M) << 32) | nm] = p1
+        if kq is not None:
+            digrams[(nm << 32) | (kq & _M)] = m
+        # _substitute(site 2): unindex (p2, R); index (p2, R').
+        if k2 is not None:
+            d = ((k2 & _M) << 32) | lm
+            if dget(d) == p2:
+                del digrams[d]
+            digrams[((k2 & _M) << 32) | nm] = p2
+        # _expand(R): the plain store of (last(R), t).
+        g = old.guard
+        tail = prv[g]
+        digrams[((key[tail] & _M) << 32) | t] = tail  # type: ignore[operator]
+        key[m] = key[last] = -1 - rid
+        nxt[m] = q1
+        prv[q1] = m
+        nxt[tail] = t1
+        prv[t1] = tail
+        nxt[t1] = g
+        prv[g] = t1
+        own[t1] = g
+        own[g] = rid
+        rule = Rule(rid, g, self)
+        rule.refcount = 2
+        rules[rid] = rule
+        del rules[old.id]
+        return True
+
     # --------------------------------------------------------------- public
 
     def append(self, token: int) -> None:
@@ -352,7 +461,8 @@ class Sequitur:
         Equivalent to per-token :meth:`append` — the batch boundaries are
         not observable in the resulting grammar (pinned by the partition
         property tests and the oracle differential) — but the no-repetition
-        fast path runs inline over locally-bound arrays, which is what makes
+        fast path runs inline over locally-bound arrays, and a token that
+        lengthens a repeat is one :meth:`_lengthen` step, which is what makes
         the profiling hot path cheap.  A negative (or over-bound) token
         raises :class:`AnalysisError` at the exact offending position, with
         every earlier token already applied.
@@ -368,10 +478,10 @@ class Sequitur:
         free = self._free
         digrams = self._digrams
         dget = digrams.get
+        lengthen = self._lengthen
         start = self.start
         g = start.guard
-        sid = start.id
-        self._dirty.add(sid)
+        self._dirty.add(start.id)
         length = self.length
         try:
             for token in tokens:
@@ -383,16 +493,27 @@ class Sequitur:
                     )
                 length += 1
                 last = prv[g]
+                m = None
+                if last != g:
+                    # Inline digram-uniqueness check for (last, token); it
+                    # reads no link the append below writes.
+                    lk = key[last]
+                    packed = ((lk & _M) << 32) | token  # type: ignore[operator]
+                    m = dget(packed)
+                    if m is None:
+                        digrams[packed] = last
+                    elif lk < 0 and lengthen(last, m, token):  # type: ignore[operator]
+                        continue
                 if free:
                     s = free.pop()
                     key[s] = token
-                    own[s] = sid
+                    own[s] = g
                 else:
                     s = len(nxt)
                     nxt.append(-1)
                     prv.append(-1)
                     key.append(token)
-                    own.append(sid)
+                    own.append(g)
                 # Link at the end of the start rule.  As in the reference
                 # implementation, appending at a rule's tail touches no
                 # indexed digram (the old tail digram ends at the guard),
@@ -401,16 +522,10 @@ class Sequitur:
                 prv[g] = s
                 nxt[last] = s
                 prv[s] = last
-                if last != g:
-                    # Inline digram-uniqueness check for (last, token).
-                    lk = key[last]
-                    packed = ((lk & _M) << 32) | token  # type: ignore[operator]
-                    m = dget(packed)
-                    if m is None:
-                        digrams[packed] = last
-                    elif nxt[m] != last:
-                        self._match(last, m)
-                    # else: overlapping occurrence — skip, as _check does.
+                # An overlapping occurrence (nxt[m] == last) is skipped, as
+                # _check does.
+                if m is not None and nxt[m] != last:
+                    self._match(last, m)
         finally:
             self.length = length
 
@@ -587,7 +702,7 @@ class Sequitur:
             g = rule.guard
             prev = g
             for terminal, ref_id in body:
-                s = self._alloc(terminal if ref_id is None else -1 - ref_id, rule_id)
+                s = self._alloc(terminal if ref_id is None else -1 - ref_id, g)
                 prv[s] = prev
                 nxt[prev] = s
                 prev = s
@@ -662,9 +777,9 @@ class Sequitur:
                 live.add(s)
                 if nxt[prv[s]] != s or prv[nxt[s]] != s:
                     raise AnalysisError(f"R{rule_id} slot {s} has inconsistent links")
-                if own[s] != rule_id:
+                if own[s] != g:
                     raise AnalysisError(
-                        f"R{rule_id} slot {s} carries owner R{own[s]}"
+                        f"R{rule_id} slot {s} carries owner slot {own[s]}, not its guard {g}"
                     )
                 k = key[s]
                 if k is None:

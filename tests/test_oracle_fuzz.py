@@ -7,8 +7,9 @@ import pytest
 from repro.errors import OracleError
 from repro.machine.cache import Cache
 from repro.oracle import RefCache, check_with_shrinking, shrink_ops
-from repro.oracle.fuzz import gen_cache_ops
+from repro.oracle.fuzz import diff_sequitur, gen_cache_ops, gen_periodic_trace
 from repro.oracle.verify import STRESS_GEOMETRY
+from repro.sequitur import Sequitur
 
 
 class PromotingContainsCache(Cache):
@@ -109,3 +110,24 @@ class TestCheckWithShrinking:
         assert "ops = [" in message  # replayable literal embedded
         # The chained original failure is preserved for context.
         assert isinstance(exc_info.value.__cause__, OracleError)
+
+
+class TestGenPeriodicTrace:
+    def test_deterministic_bounded_and_exact_length(self):
+        trace = gen_periodic_trace(random.Random(5), 500, alphabet=12)
+        assert trace == gen_periodic_trace(random.Random(5), 500, alphabet=12)
+        assert len(trace) == 500
+        assert set(trace) <= set(range(12))
+
+    def test_builds_long_rule_bodies_the_references_agree_on(self):
+        rng = random.Random(0)
+        longest = 0
+        for _ in range(5):
+            trace = gen_periodic_trace(rng, 600, alphabet=32)
+            diff_sequitur(trace)
+            seq = Sequitur()
+            seq.extend_batch(trace)
+            longest = max(
+                longest, max(r.rhs_length() for r in seq.rules.values() if r is not seq.start)
+            )
+        assert longest >= 15

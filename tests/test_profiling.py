@@ -47,6 +47,19 @@ class TestSymbolTable:
         assert DataRef(Pc("f", 0), 0) in table
         assert DataRef(Pc("f", 1), 0) not in table
 
+    def test_intern_batch_matches_intern(self):
+        pairs = [(Pc("f", k % 3), 0x10 * (k % 5)) for k in range(40)]
+        one = SymbolTable()
+        one.intern(Pc("g", 0), 0)
+        batch = SymbolTable()
+        batch.intern(Pc("g", 0), 0)
+        assert batch.intern_batch(pairs) == [one.intern(pc, addr) for pc, addr in pairs]
+        assert batch._refs == one._refs
+        assert list(batch._ids.items()) == list(one._ids.items())
+        # Keys stay DataRefs even though the batch passes plain tuples.
+        assert all(type(ref) is DataRef for ref in batch._ids)
+        assert all(type(ref) is DataRef for ref in batch._refs)
+
 
 class TestProfiler:
     def test_record_appends_to_grammar(self):
