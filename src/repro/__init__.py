@@ -34,7 +34,7 @@ from repro.ir import ProcedureBuilder, Program, build_program
 from repro.machine import MachineConfig, Memory, MemoryHierarchy, PAPER_MACHINE
 from repro.profiling import BurstyCounters, TemporalProfiler, overall_sampling_rate
 from repro.sequitur import Sequitur
-from repro.telemetry import MetricsRegistry, TelemetryRecorder, TelemetrySession
+from repro.telemetry import TelemetryRecorder, TelemetrySession, run_metrics
 from repro.vulcan import deoptimize, inject_detection, instrument_program
 from repro.workloads import ChainMixParams, build_chainmix
 
@@ -67,9 +67,9 @@ __all__ = [
     "TemporalProfiler",
     "overall_sampling_rate",
     "Sequitur",
-    "MetricsRegistry",
     "TelemetryRecorder",
     "TelemetrySession",
+    "run_metrics",
     "deoptimize",
     "inject_detection",
     "instrument_program",

@@ -114,7 +114,6 @@ from repro.bench.figures import ResultCache
 from repro.bench.reporting import Ratio, format_table
 from repro.core.config import OptimizerConfig
 from repro.engine.cache import ResultStore
-from repro.fastpath import set_fastpath
 from repro.resilience import FaultPlan, WatchdogConfig
 from repro.telemetry.session import TelemetryRecorder
 from repro.workloads import presets
@@ -880,18 +879,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="verify: run only the differential and metamorphic sections",
     )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="execute through the compiled fastpath kernel (bit-identical; "
-        "sets REPRO_FASTPATH=1 so pool workers inherit it)",
-    )
     args = parser.parse_args(argv)
-
-    if args.fast:
-        # Environment, not a parameter: fingerprints must not change (the
-        # kernel is bit-identical), and fork-based pool workers inherit it.
-        set_fastpath(True)
 
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")

@@ -244,27 +244,26 @@ def figure12_quality_rows(
 ) -> list[dict]:
     """Figure 12 companion: prefetch accuracy/timeliness/pollution per level.
 
-    Values come from each run's metrics registry (reconciled against the
-    hierarchy's :class:`~repro.machine.hierarchy.PrefetchStats` at finalize),
-    so they are exactly the paper's quality axes: accuracy = used / issued
-    (non-redundant), timeliness = in-time / used, pollution = evicted-unused /
-    issued (non-redundant).
+    Values come from each run's
+    :class:`~repro.machine.hierarchy.PrefetchStats`, so they are exactly the
+    paper's quality axes: accuracy = used / issued (non-redundant),
+    timeliness = in-time / used, pollution = evicted-unused / issued
+    (non-redundant).
     """
     names = list(names or presets.names())
     cache.warm([(n, lvl) for n in names for lvl in levels])
     rows = []
     for name in names:
         for level in levels:
-            metrics = cache.get(name, level).metrics
-            assert metrics is not None
+            prefetch = cache.get(name, level).hierarchy.prefetch
             rows.append(
                 {
                     "benchmark": name,
                     "level": level,
-                    "issued": metrics.counter("prefetch.issued").value,
-                    "accuracy": metrics.gauge("prefetch.accuracy").value,
-                    "timeliness": metrics.gauge("prefetch.timeliness").value,
-                    "pollution": metrics.gauge("prefetch.pollution").value,
+                    "issued": prefetch.issued,
+                    "accuracy": prefetch.accuracy,
+                    "timeliness": prefetch.timeliness,
+                    "pollution": prefetch.pollution,
                 }
             )
     return rows

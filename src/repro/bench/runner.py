@@ -44,7 +44,7 @@ def run_workload(
 
     ``telemetry`` attaches an existing session (event sinks and all); without
     one, a metrics-only session is created so the returned result still
-    carries an exact metrics registry.  Telemetry never alters simulated
+    carries its exact metrics snapshot.  Telemetry never alters simulated
     cycle counts.
     """
     return execute_workload(workload, level, machine, opt, telemetry)

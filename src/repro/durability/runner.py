@@ -89,7 +89,7 @@ def run_spec_durable(
     resume: bool = True,
     bus=NULL_SINK,
     stop_after_checkpoints: Optional[int] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
     progress: Optional[Callable[[dict], None]] = None,
 ) -> Optional[RunResult]:
     """Execute one spec with checkpointing; resumes a valid prior checkpoint.
@@ -105,8 +105,8 @@ def run_spec_durable(
     simulator's code version): a stale or foreign checkpoint is rejected and
     the run restarts from scratch.  On success the checkpoint is removed.
 
-    ``fast`` selects the compiled kernel per slice (None defers to the
-    ``REPRO_FASTPATH`` environment toggle).  Checkpoints are kernel-agnostic:
+    ``fast=False`` runs each slice on the reference dispatch loop instead of
+    the compiled kernel.  Checkpoints are kernel-agnostic:
     compiled code lives outside the pickled interpreter (weak-keyed on the
     procedure objects) and is rebuilt on first use after a restore, so a run
     may freely checkpoint under one kernel and resume under the other.

@@ -297,7 +297,7 @@ def finish_workload(prepared: PreparedRun, stats) -> RunResult:
     """Finalize a finished execution: hierarchy, session, result assembly."""
     interp = prepared.interp
     interp.hierarchy.finalize(now=stats.cycles)
-    prepared.session.finalize_run(stats, interp.hierarchy, prepared.summary)
+    metrics = prepared.session.finalize_run(stats, interp.hierarchy, prepared.summary)
     # Streaming sinks record a per-run summary (cycle attribution, per-proc
     # rows) in their manifest, making chunk directories self-describing for
     # `repro-bench explain --from`.  Duck-typed so telemetry stays decoupled.
@@ -328,7 +328,7 @@ def finish_workload(prepared: PreparedRun, stats) -> RunResult:
         stats=stats,
         hierarchy=interp.hierarchy,
         summary=prepared.summary,
-        metrics=prepared.session.registry,
+        metrics=metrics,
     )
 
 
@@ -338,7 +338,7 @@ def execute_workload(
     machine: MachineConfig = PAPER_MACHINE,
     opt: Optional[OptimizerConfig] = None,
     telemetry: Optional[TelemetrySession] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> RunResult:
     """Execute an already-built workload at one measurement level.
 
@@ -346,13 +346,13 @@ def execute_workload(
     :class:`LevelSpec`, apply its instrumentation, wire telemetry, attach its
     component, run, finalize.  ``telemetry`` attaches an existing session
     (event sinks and all); without one, a metrics-only session is created so
-    the returned result still carries an exact metrics registry.  Telemetry
+    the returned result still carries its exact metrics snapshot.  Telemetry
     never alters simulated cycle counts.
 
-    ``fast`` selects the compiled execution kernel (:mod:`repro.fastpath`);
-    None defers to the ``REPRO_FASTPATH`` environment toggle.  The kernel is
-    bit-identical to the reference dispatch loop, so results — and therefore
-    result-cache fingerprints — do not depend on it.
+    ``fast=False`` runs the reference dispatch loop instead of the compiled
+    kernel (:mod:`repro.fastpath`).  The kernel is bit-identical to the
+    reference loop, so results — and therefore result-cache fingerprints —
+    do not depend on it.
     """
     prepared = prepare_workload(workload, level, machine, opt, telemetry)
     stats = prepared.interp.run(prepared.args, fast=fast)

@@ -17,6 +17,7 @@ which they got.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -24,7 +25,6 @@ from repro.core.stats import OptimizerSummary
 from repro.errors import ConfigError
 from repro.interp.interpreter import ExecStats
 from repro.machine.hierarchy import HierarchyStats, MemoryHierarchy
-from repro.telemetry.metrics import MetricsRegistry
 
 #: Format version stamped into serialized results; bump on schema changes.
 RESULT_FORMAT = 1
@@ -39,9 +39,10 @@ class RunResult:
     stats: ExecStats
     hierarchy: Union[MemoryHierarchy, HierarchyStats]
     summary: Optional[OptimizerSummary]
-    #: run-level metrics registry, always populated (exact, reconciled from
-    #: the simulation counters at finalize time)
-    metrics: Optional[MetricsRegistry] = None
+    #: run-level metrics snapshot, always populated: rendered from the
+    #: simulation counters at finalize time
+    #: (:func:`~repro.telemetry.metrics.run_metrics`)
+    metrics: Optional[dict] = None
     #: True when this result was replayed from the result cache
     from_cache: bool = False
 
@@ -67,7 +68,7 @@ class RunResult:
             "stats": self.stats.to_dict(),
             "hierarchy": self.hierarchy.stats_snapshot().to_dict(),
             "summary": None if self.summary is None else self.summary.to_dict(),
-            "metrics": None if self.metrics is None else self.metrics.snapshot(),
+            "metrics": copy.deepcopy(self.metrics),
         }
 
     @classmethod
@@ -77,12 +78,11 @@ class RunResult:
         if fmt != RESULT_FORMAT:
             raise ConfigError(f"unsupported serialized RunResult format {fmt!r}")
         summary = data.get("summary")
-        metrics = data.get("metrics")
         return cls(
             workload=str(data["workload"]),
             level=str(data["level"]),
             stats=ExecStats.from_dict(data["stats"]),
             hierarchy=HierarchyStats.from_dict(data["hierarchy"]),
             summary=None if summary is None else OptimizerSummary.from_dict(summary),
-            metrics=None if metrics is None else MetricsRegistry.from_snapshot(metrics),
+            metrics=copy.deepcopy(data.get("metrics")),
         )

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional, Protocol
 
 from repro.errors import ExecutionError, MemoryFault
-from repro.fastpath import fastpath_enabled
 from repro.interp.lowering import (
     OP_ALLOC,
     OP_ALU,
@@ -215,7 +214,7 @@ class Interpreter:
         self,
         args: tuple[int, ...] = (),
         max_instructions: Optional[int] = None,
-        fast: Optional[bool] = None,
+        fast: bool = True,
     ) -> ExecStats:
         """Execute from the entry procedure until HALT / final RET.
 
@@ -223,15 +222,14 @@ class Interpreter:
             args: integer arguments for the entry procedure.
             max_instructions: optional safety bound; exceeding it raises
                 :class:`ExecutionError`.
-            fast: True/False selects the compiled fastpath kernel or the
-                reference dispatch loop; None (default) defers to the
-                ``REPRO_FASTPATH`` environment variable.  Results are
-                bit-identical either way.
+            fast: True (default) runs the compiled fastpath kernel, False
+                the reference dispatch loop.  Results are bit-identical
+                either way.
         """
         try:
             state = self._start(args)
             limit = max_instructions if max_instructions is not None else (1 << 62)
-            if fastpath_enabled(fast):
+            if fast:
                 from repro.fastpath.kernel import run_fast
 
                 stats = run_fast(self, state, limit, raise_on_limit=True)
@@ -246,7 +244,7 @@ class Interpreter:
         """Prepare slice execution from the entry procedure (see :meth:`run_slice`)."""
         self.exec_state = self._start(args)
 
-    def run_slice(self, budget: int, fast: Optional[bool] = None) -> Optional[ExecStats]:
+    def run_slice(self, budget: int, fast: bool = True) -> Optional[ExecStats]:
         """Execute up to ``budget`` more instructions; None while suspended.
 
         Returns the final :class:`ExecStats` once the program reaches HALT or
@@ -266,7 +264,7 @@ class Interpreter:
         if budget < 1:
             raise ExecutionError("slice budget must be >= 1")
         try:
-            if fastpath_enabled(fast):
+            if fast:
                 from repro.fastpath.kernel import run_fast
 
                 return run_fast(self, state, state.icount + budget, raise_on_limit=False)

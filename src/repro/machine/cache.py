@@ -1,10 +1,12 @@
-"""Set-associative cache with LRU replacement.
+"""Set-associative cache state with LRU replacement.
 
-The cache operates on *block numbers* (``address >> log2(block_bytes)``); the
-memory hierarchy translates byte addresses before calling in.  Each set is an
-ordered list of tags, most-recently-used last, so an LRU eviction pops from
-the front.  Sets are small (4- or 8-way), so a list scan is both simple and
-fast.
+The cache holds *block numbers* (``address >> log2(block_bytes)``).  Each set
+is an ordered list of tags, most-recently-used last, so an LRU eviction pops
+from the front; sets are small (4- or 8-way), so a list scan is both simple
+and fast.  :class:`~repro.machine.hierarchy.MemoryHierarchy` owns the policy
+and writes its lookups, fills and evictions inline on ``_sets`` and the
+counters; this class keeps the state, the counters and the inspection
+helpers.
 """
 
 from __future__ import annotations
@@ -23,51 +25,6 @@ class Cache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def lookup(self, block: int) -> bool:
-        """Look up ``block``; update LRU order and hit/miss counters.
-
-        Returns True on a hit.  The block is *not* installed on a miss; call
-        :meth:`install` for that (the hierarchy decides fill policy).
-        """
-        way = self._sets[block & self._set_mask]
-        if block in way:
-            way.remove(block)
-            way.append(block)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def contains(self, block: int) -> bool:
-        """Non-destructive membership probe (no LRU update, no counters)."""
-        return block in self._sets[block & self._set_mask]
-
-    def install(self, block: int) -> int | None:
-        """Install ``block`` as most-recently-used; return the evicted block.
-
-        Returns None when no eviction was needed or the block was already
-        present (in which case it is promoted to MRU).
-        """
-        way = self._sets[block & self._set_mask]
-        if block in way:
-            way.remove(block)
-            way.append(block)
-            return None
-        victim: int | None = None
-        if len(way) >= self.geometry.associativity:
-            victim = way.pop(0)
-            self.evictions += 1
-        way.append(block)
-        return victim
-
-    def invalidate(self, block: int) -> bool:
-        """Remove ``block`` if present; return whether it was present."""
-        way = self._sets[block & self._set_mask]
-        if block in way:
-            way.remove(block)
-            return True
-        return False
 
     def flush(self) -> None:
         """Empty the cache (counters are preserved)."""

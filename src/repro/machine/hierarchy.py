@@ -25,8 +25,8 @@ prefetch life cycle) are *sampled* — one event per ``miss_sample_every`` /
 ``prefetch_sample_every`` occurrences, deterministic counters, so a run's
 event log is reproducible and ``emitted == occurrences // period`` exactly;
 set the periods to 1 for exhaustive logs.  Exact totals always come from the
-:class:`PrefetchStats`/cache counters, which the telemetry session reconciles
-into its metrics registry.  Emission never changes stall accounting — runs
+:class:`PrefetchStats`/cache counters, which the telemetry session renders
+into the run's metrics snapshot.  Emission never changes stall accounting — runs
 are cycle-identical with telemetry on or off.
 
 Tenant lanes: ``MemoryHierarchy(config, tenants=N, sharing=...)`` serves N

@@ -21,11 +21,9 @@ Every disagreement surfaces as :class:`~repro.errors.OracleError`.
 from repro.errors import OracleError
 from repro.oracle.fuzz import (
     check_with_shrinking,
-    diff_cache,
     diff_hierarchy,
     diff_sequitur,
     diff_streams,
-    gen_cache_ops,
     gen_hierarchy_ops,
     gen_periodic_trace,
     gen_trace,
@@ -87,11 +85,9 @@ __all__ = [
     "relabel_stride",
     "run_fingerprint",
     # fuzzing
-    "gen_cache_ops",
     "gen_hierarchy_ops",
     "gen_periodic_trace",
     "gen_trace",
-    "diff_cache",
     "diff_hierarchy",
     "diff_sequitur",
     "diff_streams",

@@ -20,11 +20,10 @@ from typing import Callable, Sequence
 from repro.analysis.exact import enumerate_hot_substrings
 from repro.analysis.hotstreams import AnalysisConfig, find_hot_streams
 from repro.errors import AnalysisError, OracleError
-from repro.machine.cache import Cache
-from repro.machine.config import CacheGeometry, MachineConfig
+from repro.machine.config import MachineConfig
 from repro.machine.hierarchy import SHARING_MODES, TENANT_SHIFT, MemoryHierarchy
 from repro.oracle.refgrammar import check_sequitur, ref_expand
-from repro.oracle.refmodel import RefCache, RefHierarchy
+from repro.oracle.refmodel import RefHierarchy
 from repro.oracle.refsequitur import RefSequitur
 from repro.oracle.refstreams import check_hot_streams, ref_hot_substrings
 from repro.sequitur.sequitur import Sequitur
@@ -32,30 +31,11 @@ from repro.sequitur.sequitur import Sequitur
 #: One replayable operation: (op name, operand).
 Op = tuple[str, int]
 
-_CACHE_OPS = ("lookup", "install", "contains", "invalidate", "flush")
-_CACHE_WEIGHTS = (45, 35, 10, 8, 2)
 _HIER_OPS = ("access", "prefetch", "flush", "finalize")
 _HIER_WEIGHTS = (68, 26, 3, 3)
 
 
 # ---------------------------------------------------------------- generators
-
-
-def gen_cache_ops(rng, count: int, geometry: CacheGeometry) -> list[Op]:
-    """Random single-cache op sequence with heavy set-conflict pressure.
-
-    Blocks are drawn from a pool ~2x the cache's capacity so evictions and
-    re-references are frequent; a sliver of far-away blocks exercises tag
-    wrap-around across sets.
-    """
-    capacity = geometry.num_sets * geometry.associativity
-    pool = max(2 * capacity, 8)
-    ops: list[Op] = []
-    for _ in range(count):
-        (kind,) = rng.choices(_CACHE_OPS, weights=_CACHE_WEIGHTS)
-        block = rng.randrange(pool) if rng.random() < 0.95 else rng.randrange(1 << 20)
-        ops.append((kind, block))
-    return ops
 
 
 def gen_hierarchy_ops(rng, count: int, machine: MachineConfig) -> list[Op]:
@@ -118,44 +98,6 @@ def gen_periodic_trace(rng, length: int, alphabet: int = 16) -> list[int]:
 
 
 # ------------------------------------------------------- differential drivers
-
-
-def _prod_lru_order(cache: Cache, set_index: int) -> list[int]:
-    # Deliberate white-box probe: the production set list *is* LRU->MRU order.
-    return list(cache._sets[set_index])
-
-
-def diff_cache(geometry: CacheGeometry, ops: Sequence[Op]) -> None:
-    """Replay ``ops`` on the production Cache and RefCache in lockstep."""
-    prod = Cache(geometry, "prod")
-    ref = RefCache(geometry)
-    for i, (kind, block) in enumerate(ops):
-        tag = f"op #{i} {kind}({block})"
-        if kind == "flush":
-            prod.flush()
-            ref.flush()
-            continue
-        got = getattr(prod, kind)(block)
-        want = getattr(ref, kind)(block)
-        if got != want:
-            raise OracleError(f"{tag}: production returned {got!r}, reference {want!r}")
-    for name in ("hits", "misses", "evictions"):
-        got, want = getattr(prod, name), getattr(ref, name)
-        if got != want:
-            raise OracleError(f"cache {name}: production {got}, reference {want}")
-    if prod.resident_blocks() != ref.resident_blocks():
-        raise OracleError(
-            f"resident sets differ: production {sorted(prod.resident_blocks())}, "
-            f"reference {sorted(ref.resident_blocks())}"
-        )
-    for set_index in range(geometry.num_sets):
-        got_order = _prod_lru_order(prod, set_index)
-        want_order = ref.lru_order(set_index)
-        if got_order != want_order:
-            raise OracleError(
-                f"set {set_index} LRU order differs: "
-                f"production {got_order}, reference {want_order}"
-            )
 
 
 def diff_hierarchy(machine: MachineConfig, ops: Sequence[Op], tenant: int = 0) -> None:

@@ -2,8 +2,6 @@
 
 Sections (all seeded, all deterministic for a given ``--seed``):
 
-``cache``       randomized differential runs, production Cache vs RefCache,
-                on a conflict-heavy tiny geometry and the paper's L1.
 ``hierarchy``   randomized differential runs, MemoryHierarchy vs RefHierarchy,
                 per-op stalls and full counter fingerprints, as the one
                 tenant (lane 0) and as tenant 1 of two in both sharing modes.
@@ -67,8 +65,6 @@ from repro.oracle.invariants import (
 )
 from repro.workloads import presets
 
-#: Tiny geometry: 4 sets x 2 ways creates constant conflict pressure.
-STRESS_GEOMETRY = CacheGeometry(size_bytes=256, associativity=2, block_bytes=32)
 #: Small two-level machine for hierarchy fuzzing (mirrors the test fixtures).
 STRESS_MACHINE = MachineConfig(
     l1=CacheGeometry(512, 2),
@@ -130,19 +126,6 @@ class VerifyReport:
         verdict = "PASSED" if self.ok else "FAILED"
         lines.append(f"VERIFY {verdict} (seed={self.seed}, runs={self.runs})")
         return "\n".join(lines)
-
-
-def _verify_cache(rng: random.Random, runs: int) -> SectionResult:
-    section = SectionResult("cache")
-    for geometry in (STRESS_GEOMETRY, MachineConfig().l1):
-        for _ in range(runs):
-            ops = fuzz.gen_cache_ops(rng, 400, geometry)
-            section.run_case(
-                lambda g=geometry, o=ops: fuzz.check_with_shrinking(
-                    o, lambda seq: fuzz.diff_cache(g, seq), "cache differential"
-                )
-            )
-    return section
 
 
 def _verify_hierarchy(rng: random.Random, runs: int) -> SectionResult:
@@ -307,7 +290,6 @@ def run_verify(
     rng = random.Random(seed)
     report = VerifyReport(seed=seed, runs=runs)
     sections: list[Callable[[], SectionResult]] = [
-        lambda: _verify_cache(rng, runs),
         lambda: _verify_hierarchy(rng, runs),
         lambda: _verify_sequitur(rng, runs),
         lambda: _verify_streams(rng, runs),

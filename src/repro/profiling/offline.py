@@ -66,7 +66,6 @@ def collect_offline_profile(
     workload: BuiltWorkload,
     machine: MachineConfig = PAPER_MACHINE,
     max_refs: Optional[int] = None,
-    fast: Optional[bool] = None,
 ) -> OfflineProfile:
     """Run ``workload`` tracing *every* data reference into Sequitur.
 
@@ -74,8 +73,7 @@ def collect_offline_profile(
     continuously (``nCheck0 = 1``): complete temporal information, at full
     tracing cost — exactly the overhead problem the paper's online framework
     exists to avoid.  ``max_refs`` stops recording (not execution) after a
-    bound, keeping grammars tractable on long runs.  ``fast`` selects the
-    execution kernel as in :meth:`Interpreter.run` (None = default).
+    bound, keeping grammars tractable on long runs.
     """
     program, _ = instrument_program(workload.program)
     interp = Interpreter(program, workload.memory, machine)
@@ -92,6 +90,6 @@ def collect_offline_profile(
 
         interp.trace_sink = bounded_sink
     interp.tracing_enabled = True
-    stats = interp.run(workload.args) if fast is None else interp.run(workload.args, fast=fast)
+    stats = interp.run(workload.args)
     profiler.flush()
     return OfflineProfile(profiler=profiler, stats=stats)

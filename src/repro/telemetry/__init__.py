@@ -10,12 +10,13 @@ Quick tour::
     result = run_level("vpr", "dyn", telemetry=session)
     session.close()                       # seal the chunk log
     events, load = load_chunk_events("run-log")
-    print(session.registry.snapshot())    # exact run metrics
+    print(result.metrics["counters"])     # exact run metrics
 
 The chunk directory of :mod:`repro.obs` is the one on-disk event format;
 see :mod:`repro.telemetry.events` for the event taxonomy,
-:mod:`repro.telemetry.export` for the metrics JSON/CSV and Chrome trace
-views and :mod:`repro.telemetry.session` for wiring details.
+:mod:`repro.telemetry.metrics` for the metrics snapshot rendered from a
+finished run, :mod:`repro.telemetry.export` for the metrics JSON and Chrome
+trace views and :mod:`repro.telemetry.session` for wiring details.
 """
 
 from repro.telemetry.events import (
@@ -39,13 +40,8 @@ from repro.telemetry.events import (
     RunEnd,
     from_record,
 )
-from repro.telemetry.export import (
-    load_metrics_json,
-    summarize,
-    write_metrics_csv,
-    write_metrics_json,
-)
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.export import write_metrics_json
+from repro.telemetry.metrics import EventTally, run_metrics
 from repro.telemetry.session import TelemetryRecorder, TelemetrySession
 from repro.telemetry.sinks import NULL_SINK, ListSink, NullSink
 
@@ -69,14 +65,9 @@ __all__ = [
     "CacheMiss",
     "CacheFlushed",
     "RecordSkipped",
-    "load_metrics_json",
-    "write_metrics_csv",
     "write_metrics_json",
-    "summarize",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
+    "EventTally",
+    "run_metrics",
     "TelemetryRecorder",
     "TelemetrySession",
     "NULL_SINK",

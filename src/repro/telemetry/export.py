@@ -5,11 +5,9 @@ The event log itself has one on-disk format, the chunk directory written by
 :func:`~repro.obs.chunks.load_chunk_events`.  This module holds the other
 views:
 
-* **JSON metrics snapshot** — the dict produced by
-  :meth:`~repro.telemetry.session.TelemetrySession.snapshot` (or any registry
-  snapshot); :func:`load_metrics_json` is its loader.
-* **CSV metrics snapshot** — the same counters/gauges flattened to
-  ``metric_type,name,value,cycle`` rows for spreadsheet consumption.
+* **JSON metrics snapshot** — the dicts produced by
+  :meth:`~repro.telemetry.session.TelemetrySession.snapshot`, written by
+  :func:`write_metrics_json` (plain JSON; ``json.load`` reads it back).
 * **Chrome trace-event JSON** — the span tree and event stream rendered in
   the `Trace Event Format` consumed by ``chrome://tracing`` and
   `ui.perfetto.dev <https://ui.perfetto.dev>`_; one simulated cycle maps to
@@ -19,13 +17,10 @@ views:
   :func:`load_chrome_trace`/:func:`validate_chrome_trace` the loader and
   schema check (required keys ``ph``/``ts``/``pid``/``name`` per entry,
   balanced B/E nesting per thread).
-
-:func:`summarize` renders events + metrics as a short human-readable report.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from typing import Optional, Sequence, Union
@@ -44,31 +39,6 @@ def write_metrics_json(snapshot: dict, path: PathLike) -> None:
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_metrics_json(path: PathLike) -> dict:
-    """Load a metrics snapshot previously written by :func:`write_metrics_json`."""
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_metrics_csv(snapshot: dict, path: PathLike) -> None:
-    """Flatten a snapshot's counters and gauges to CSV rows.
-
-    Histograms are emitted one row per bucket as
-    ``histogram,<name>[le=<bound>],<count>,``.
-    """
-    with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric_type", "name", "value", "cycle"])
-        for name, value in snapshot.get("counters", {}).items():
-            writer.writerow(["counter", name, value, ""])
-        for name, gauge in snapshot.get("gauges", {}).items():
-            writer.writerow(["gauge", name, gauge["value"], gauge["cycle"]])
-        for name, hist in snapshot.get("histograms", {}).items():
-            bounds = list(hist["bounds"]) + ["+Inf"]
-            for bound, count in zip(bounds, hist["counts"]):
-                writer.writerow(["histogram", f"{name}[le={bound}]", count, ""])
 
 
 # --------------------------------------------------- Chrome trace-event JSON
@@ -314,42 +284,3 @@ def validate_chrome_trace(document: object) -> None:
     unbalanced = {thread: stack for thread, stack in stacks.items() if stack}
     if unbalanced:
         raise ConfigError(f"unclosed B entries at end of trace: {unbalanced}")
-
-
-# -------------------------------------------------------------- human report
-
-
-def summarize(events: Sequence[Event] = (), metrics: dict | None = None) -> str:
-    """Render a compact human-readable report of a telemetry capture."""
-    lines: list[str] = []
-    if events:
-        counts: dict[str, int] = {}
-        for event in events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        lines.append(f"events: {len(events)} total, {len(counts)} kinds")
-        width = max(len(k) for k in counts)
-        for kind in sorted(counts, key=lambda k: (-counts[k], k)):
-            lines.append(f"  {kind.ljust(width)}  {counts[kind]}")
-        transitions = [e for e in events if e.kind == "PhaseTransition"]
-        if transitions:
-            lines.append("phase transitions:")
-            for t in transitions[:12]:
-                lines.append(f"  cycle {t.cycle:>12}  {t.previous} -> {t.phase}")
-            if len(transitions) > 12:
-                lines.append(f"  ... {len(transitions) - 12} more")
-    if metrics:
-        counters = metrics.get("counters", {})
-        gauges = metrics.get("gauges", {})
-        if counters:
-            lines.append("counters:")
-            for name, value in counters.items():
-                lines.append(f"  {name} = {value}")
-        if gauges:
-            lines.append("gauges:")
-            for name, gauge in gauges.items():
-                lines.append(f"  {name} = {gauge['value']:.4f} @ cycle {gauge['cycle']}")
-        for name, hist in metrics.get("histograms", {}).items():
-            count = hist["count"]
-            mean = hist["total"] / count if count else 0.0
-            lines.append(f"histogram {name}: n={count} mean={mean:.1f}")
-    return "\n".join(lines) if lines else "(no telemetry captured)"

@@ -1,24 +1,25 @@
-"""Metrics registry: counters, gauges and fixed-bucket histograms.
+"""Run metrics, rendered from a finished run's own counters.
 
-The registry is the run-level, *exact* companion to the event stream: events
-may be sampled (``CacheMiss``) but the registry is reconciled against the
-authoritative simulation counters (:class:`~repro.interp.interpreter.ExecStats`,
-:class:`~repro.machine.cache.Cache` hit/miss counts,
-:class:`~repro.core.stats.OptimizerSummary`) when a run finalizes, so
-telemetry consumers never see drift.
+A run's metrics snapshot is a pure function of the finished run:
+:func:`run_metrics` reads the authoritative simulation counters
+(:class:`~repro.interp.interpreter.ExecStats`, the hierarchy's cache and
+:class:`~repro.machine.hierarchy.PrefetchStats` counters,
+:class:`~repro.core.stats.OptimizerSummary`) and, for sessions with sinks,
+an :class:`EventTally` — the one bus sink that counts events per kind and
+buckets the prefetch lead times, which only exist as per-use data at event
+time.  Nothing is kept live, so nothing can drift.
 
-Gauges remember the simulated cycle of their last update ("keyed by simulated
-cycle"), histograms use fixed bucket upper bounds chosen at creation — stream
-length, prefetch lead-time and DFSM size defaults are provided — and
-everything serializes through :meth:`MetricsRegistry.snapshot`.
+The snapshot is ``{"counters", "gauges", "histograms"}`` with names sorted.
+Gauges are ``{"value", "cycle"}`` stamped with the run's final cycle;
+histograms use fixed bucket upper bounds (values above the last bound land
+in an overflow bucket) and serialize as ``{"bounds", "counts", "count",
+"total"}``.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-
-from repro.errors import ConfigError
+from typing import Iterable, Optional
 
 #: Default bucket upper bounds (values above the last bound land in +Inf).
 STREAM_LENGTH_BUCKETS = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -26,134 +27,118 @@ LEAD_TIME_BUCKETS = (0, 10, 25, 50, 100, 250, 500, 1000, 2500)
 DFSM_SIZE_BUCKETS = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
 
 
-@dataclass
-class Counter:
-    """Monotonic integer counter."""
-
-    name: str
-    value: int = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-
-@dataclass
-class Gauge:
-    """Last-value metric stamped with the simulated cycle of the update."""
-
-    name: str
-    value: float = 0.0
-    cycle: int = -1
-
-    def set(self, value: float, cycle: int = -1) -> None:
-        self.value = value
-        self.cycle = cycle
+def histogram(bounds: tuple[int, ...], values: Iterable[float]) -> dict[str, object]:
+    """Fixed-bucket histogram of ``values``: counts per upper bound + overflow."""
+    counts = [0] * (len(bounds) + 1)
+    total = 0
+    for value in values:
+        counts[bisect.bisect_left(bounds, value)] += 1
+        total += int(value)
+    return {"bounds": list(bounds), "counts": counts, "count": sum(counts), "total": total}
 
 
-class Histogram:
-    """Fixed-bucket histogram: counts per upper bound plus an overflow bucket."""
+class EventTally:
+    """Bus sink counting events per kind and bucketing prefetch lead times.
 
-    def __init__(self, name: str, bounds: tuple[int, ...]) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ConfigError(f"histogram {name!r} needs sorted, non-empty bounds")
-        self.name = name
-        self.bounds = tuple(bounds)
-        self.counts = [0] * (len(bounds) + 1)
-        self.count = 0
-        self.total = 0
-
-    def observe(self, value: float, n: int = 1) -> None:
-        """Record ``value`` ``n`` times."""
-        self.counts[bisect.bisect_left(self.bounds, value)] += n
-        self.count += n
-        self.total += int(value) * n
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict[str, object]:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": self.total,
-        }
-
-
-class MetricsRegistry:
-    """Create-on-first-use registry of named counters, gauges and histograms."""
+    The ``events.<Kind>`` counters and the ``prefetch.lead_time`` histogram
+    of :func:`run_metrics` come from here; every other metric is read off
+    the simulation counters.
+    """
 
     def __init__(self) -> None:
-        self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
+        self.kinds: dict[str, int] = {}
+        self.lead_counts = [0] * (len(LEAD_TIME_BUCKETS) + 1)
+        self.lead_total = 0
 
-    # ------------------------------------------------------------- creation
+    def handle(self, event) -> None:
+        kind = event.kind
+        self.kinds[kind] = self.kinds.get(kind, 0) + 1
+        if kind == "PrefetchUsed":
+            self.lead_counts[bisect.bisect_left(LEAD_TIME_BUCKETS, event.lead)] += 1
+            self.lead_total += int(event.lead)
 
-    def counter(self, name: str) -> Counter:
-        c = self.counters.get(name)
-        if c is None:
-            c = self.counters[name] = Counter(name)
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self.gauges.get(name)
-        if g is None:
-            g = self.gauges[name] = Gauge(name)
-        return g
-
-    def histogram(self, name: str, bounds: tuple[int, ...] | None = None) -> Histogram:
-        h = self.histograms.get(name)
-        if h is None:
-            if bounds is None:
-                raise ConfigError(f"histogram {name!r} does not exist; pass bounds to create it")
-            h = self.histograms[name] = Histogram(name, bounds)
-        return h
-
-    # ---------------------------------------------------------- convenience
-
-    def inc(self, name: str, n: int = 1) -> None:
-        self.counter(name).inc(n)
-
-    def set_counter(self, name: str, value: int) -> None:
-        self.counter(name).value = value
-
-    def set_gauge(self, name: str, value: float, cycle: int = -1) -> None:
-        self.gauge(name).set(value, cycle)
-
-    def observe(self, name: str, value: float, bounds: tuple[int, ...] | None = None) -> None:
-        self.histogram(name, bounds).observe(value)
-
-    # --------------------------------------------------------- serialization
-
-    def snapshot(self) -> dict[str, object]:
-        """JSON-serializable view of every metric (sorted for stable diffs)."""
+    def lead_time(self) -> dict[str, object]:
+        """The lead-time histogram in :func:`histogram`'s shape."""
         return {
-            "counters": {name: c.value for name, c in sorted(self.counters.items())},
-            "gauges": {
-                name: {"value": g.value, "cycle": g.cycle}
-                for name, g in sorted(self.gauges.items())
-            },
-            "histograms": {name: h.snapshot() for name, h in sorted(self.histograms.items())},
+            "bounds": list(LEAD_TIME_BUCKETS),
+            "counts": list(self.lead_counts),
+            "count": sum(self.lead_counts),
+            "total": self.lead_total,
         }
 
-    @classmethod
-    def from_snapshot(cls, data: dict[str, object]) -> "MetricsRegistry":
-        """Rebuild a registry from a :meth:`snapshot` document.
 
-        Exact inverse: ``from_snapshot(snapshot()).snapshot() == snapshot()``,
-        which is what lets a cached :class:`~repro.engine.result.RunResult`
-        carry the same metrics a live run would.
-        """
-        reg = cls()
-        for name, value in data.get("counters", {}).items():
-            reg.set_counter(str(name), int(value))
-        for name, payload in data.get("gauges", {}).items():
-            reg.set_gauge(str(name), float(payload["value"]), int(payload["cycle"]))
-        for name, payload in data.get("histograms", {}).items():
-            hist = reg.histogram(str(name), tuple(int(b) for b in payload["bounds"]))
-            hist.counts = [int(c) for c in payload["counts"]]
-            hist.count = int(payload["count"])
-            hist.total = int(payload["total"])
-        return reg
+def run_metrics(stats, hierarchy, summary=None, tally: Optional[EventTally] = None) -> dict:
+    """The metrics snapshot of one finished run.
+
+    ``stats`` is an :class:`~repro.interp.interpreter.ExecStats`,
+    ``hierarchy`` a :class:`~repro.machine.hierarchy.MemoryHierarchy` or a
+    :class:`~repro.machine.hierarchy.HierarchyStats` (anything with the
+    counter surface), ``summary`` an optional
+    :class:`~repro.core.stats.OptimizerSummary` and ``tally`` the session's
+    :class:`EventTally` when its bus carried events (duck-typed to keep this
+    package import-free of the simulation).
+    """
+    prefetch = hierarchy.prefetch
+    l1, l2 = hierarchy.l1, hierarchy.l2
+    counters: dict[str, int] = {
+        "exec.cycles": stats.cycles,
+        "exec.instructions": stats.instructions,
+        "exec.memory_refs": stats.memory_refs,
+        "exec.mem_stall_cycles": stats.mem_stall_cycles,
+        "exec.checks_executed": stats.checks_executed,
+        "exec.bursts": stats.bursts,
+        "exec.traced_refs": stats.traced_refs,
+        "exec.trace_charges": stats.trace_charges,
+        "exec.detects_executed": stats.detects_executed,
+        "exec.detect_cycles": stats.detect_cycles,
+        "exec.prefetches_issued": stats.prefetches_issued,
+        "exec.charged_cycles": stats.charged_cycles,
+        "cache.demand_accesses": hierarchy.demand_accesses,
+        "cache.l1.hits": l1.hits,
+        "cache.l1.misses": l1.misses,
+        "cache.l1.evictions": l1.evictions,
+        "cache.l2.hits": l2.hits,
+        "cache.l2.misses": l2.misses,
+        "cache.l2.evictions": l2.evictions,
+        "prefetch.issued": prefetch.issued,
+        "prefetch.redundant": prefetch.redundant,
+        "prefetch.useful": prefetch.useful,
+        "prefetch.late": prefetch.late,
+        "prefetch.wasted": prefetch.wasted,
+    }
+    for source, issued in prefetch.by_source.items():
+        counters[f"prefetch.issued.{source}"] = issued
+    gauges: dict[str, float] = {
+        "exec.cpi": stats.cpi,
+        "cache.l1.miss_rate": hierarchy.l1_miss_rate,
+        "cache.l2.miss_rate": l2.misses / l2.accesses if l2.accesses else 0.0,
+        "prefetch.accuracy": prefetch.accuracy,
+        "prefetch.timeliness": prefetch.timeliness,
+        "prefetch.pollution": prefetch.pollution,
+    }
+    histograms: dict[str, dict] = {}
+    if tally is not None:
+        for kind, n in tally.kinds.items():
+            counters["events." + kind] = n
+        histograms["prefetch.lead_time"] = tally.lead_time()
+    if summary is not None:
+        counters["optimizer.opt_cycles"] = summary.num_cycles
+        gauges["optimizer.mean_traced_refs"] = summary.mean_traced_refs
+        gauges["optimizer.mean_streams"] = summary.mean_streams
+        gauges["optimizer.mean_dfsm_states"] = summary.mean_dfsm_states
+        gauges["optimizer.mean_dfsm_transitions"] = summary.mean_dfsm_transitions
+        gauges["optimizer.mean_injected_checks"] = summary.mean_injected_checks
+        gauges["optimizer.mean_procs_modified"] = summary.mean_procs_modified
+        histograms["optimizer.stream_length"] = histogram(
+            STREAM_LENGTH_BUCKETS,
+            [length for cycle in summary.cycles for length in cycle.stream_lengths],
+        )
+        histograms["optimizer.dfsm_states"] = histogram(
+            DFSM_SIZE_BUCKETS, [cycle.dfsm_states for cycle in summary.cycles]
+        )
+    now = stats.cycles
+    return {
+        "counters": dict(sorted(counters.items())),
+        "gauges": {name: {"value": value, "cycle": now} for name, value in sorted(gauges.items())},
+        "histograms": dict(sorted(histograms.items())),
+    }

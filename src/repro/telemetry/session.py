@@ -1,18 +1,19 @@
 """Session-level wiring: one :class:`TelemetrySession` per simulated run.
 
-The session owns the event bus and the metrics registry and knows how to
-attach them to the simulation stack (interpreter + memory hierarchy; the
-optimizer reads the interpreter's bus dynamically).  Three modes:
+The session owns the event bus and knows how to attach it to the simulation
+stack (interpreter + memory hierarchy; the optimizer reads the
+interpreter's bus dynamically).  Three modes:
 
 * ``TelemetrySession()`` — metrics only.  The bus stays disabled, events cost
-  one attribute check, and :meth:`finalize_run` reconciles the registry from
-  the authoritative simulation counters at the end.  This is what
+  one attribute check, and :meth:`finalize_run` renders the run's metrics
+  from the authoritative simulation counters at the end.  This is what
   :func:`repro.bench.runner.run_workload` creates by default, so every
-  :class:`~repro.bench.runner.RunResult` carries a filled registry for free.
+  :class:`~repro.bench.runner.RunResult` carries its metrics for free.
 * ``TelemetrySession(sinks=[...])`` — full event flow into the given sinks,
-  plus a :class:`MetricsSink` feeding live, event-derived metrics
-  (``events.*`` counters, the prefetch lead-time histogram).  To keep the
-  events on disk, pass a :class:`~repro.obs.chunks.StreamingTraceSink`.
+  plus an :class:`~repro.telemetry.metrics.EventTally` counting events per
+  kind and bucketing prefetch lead times for the ``events.*`` counters and
+  the ``prefetch.lead_time`` histogram.  To keep the events on disk, pass a
+  :class:`~repro.obs.chunks.StreamingTraceSink`.
 * :meth:`TelemetrySession.recording` — shorthand for the in-memory variant.
 
 :class:`TelemetryRecorder` spans *several* runs (the bench CLI's
@@ -28,15 +29,10 @@ from typing import Optional, Sequence, Union
 
 from repro.telemetry.events import Event, EventBus, RunBegin, RunEnd
 from repro.telemetry.export import write_metrics_json
-from repro.telemetry.metrics import (
-    DFSM_SIZE_BUCKETS,
-    LEAD_TIME_BUCKETS,
-    STREAM_LENGTH_BUCKETS,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import EventTally, run_metrics
 from repro.telemetry.sinks import ListSink
 from repro.tracing.ledger import PrefetchLedger
-from repro.tracing.spans import NULL_TRACER, SpanCollector, SpanTracer
+from repro.tracing.spans import NULL_TRACER, SpanTracer
 
 #: Default sampling period for CacheMiss events (1 = every miss).
 DEFAULT_MISS_SAMPLE_EVERY = 64
@@ -44,27 +40,8 @@ DEFAULT_MISS_SAMPLE_EVERY = 64
 DEFAULT_PREFETCH_SAMPLE_EVERY = 32
 
 
-class MetricsSink:
-    """Derives live metrics from the event stream.
-
-    Keeps an ``events.<Kind>`` counter per event kind (the agreement tests
-    compare these against the legacy simulation counters) and feeds the
-    prefetch lead-time histogram, which only exists as per-use data at event
-    time.  Exact run totals still come from :meth:`TelemetrySession.finalize_run`.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._lead_time = registry.histogram("prefetch.lead_time", LEAD_TIME_BUCKETS)
-
-    def handle(self, event: Event) -> None:
-        self.registry.inc("events." + event.kind)
-        if event.kind == "PrefetchUsed":
-            self._lead_time.observe(event.lead)
-
-
 class TelemetrySession:
-    """Event bus + metrics registry for one (workload, level) execution."""
+    """Event bus + rendered run metrics for one (workload, level) execution."""
 
     def __init__(
         self,
@@ -75,16 +52,16 @@ class TelemetrySession:
         track_prefetches: bool = False,
         proc_attribution: bool = False,
     ) -> None:
-        self.registry = MetricsRegistry()
         self.bus = EventBus()
         self.miss_sample_every = max(1, miss_sample_every)
         self.prefetch_sample_every = max(1, prefetch_sample_every)
         self.context: dict[str, str] = {}
+        #: the run's metrics snapshot, rendered by :meth:`finalize_run`
+        self.metrics: Optional[dict] = None
         self._optimizer: Optional[dict] = None
         #: causal span tracing (repro.tracing): ``tracing=True`` routes span
-        #: events through the bus and keeps a reconstructed tree in ``spans``
+        #: events through the bus into the session's sinks
         self.tracer = SpanTracer(self.bus) if tracing else NULL_TRACER
-        self.spans: Optional[SpanCollector] = SpanCollector() if tracing else None
         #: per-prefetch lifecycle ledger; ``track_prefetches=True`` attaches
         #: it to the hierarchy at :meth:`wire`
         self.ledger: Optional[PrefetchLedger] = (
@@ -95,13 +72,13 @@ class TelemetrySession:
         #: :meth:`wire` (descriptive counters only — never charges cycles)
         self.proc_attribution = proc_attribution
         self.proc_attr = None
-        self._run_span = 0
         for sink in sinks:
             self.bus.attach(sink)
-        if self.spans is not None:
-            self.bus.attach(self.spans)
+        #: per-kind event counts and lead-time buckets, for sessions with sinks
+        self.tally: Optional[EventTally] = None
         if self.bus.enabled:
-            self.bus.attach(MetricsSink(self.registry))
+            self.tally = EventTally()
+            self.bus.attach(self.tally)
 
     # ----------------------------------------------------------- constructors
 
@@ -159,12 +136,12 @@ class TelemetrySession:
         if self.bus.enabled:
             self.bus.emit(RunBegin(0, workload, level))
         if self.tracer.enabled:
-            self._run_span = self.tracer.begin(0, f"{workload}/{level}", "run")
+            self.tracer.begin(0, f"{workload}/{level}", "run")
 
     # ------------------------------------------------------------- finalizing
 
-    def finalize_run(self, stats, hierarchy, summary=None) -> None:
-        """Reconcile the registry from the authoritative run counters.
+    def finalize_run(self, stats, hierarchy, summary=None) -> dict:
+        """Close the run and render its metrics; returns the snapshot.
 
         ``stats`` is an :class:`~repro.interp.interpreter.ExecStats`,
         ``hierarchy`` a :class:`~repro.machine.hierarchy.MemoryHierarchy` and
@@ -172,70 +149,18 @@ class TelemetrySession:
         (duck-typed to keep this package import-free of the simulation).
         """
         # Wind down the span stack (epochs, the run span) before the RunEnd
-        # delimiter so collectors see a fully closed tree.
+        # delimiter so the log holds a fully closed tree.
         self.tracer.close_all(stats.cycles)
         if self.bus.enabled:
             self.bus.emit(RunEnd(stats.cycles, stats.instructions, stats.bursts))
-        reg = self.registry
-        now = stats.cycles
-        for name, value in (
-            ("exec.cycles", stats.cycles),
-            ("exec.instructions", stats.instructions),
-            ("exec.memory_refs", stats.memory_refs),
-            ("exec.mem_stall_cycles", stats.mem_stall_cycles),
-            ("exec.checks_executed", stats.checks_executed),
-            ("exec.bursts", stats.bursts),
-            ("exec.traced_refs", stats.traced_refs),
-            ("exec.trace_charges", stats.trace_charges),
-            ("exec.detects_executed", stats.detects_executed),
-            ("exec.detect_cycles", stats.detect_cycles),
-            ("exec.prefetches_issued", stats.prefetches_issued),
-            ("exec.charged_cycles", stats.charged_cycles),
-            ("cache.demand_accesses", hierarchy.demand_accesses),
-            ("cache.l1.hits", hierarchy.l1.hits),
-            ("cache.l1.misses", hierarchy.l1.misses),
-            ("cache.l1.evictions", hierarchy.l1.evictions),
-            ("cache.l2.hits", hierarchy.l2.hits),
-            ("cache.l2.misses", hierarchy.l2.misses),
-            ("cache.l2.evictions", hierarchy.l2.evictions),
-            ("prefetch.issued", hierarchy.prefetch.issued),
-            ("prefetch.redundant", hierarchy.prefetch.redundant),
-            ("prefetch.useful", hierarchy.prefetch.useful),
-            ("prefetch.late", hierarchy.prefetch.late),
-            ("prefetch.wasted", hierarchy.prefetch.wasted),
-        ):
-            reg.set_counter(name, value)
-        for source in sorted(hierarchy.prefetch.by_source):
-            reg.set_counter(
-                f"prefetch.issued.{source}", hierarchy.prefetch.by_source[source]
-            )
-        prefetch = hierarchy.prefetch
-        reg.set_gauge("exec.cpi", stats.cpi, now)
-        reg.set_gauge("cache.l1.miss_rate", hierarchy.l1_miss_rate, now)
-        l2 = hierarchy.l2
-        reg.set_gauge("cache.l2.miss_rate", l2.misses / l2.accesses if l2.accesses else 0.0, now)
-        reg.set_gauge("prefetch.accuracy", prefetch.accuracy, now)
-        reg.set_gauge("prefetch.timeliness", prefetch.timeliness, now)
-        reg.set_gauge("prefetch.pollution", prefetch.pollution, now)
         if summary is not None:
             self._optimizer = summary.to_dict()
-            reg.set_counter("optimizer.opt_cycles", summary.num_cycles)
-            reg.set_gauge("optimizer.mean_traced_refs", summary.mean_traced_refs, now)
-            reg.set_gauge("optimizer.mean_streams", summary.mean_streams, now)
-            reg.set_gauge("optimizer.mean_dfsm_states", summary.mean_dfsm_states, now)
-            reg.set_gauge("optimizer.mean_dfsm_transitions", summary.mean_dfsm_transitions, now)
-            reg.set_gauge("optimizer.mean_injected_checks", summary.mean_injected_checks, now)
-            reg.set_gauge("optimizer.mean_procs_modified", summary.mean_procs_modified, now)
-            lengths = reg.histogram("optimizer.stream_length", STREAM_LENGTH_BUCKETS)
-            states = reg.histogram("optimizer.dfsm_states", DFSM_SIZE_BUCKETS)
-            for cycle_stats in summary.cycles:
-                states.observe(cycle_stats.dfsm_states)
-                for length in cycle_stats.stream_lengths:
-                    lengths.observe(length)
+        self.metrics = run_metrics(stats, hierarchy, summary, self.tally)
+        return self.metrics
 
     def snapshot(self) -> dict[str, object]:
         """Full JSON-serializable view: context + metrics + optimizer dict."""
-        snap = self.registry.snapshot()
+        snap = dict(self.metrics)
         snap["context"] = dict(self.context)
         snap["optimizer"] = self._optimizer
         return snap

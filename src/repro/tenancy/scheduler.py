@@ -47,7 +47,7 @@ TENANCY_PAYLOAD_KIND = "tenancy"
 def run_tenant_plan(
     plan: TenantPlan,
     sessions: Optional[Sequence[TelemetrySession]] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> TenancyResult:
     """Interleave the plan's tenants to completion; returns their stats.
 
@@ -55,10 +55,10 @@ def run_tenant_plan(
     tenant (event sinks and all); by default each tenant gets its own
     metrics-only session, mirroring the single-run engine.
 
-    ``fast`` selects the compiled execution kernel for every tenant slice
-    (None defers to ``REPRO_FASTPATH``).  Each slice's kernel binds the lane
-    of the tenant activated for it, so its inline L1 path serves that
-    tenant; results stay bit-identical either way.
+    ``fast=False`` runs every tenant slice on the reference dispatch loop
+    instead of the compiled kernel.  Each slice's kernel binds the lane of
+    the tenant activated for it, so its inline L1 path serves that tenant;
+    results stay bit-identical either way.
     """
     if sessions is not None and len(sessions) != len(plan):
         raise ConfigError(
@@ -131,7 +131,7 @@ def run_tenant_plan(
         # happened to finish at (identical for N=1).
         stats.cycles = occupancy[tid]
         view = hier.view(tid)
-        tenant_sessions[tid].finalize_run(stats, view, summaries[tid])
+        metrics = tenant_sessions[tid].finalize_run(stats, view, summaries[tid])
         tenants.append(
             TenantStats(
                 tenant_id=tid,
@@ -141,7 +141,7 @@ def run_tenant_plan(
                 stats=stats,
                 hierarchy=view.stats_snapshot(),
                 summary=summaries[tid],
-                metrics=tenant_sessions[tid].registry,
+                metrics=metrics,
                 slices=slices[tid],
             )
         )

@@ -12,6 +12,7 @@ same way single runs do.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,7 +20,6 @@ from repro.core.stats import OptimizerSummary
 from repro.errors import ConfigError
 from repro.interp.interpreter import ExecStats
 from repro.machine.hierarchy import HierarchyStats
-from repro.telemetry.metrics import MetricsRegistry
 from repro.tenancy.plan import TenantPlan
 
 #: Format version stamped into serialized tenancy results.
@@ -95,7 +95,8 @@ class TenantStats:
     stats: ExecStats
     hierarchy: HierarchyStats
     summary: Optional[OptimizerSummary] = None
-    metrics: Optional[MetricsRegistry] = None
+    #: the tenant's rendered metrics snapshot
+    metrics: Optional[dict] = None
     #: number of scheduler slices this tenant ran (its quantum grants)
     slices: int = 0
 
@@ -113,14 +114,13 @@ class TenantStats:
             "stats": self.stats.to_dict(),
             "hierarchy": self.hierarchy.to_dict(),
             "summary": None if self.summary is None else self.summary.to_dict(),
-            "metrics": None if self.metrics is None else self.metrics.snapshot(),
+            "metrics": copy.deepcopy(self.metrics),
             "slices": self.slices,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "TenantStats":
         summary = data.get("summary")
-        metrics = data.get("metrics")
         return cls(
             tenant_id=int(data["tenant_id"]),
             name=str(data["name"]),
@@ -129,7 +129,7 @@ class TenantStats:
             stats=ExecStats.from_dict(data["stats"]),
             hierarchy=HierarchyStats.from_dict(data["hierarchy"]),
             summary=None if summary is None else OptimizerSummary.from_dict(summary),
-            metrics=None if metrics is None else MetricsRegistry.from_snapshot(metrics),
+            metrics=copy.deepcopy(data.get("metrics")),
             slices=int(data.get("slices", 0)),
         )
 

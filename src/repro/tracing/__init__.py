@@ -22,14 +22,7 @@ from repro.tracing.ledger import (
     PrefetchRecord,
     StreamLedgerStats,
 )
-from repro.tracing.spans import (
-    NULL_TRACER,
-    SPAN_CATEGORIES,
-    NullTracer,
-    Span,
-    SpanCollector,
-    SpanTracer,
-)
+from repro.tracing.spans import NULL_TRACER, SPAN_CATEGORIES, SpanTracer
 
 __all__ = [
     "CATEGORIES",
@@ -41,8 +34,5 @@ __all__ = [
     "StreamLedgerStats",
     "NULL_TRACER",
     "SPAN_CATEGORIES",
-    "NullTracer",
-    "Span",
-    "SpanCollector",
     "SpanTracer",
 ]

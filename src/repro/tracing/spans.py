@@ -8,9 +8,10 @@ the watchdog intervened — as a tree of **spans** keyed on simulated cycles.
 A span is an interval ``[begin_cycle, end_cycle]`` with a name, a taxonomy
 ``category`` and an optional free-form ``detail`` string.  Spans nest: the
 run span contains the optimizer's epoch spans, which contain analysis /
-injection / watchdog spans; profiling bursts (``BurstBegin``/``BurstEnd``)
-are synthesized into spans by the collector so the existing events need no
-change.
+injection / watchdog spans; profiling bursts keep their own
+``BurstBegin``/``BurstEnd`` events.  The tree lives in the event log only:
+the Chrome and Perfetto renders (:mod:`repro.telemetry.export`,
+:mod:`repro.obs.perfetto`) lay it out from the recorded events.
 
 Zero-overhead guarantee: :class:`SpanTracer` rides the existing telemetry
 :class:`~repro.telemetry.events.EventBus`.  With no sinks attached the bus is
@@ -23,23 +24,14 @@ pins both properties down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.telemetry.events import (
-    BurstBegin,
-    BurstEnd,
-    Event,
-    RunEnd,
-    SpanBegin,
-    SpanEnd,
-)
+from repro.telemetry.events import SpanBegin, SpanEnd
+from repro.telemetry.sinks import NULL_SINK
 
 #: Span taxonomy (DESIGN §5d): every span carries one of these tags.
 SPAN_CATEGORIES = (
     "run",        # one (workload, level) execution
     "epoch",      # one optimizer phase period (awake or hibernating)
-    "burst",      # one instrumented burst (synthesized from Burst* events)
+    "burst",      # one instrumented burst (its BurstBegin/BurstEnd events)
     "analysis",   # hot-stream analysis / reinstall work charged to sim time
     "injection",  # dynamic Vulcan patching (instantaneous in the cost model)
     "watchdog",   # a watchdog poll, containing any targeted rollback
@@ -101,131 +93,6 @@ class SpanTracer:
         self._open.clear()
 
 
-class NullTracer:
-    """Disabled tracer: ``begin`` returns 0 and everything is a no-op."""
-
-    enabled = False
-
-    def begin(self, cycle: int, name: str, category: str, parent: int = 0, detail: str = "") -> int:
-        return 0
-
-    def end(self, cycle: int, span_id: int) -> None:
-        pass
-
-    def close_all(self, cycle: int) -> None:
-        pass
-
-
-#: Shared default for components that hold a tracer slot.
-NULL_TRACER = NullTracer()
-
-
-@dataclass
-class Span:
-    """One reconstructed span of the tree."""
-
-    span_id: int
-    parent_id: int
-    name: str
-    category: str
-    detail: str
-    begin: int
-    end: Optional[int] = None
-    children: list["Span"] = field(default_factory=list)
-
-    @property
-    def duration(self) -> int:
-        """Cycles covered; an unclosed span reports 0."""
-        return (self.end - self.begin) if self.end is not None else 0
-
-
-class SpanCollector:
-    """Telemetry sink reconstructing the span tree from the event stream.
-
-    Also synthesizes ``burst`` spans from the interpreter's existing
-    ``BurstBegin``/``BurstEnd`` events (negative synthetic ids, parented to
-    the innermost open ``epoch`` span when there is one), so the hot CHECK
-    path needs no extra instrumentation.  ``RunEnd`` closes a burst left
-    open at the end of the run.
-    """
-
-    def __init__(self) -> None:
-        self.spans: list[Span] = []
-        self._by_id: dict[int, Span] = {}
-        self._open: list[Span] = []
-        self._burst: Optional[Span] = None
-        self._next_synthetic = -1
-
-    def handle(self, event: Event) -> None:
-        if isinstance(event, SpanBegin):
-            span = Span(
-                span_id=event.span_id,
-                parent_id=event.parent_id,
-                name=event.name,
-                category=event.category,
-                detail=event.detail,
-                begin=event.cycle,
-            )
-            self.spans.append(span)
-            self._by_id[span.span_id] = span
-            parent = self._by_id.get(span.parent_id)
-            if parent is not None:
-                parent.children.append(span)
-            self._open.append(span)
-        elif isinstance(event, SpanEnd):
-            span = self._by_id.get(event.span_id)
-            if span is not None and span.end is None:
-                span.end = event.cycle
-                if span in self._open:
-                    self._open.remove(span)
-        elif isinstance(event, BurstBegin):
-            parent_id = 0
-            for open_span in reversed(self._open):
-                if open_span.category == "epoch":
-                    parent_id = open_span.span_id
-                    break
-            burst = Span(
-                span_id=self._next_synthetic,
-                parent_id=parent_id,
-                name="burst",
-                category="burst",
-                detail="",
-                begin=event.cycle,
-            )
-            self._next_synthetic -= 1
-            self.spans.append(burst)
-            self._by_id[burst.span_id] = burst
-            parent = self._by_id.get(parent_id)
-            if parent is not None:
-                parent.children.append(burst)
-            self._burst = burst
-        elif isinstance(event, BurstEnd):
-            if self._burst is not None:
-                self._burst.end = event.cycle
-                self._burst = None
-        elif isinstance(event, RunEnd):
-            if self._burst is not None:
-                self._burst.end = event.cycle
-                self._burst = None
-
-    def roots(self) -> list[Span]:
-        """Spans whose parent was never seen (normally just the run span)."""
-        return [s for s in self.spans if s.parent_id not in self._by_id]
-
-    def tree_lines(self, max_children: int = 8) -> list[str]:
-        """Indented text rendering of the tree (for reports and debugging)."""
-        lines: list[str] = []
-
-        def visit(span: Span, depth: int) -> None:
-            extent = f"[{span.begin}..{span.end if span.end is not None else '?'}]"
-            detail = f"  {span.detail}" if span.detail else ""
-            lines.append(f"{'  ' * depth}{span.category}:{span.name} {extent}{detail}")
-            shown = span.children[:max_children]
-            for child in shown:
-                visit(child, depth + 1)
-            if len(span.children) > len(shown):
-                lines.append(f"{'  ' * (depth + 1)}... {len(span.children) - len(shown)} more")
-
-        for root in self.roots():
-            visit(root, 0)
-        return lines
+#: Shared default for components that hold a tracer slot: a tracer on the
+#: always-disabled bus, so ``begin`` returns 0 and everything is a no-op.
+NULL_TRACER = SpanTracer(NULL_SINK)

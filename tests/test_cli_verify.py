@@ -10,8 +10,14 @@ from repro.oracle.verify import run_verify
 
 @pytest.fixture(scope="module")
 def quick_report():
-    # One shared driver run for the report-shape assertions (runs=2 keeps the
-    # randomized sections fast; golden is covered by test_oracle_golden).
+    """One shared verify run over the full golden grid.
+
+    The report-shape assertions share it (runs=2 keeps the randomized
+    sections fast; golden is covered by test_oracle_golden).  It is the one
+    verify run in this module whose ``fastpath`` and ``obs`` sections replay
+    the whole grid.  The CI ``verify`` job replays it too, and the
+    ``fastpath`` job's equivalence suites diff both kernels over it.
+    """
     return run_verify(seed=0, runs=2, include_golden=False)
 
 
@@ -21,8 +27,7 @@ def one_cell_corpus(monkeypatch):
 
     The golden, fastpath and obs sections all iterate the grid, so a test
     whose verdict does not depend on the full grid stays fast; the full
-    grid runs in ``quick_report``, ``test_seeds_are_reproducible`` and
-    ``test_exit_zero_on_pass``.
+    grid runs in ``quick_report``.
     """
     monkeypatch.setattr(
         golden_mod,
@@ -35,7 +40,7 @@ class TestRunVerify:
     def test_all_sections_pass(self, quick_report):
         assert quick_report.ok
         assert [s.name for s in quick_report.sections] == [
-            "cache", "hierarchy", "sequitur", "streams", "invariants", "tenancy",
+            "hierarchy", "sequitur", "streams", "invariants", "tenancy",
             "fastpath", "obs",
         ]
         assert all(s.cases > 0 for s in quick_report.sections)
@@ -45,7 +50,7 @@ class TestRunVerify:
         assert "VERIFY PASSED" in text
         assert "seed=0" in text
         for name in (
-            "cache", "hierarchy", "sequitur", "streams", "invariants",
+            "hierarchy", "sequitur", "streams", "invariants",
             "tenancy", "fastpath", "obs",
         ):
             assert name in text
@@ -56,7 +61,9 @@ class TestRunVerify:
         last = quick_report.format().splitlines()[-1]
         assert last == "VERIFY PASSED (seed=0, runs=2)"
 
-    def test_seeds_are_reproducible(self):
+    def test_seeds_are_reproducible(self, one_cell_corpus):
+        # The seed reaches only the randomized sections, which do not read
+        # the golden grid.
         a = run_verify(seed=7, runs=1, include_golden=False)
         b = run_verify(seed=7, runs=1, include_golden=False)
         assert a.format() == b.format()
@@ -71,7 +78,7 @@ class TestRunVerify:
 
 
 class TestCliVerify:
-    def test_exit_zero_on_pass(self, capsys):
+    def test_exit_zero_on_pass(self, capsys, one_cell_corpus):
         code = main(["verify", "--seed", "0", "--runs", "1", "--skip-golden"])
         out = capsys.readouterr().out
         assert code == 0

@@ -4,8 +4,8 @@ A checkpoint written mid-run must not care which kernel produced it or which
 kernel resumes it: compiled code is cached outside the pickled interpreter
 (weak-keyed on procedure objects) and rebuilt on first use after a restore.
 So every kernel combination — checkpoint fast / resume reference, checkpoint
-reference / resume fast, chaos-supervised plans with ``REPRO_FASTPATH=1`` —
-must land on results byte-identical to a plain serial reference run.
+reference / resume fast, chaos-supervised plans on the default compiled
+kernel — must land on results byte-identical to a plain serial reference run.
 """
 
 import json
@@ -16,10 +16,8 @@ from repro.durability import ChaosPlan, DurabilityPolicy, SupervisorConfig
 from repro.durability.checkpoint import save_checkpoint
 from repro.durability.runner import run_spec_durable
 from repro.durability.supervisor import execute_plan_supervised
-from repro.engine.executor import execute_plan
-from repro.engine.levels import prepare_workload
+from repro.engine.levels import execute_workload, prepare_workload
 from repro.engine.spec import RunPlan, RunSpec
-from repro.fastpath import FASTPATH_ENV
 from repro.workloads.chainmix import build_chainmix
 
 #: vortex/dyn is long enough to cross several 60k-instruction checkpoints.
@@ -40,7 +38,10 @@ def reference_doc():
 
 @pytest.fixture(scope="module")
 def plain_docs():
-    return [r.to_dict() for r in execute_plan(PLAN)]
+    return [
+        execute_workload(s.build(), s.level, s.machine, s.opt, fast=False).to_dict()
+        for s in PLAN
+    ]
 
 
 class TestKernelCrossResume:
@@ -88,16 +89,16 @@ class TestCheckpointBytes:
 
 
 class TestSupervisedFastpath:
-    def test_supervised_plan_with_fastpath_env(self, tmp_path, plain_docs, monkeypatch):
-        monkeypatch.setenv(FASTPATH_ENV, "1")
+    def test_supervised_plan_with_fastpath_env(self, tmp_path, plain_docs):
+        """Supervised workers execute the default compiled kernel."""
         policy = DurabilityPolicy(journal_root=tmp_path / "journal", supervisor=FAST_SUPERVISOR)
         supervised = execute_plan_supervised(PLAN, jobs=2, policy=policy)
         assert [r.to_dict() for r in supervised] == plain_docs
 
-    def test_chaos_with_fastpath_env(self, tmp_path, plain_docs, monkeypatch):
+    def test_chaos_with_fastpath_env(self, tmp_path, plain_docs):
         """Worker SIGKILLs + torn checkpoints, workers executing through the
-        compiled kernel: results still match the plain serial reference."""
-        monkeypatch.setenv(FASTPATH_ENV, "1")
+        default compiled kernel: results still match the plain serial
+        reference."""
         policy = DurabilityPolicy(
             journal_root=tmp_path / "journal",
             supervisor=FAST_SUPERVISOR,

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.engine.levels import execute_workload
 from repro.engine.spec import RunSpec
 from repro.errors import MemoryFault
-from repro.fastpath import FASTPATH_ENV, fastpath_enabled, set_fastpath
 from repro.fastpath.compiler import clear_cache
 from repro.interp.interpreter import Interpreter
 from repro.machine.config import CacheGeometry, MachineConfig
@@ -331,31 +330,21 @@ class TestErrorPathEquivalence:
 
 
 class TestToggle:
-    def test_explicit_flag_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(FASTPATH_ENV, "1")
-        assert fastpath_enabled() is True
-        assert fastpath_enabled(False) is False
-        monkeypatch.delenv(FASTPATH_ENV)
-        assert fastpath_enabled() is False
-        assert fastpath_enabled(True) is True
+    def test_default_run_uses_compiled_kernel(self, small_params, monkeypatch):
+        """``fast`` defaults to the compiled kernel; results equal the
+        reference loop's."""
+        from repro.fastpath import kernel
 
-    def test_set_fastpath_round_trip(self, monkeypatch):
-        monkeypatch.delenv(FASTPATH_ENV, raising=False)
-        set_fastpath(True)
-        assert fastpath_enabled()
-        set_fastpath(False)
-        assert not fastpath_enabled()
-
-    def test_env_toggle_drives_default_run(self, small_params, monkeypatch):
-        """fast=None defers to REPRO_FASTPATH; results stay identical."""
-        params = replace(small_params, passes=2)
-        monkeypatch.delenv(FASTPATH_ENV, raising=False)
-        interp, args = _fresh_interp(params)
-        reference = interp.run(args)
-        monkeypatch.setenv(FASTPATH_ENV, "1")
-        interp, args = _fresh_interp(params)
+        calls = []
+        real = kernel.run_fast
+        monkeypatch.setattr(
+            kernel, "run_fast", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        interp, args = _fresh_interp(small_params)
         compiled = interp.run(args)
-        assert compiled.to_dict() == reference.to_dict()
+        assert calls
+        interp, args = _fresh_interp(small_params)
+        assert compiled.to_dict() == interp.run(args, fast=False).to_dict()
 
     def test_clear_cache_recompiles(self, small_params):
         interp, args = _fresh_interp(small_params)

@@ -115,7 +115,7 @@ class TestPrefetch:
         # Prefetch two conflicting blocks into the same L1 set.
         h.issue_prefetch(0x1000 + l1_sets * block, now=0)
         h.issue_prefetch(0x1000 + 2 * l1_sets * block, now=0)
-        assert not h.l1.contains(h.block_of(0x1000))
+        assert h.block_of(0x1000) not in h.l1.resident_blocks()
 
     def test_accuracy_property(self):
         h = make_hierarchy()
@@ -142,5 +142,5 @@ class TestInclusion:
         # Fill the L2 set of block 0 with conflicting blocks.
         for k in range(1, 5):
             h.access(k * l2_sets * block, now=0)
-        assert not h.l1.contains(0)
-        assert not h.l2.contains(0)
+        assert 0 not in h.l1.resident_blocks()
+        assert 0 not in h.l2.resident_blocks()

@@ -79,7 +79,7 @@ class TestMarkov:
         issued_before = h.prefetch.issued
         pf.observe(pc, 0x1000, now=0, hierarchy=h)
         assert h.prefetch.issued > issued_before
-        assert h.l1.contains(0x8020 >> 5)
+        assert 0x8020 >> 5 in h.l1.resident_blocks()
 
     def test_fanout_limits_predictions(self):
         h = make_hierarchy()

@@ -16,10 +16,21 @@ MACHINE = MachineConfig(
 )
 
 
-def run_main(builders, args=(), memory=None, machine=MACHINE, **kwargs):
+@pytest.fixture
+def fast():
+    """The kernel under test: the default compiled kernel.
+
+    ``tests/test_interpreter_reference.py`` collects these classes again
+    with this fixture overridden, so the reference dispatch loop keeps its
+    own unit tests.
+    """
+    return True
+
+
+def run_main(builders, args=(), memory=None, machine=MACHINE, *, fast, **kwargs):
     program = build_program(builders, entry="main")
     interp = Interpreter(program, memory or Memory(), machine)
-    return interp.run(args=args, **kwargs)
+    return interp.run(args=args, fast=fast, **kwargs)
 
 
 class TestArithmetic:
@@ -38,46 +49,46 @@ class TestArithmetic:
             ("shr", 12, 2, 3),
         ],
     )
-    def test_alu_semantics(self, kind, a, b, expected):
+    def test_alu_semantics(self, fast, kind, a, b, expected):
         m = ProcedureBuilder("main")
         ra = m.const(None, a)
         rb = m.const(None, b)
         rc = m.alu(kind, None, ra, rb)
         m.ret(rc)
-        assert run_main([m]).return_value == expected
+        assert run_main([m], fast=fast).return_value == expected
 
     @pytest.mark.parametrize(
         "kind,a,b,expected",
         [("lt", 1, 2, 1), ("lt", 2, 2, 0), ("le", 2, 2, 1), ("eq", 3, 3, 1),
          ("ne", 3, 3, 0), ("gt", 4, 3, 1), ("ge", 3, 4, 0)],
     )
-    def test_compare_semantics(self, kind, a, b, expected):
+    def test_compare_semantics(self, fast, kind, a, b, expected):
         m = ProcedureBuilder("main")
         ra = m.const(None, a)
         rb = m.const(None, b)
         rc = m.cmp(kind, None, ra, rb)
         m.ret(rc)
-        assert run_main([m]).return_value == expected
+        assert run_main([m], fast=fast).return_value == expected
 
-    def test_alui_immediate(self):
+    def test_alui_immediate(self, fast):
         m = ProcedureBuilder("main")
         r = m.const(None, 10)
         m.addi(r, r, -4)
         m.ret(r)
-        assert run_main([m]).return_value == 6
+        assert run_main([m], fast=fast).return_value == 6
 
-    def test_division_by_zero_wrapped(self):
+    def test_division_by_zero_wrapped(self, fast):
         m = ProcedureBuilder("main")
         a = m.const(None, 1)
         z = m.const(None, 0)
         m.alu("div", None, a, z)
         m.ret()
         with pytest.raises(ExecutionError, match="division"):
-            run_main([m])
+            run_main([m], fast=fast)
 
 
 class TestControlFlow:
-    def test_loop_sums(self):
+    def test_loop_sums(self, fast):
         m = ProcedureBuilder("main", params=("n",))
         total = m.const(None, 0)
         i = m.const(None, 0)
@@ -89,9 +100,9 @@ class TestControlFlow:
         m.jmp("loop")
         m.label("end")
         m.ret(total)
-        assert run_main([m], args=(10,)).return_value == 45
+        assert run_main([m], args=(10,), fast=fast).return_value == 45
 
-    def test_call_and_return_value(self):
+    def test_call_and_return_value(self, fast):
         g = ProcedureBuilder("double", params=("x",))
         r = g.add(None, g.param("x"), g.param("x"))
         g.ret(r)
@@ -100,9 +111,9 @@ class TestControlFlow:
         out = m.reg("out")
         m.call(out, "double", (v,))
         m.ret(out)
-        assert run_main([m, g]).return_value == 42
+        assert run_main([m, g], fast=fast).return_value == 42
 
-    def test_recursion(self):
+    def test_recursion(self, fast):
         f = ProcedureBuilder("fact", params=("n",))
         one = f.const(None, 1)
         cond = f.cmp("le", None, f.param("n"), one)
@@ -119,32 +130,32 @@ class TestControlFlow:
         r = m.reg("r")
         m.call(r, "fact", (n,))
         m.ret(r)
-        assert run_main([m, f]).return_value == 720
+        assert run_main([m, f], fast=fast).return_value == 720
 
-    def test_halt_stops(self):
+    def test_halt_stops(self, fast):
         m = ProcedureBuilder("main")
         m.const(None, 1)
         m.halt()
-        stats = run_main([m])
+        stats = run_main([m], fast=fast)
         assert stats.return_value == 0
         assert stats.instructions == 2
 
-    def test_entry_arity_checked(self):
+    def test_entry_arity_checked(self, fast):
         m = ProcedureBuilder("main", params=("a",))
         m.ret(m.param("a"))
         with pytest.raises(ExecutionError, match="takes 1 args"):
-            run_main([m], args=())
+            run_main([m], args=(), fast=fast)
 
-    def test_instruction_limit(self):
+    def test_instruction_limit(self, fast):
         m = ProcedureBuilder("main")
         m.label("spin")
         m.jmp("spin")
         with pytest.raises(ExecutionError, match="limit"):
-            run_main([m], max_instructions=100)
+            run_main([m], max_instructions=100, fast=fast)
 
 
 class TestMemoryOps:
-    def test_load_store_roundtrip(self):
+    def test_load_store_roundtrip(self, fast):
         mem = Memory()
         base = mem.allocate(8)
         m = ProcedureBuilder("main")
@@ -153,64 +164,64 @@ class TestMemoryOps:
         m.store(v, b, 4)
         out = m.load(None, b, 4)
         m.ret(out)
-        assert run_main([m], memory=mem).return_value == 99
+        assert run_main([m], memory=mem, fast=fast).return_value == 99
 
-    def test_alloc_returns_fresh_memory(self):
+    def test_alloc_returns_fresh_memory(self, fast):
         m = ProcedureBuilder("main")
         size = m.const(None, 16)
         p1 = m.alloc(None, size)
         p2 = m.alloc(None, size)
         diff = m.sub(None, p2, p1)
         m.ret(diff)
-        assert run_main([m]).return_value == 16
+        assert run_main([m], fast=fast).return_value == 16
 
-    def test_unaligned_access_faults(self):
+    def test_unaligned_access_faults(self, fast):
         m = ProcedureBuilder("main")
         b = m.const(None, HEAP_BASE + 2)
         m.load(None, b, 0)
         m.ret()
         with pytest.raises(MemoryFault):
-            run_main([m])
+            run_main([m], fast=fast)
 
-    def test_negative_address_faults(self):
+    def test_negative_address_faults(self, fast):
         m = ProcedureBuilder("main")
         b = m.const(None, -8)
         m.load(None, b, 0)
         m.ret()
         with pytest.raises(MemoryFault):
-            run_main([m])
+            run_main([m], fast=fast)
 
 
 class TestCycleAccounting:
-    def test_pure_compute_is_one_cycle_per_instruction(self):
+    def test_pure_compute_is_one_cycle_per_instruction(self, fast):
         m = ProcedureBuilder("main")
         r = m.const(None, 0)
         for _ in range(10):
             m.addi(r, r, 1)
         m.ret(r)
-        stats = run_main([m])
+        stats = run_main([m], fast=fast)
         assert stats.cycles == stats.instructions
 
-    def test_cold_miss_adds_memory_latency(self):
+    def test_cold_miss_adds_memory_latency(self, fast):
         m = ProcedureBuilder("main")
         b = m.const(None, HEAP_BASE)
         m.load(None, b, 0)
         m.ret()
-        stats = run_main([m])
+        stats = run_main([m], fast=fast)
         assert stats.mem_stall_cycles == 100
         assert stats.cycles == stats.instructions + 100
 
-    def test_second_access_hits(self):
+    def test_second_access_hits(self, fast):
         m = ProcedureBuilder("main")
         b = m.const(None, HEAP_BASE)
         m.load(None, b, 0)
         m.load(None, b, 0)
         m.ret()
-        stats = run_main([m])
+        stats = run_main([m], fast=fast)
         assert stats.mem_stall_cycles == 100
         assert stats.memory_refs == 2
 
-    def test_prefetch_instruction_issues_and_costs(self):
+    def test_prefetch_instruction_issues_and_costs(self, fast):
         from repro.ir.instructions import Prefetch
         m = ProcedureBuilder("main")
         m._emit(Prefetch((HEAP_BASE, HEAP_BASE + 64)))
@@ -218,11 +229,11 @@ class TestCycleAccounting:
         m.ret(b)
         program = build_program([m], entry="main")
         interp = Interpreter(program, Memory(), MACHINE)
-        stats = interp.run()
+        stats = interp.run(fast=fast)
         assert stats.prefetches_issued == 2
         assert interp.hierarchy.prefetch.issued == 2
 
-    def test_deterministic(self):
+    def test_deterministic(self, fast):
         def once():
             mem = Memory()
             base = mem.allocate(256)
@@ -240,6 +251,6 @@ class TestCycleAccounting:
             m.jmp("loop")
             m.label("end")
             m.ret()
-            return run_main([m], memory=mem).cycles
+            return run_main([m], memory=mem, fast=fast).cycles
 
         assert once() == once()

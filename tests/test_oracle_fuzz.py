@@ -5,37 +5,48 @@ import random
 import pytest
 
 from repro.errors import OracleError
-from repro.machine.cache import Cache
+from repro.machine.config import CacheGeometry
 from repro.oracle import RefCache, check_with_shrinking, shrink_ops
-from repro.oracle.fuzz import diff_sequitur, gen_cache_ops, gen_periodic_trace
-from repro.oracle.verify import STRESS_GEOMETRY
+from repro.oracle.fuzz import diff_sequitur, gen_periodic_trace
 from repro.sequitur import Sequitur
 
+#: 4 sets x 2 ways: constant conflict pressure.
+GEOMETRY = CacheGeometry(size_bytes=256, associativity=2, block_bytes=32)
+_OPS = ("lookup", "install", "contains", "invalidate", "flush")
+_WEIGHTS = (45, 35, 10, 8, 2)
 
-class PromotingContainsCache(Cache):
+
+def gen_cache_ops(rng, count):
+    """Random single-cache ops over a pool of twice the cache's capacity."""
+    pool = 2 * GEOMETRY.num_sets * GEOMETRY.associativity
+    return [
+        (rng.choices(_OPS, weights=_WEIGHTS)[0], rng.randrange(pool)) for _ in range(count)
+    ]
+
+
+class PromotingContainsCache(RefCache):
     """Planted bug: the silent membership probe promotes to MRU."""
 
     def contains(self, block):
-        way = self._sets[block & self._set_mask]
-        if block in way:
-            way.remove(block)
-            way.append(block)
+        bucket = self._set_for(block)
+        if block in bucket:
+            bucket[block] = self._tick()
             return True
         return False
 
 
 def diff_against_buggy(ops):
-    prod = PromotingContainsCache(STRESS_GEOMETRY, "buggy")
-    ref = RefCache(STRESS_GEOMETRY)
+    buggy = PromotingContainsCache(GEOMETRY)
+    ref = RefCache(GEOMETRY)
     for i, (kind, block) in enumerate(ops):
         if kind == "flush":
-            prod.flush()
+            buggy.flush()
             ref.flush()
             continue
-        if getattr(prod, kind)(block) != getattr(ref, kind)(block):
+        if getattr(buggy, kind)(block) != getattr(ref, kind)(block):
             raise OracleError(f"op #{i} {kind}({block}) return mismatch")
-    for s in range(STRESS_GEOMETRY.num_sets):
-        if list(prod._sets[s]) != ref.lru_order(s):
+    for s in range(GEOMETRY.num_sets):
+        if buggy.lru_order(s) != ref.lru_order(s):
             raise OracleError(f"set {s} LRU order mismatch")
 
 
@@ -60,7 +71,7 @@ class TestShrinkOps:
         rng = random.Random(3)
         ops = None
         for _ in range(10):
-            candidate = gen_cache_ops(rng, 400, STRESS_GEOMETRY)
+            candidate = gen_cache_ops(rng, 400)
             try:
                 diff_against_buggy(candidate)
             except OracleError:
@@ -88,7 +99,7 @@ class TestShrinkOps:
 class TestCheckWithShrinking:
     def test_passes_silently_on_correct_code(self):
         rng = random.Random(0)
-        ops = gen_cache_ops(rng, 200, STRESS_GEOMETRY)
+        ops = gen_cache_ops(rng, 200)
         check_with_shrinking(
             ops,
             lambda seq: None,  # a check that never fails
@@ -98,7 +109,7 @@ class TestCheckWithShrinking:
     def test_reports_minimal_reproducer(self):
         rng = random.Random(3)
         for _ in range(10):
-            ops = gen_cache_ops(rng, 400, STRESS_GEOMETRY)
+            ops = gen_cache_ops(rng, 400)
             try:
                 diff_against_buggy(ops)
             except OracleError:

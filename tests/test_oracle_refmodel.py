@@ -5,20 +5,49 @@ import random
 import pytest
 
 from repro.errors import OracleError
-from repro.machine.cache import Cache
 from repro.machine.config import CacheGeometry, MachineConfig
 from repro.machine.hierarchy import MemoryHierarchy
-from repro.oracle import (
-    RefCache,
-    RefHierarchy,
-    diff_cache,
-    diff_hierarchy,
-    gen_cache_ops,
-    gen_hierarchy_ops,
-)
-from repro.oracle.verify import STRESS_GEOMETRY, STRESS_MACHINE
+from repro.oracle import RefCache, RefHierarchy, diff_hierarchy, gen_hierarchy_ops
+from repro.oracle.verify import STRESS_MACHINE
 
 TINY = CacheGeometry(size_bytes=128, associativity=2, block_bytes=32)  # 2 sets
+#: 4 sets x 2 ways: constant conflict pressure.
+STRESS_GEOMETRY = CacheGeometry(size_bytes=256, associativity=2, block_bytes=32)
+
+
+def diff_l1_lru(geometry, blocks, hierarchy_cls=MemoryHierarchy):
+    """Demand-access ``blocks`` on a hierarchy whose L1 is ``geometry`` and
+    on a RefCache (lookup, then install on a miss) in lockstep.
+
+    Per-access hit/miss, the counters and every set's LRU order must agree.
+    The L2 holds the whole block pool without evicting, so inclusion never
+    invalidates an L1 line the reference still holds.
+    """
+    l2 = CacheGeometry(64 * 1024, 8, geometry.block_bytes)
+    prod = hierarchy_cls(MachineConfig(l1=geometry, l2=l2))
+    ref = RefCache(geometry)
+    for i, block in enumerate(blocks):
+        hits = prod.l1.hits
+        prod.access(block * geometry.block_bytes, now=i)
+        want = ref.lookup(block)
+        if not want:
+            ref.install(block)
+        if (prod.l1.hits > hits) != want:
+            raise OracleError(f"access #{i} of block {block}: hit mismatch")
+    assert prod.l2.evictions == 0
+    for name in ("hits", "misses", "evictions"):
+        if getattr(prod.l1, name) != getattr(ref, name):
+            raise OracleError(f"L1 {name} differ")
+    for s in range(geometry.num_sets):
+        # White-box probe: the production set list *is* LRU->MRU order.
+        if list(prod.l1._sets[s]) != ref.lru_order(s):
+            raise OracleError(f"set {s} LRU order differs")
+
+
+def random_blocks(rng, count, geometry):
+    """Blocks from a pool of twice the cache's capacity: frequent evictions."""
+    pool = 2 * geometry.num_sets * geometry.associativity
+    return [rng.randrange(pool) for _ in range(count)]
 
 
 class TestRefCache:
@@ -101,9 +130,10 @@ class TestRefHierarchy:
 class TestDifferential:
     @pytest.mark.parametrize("seed", [0, 1, 2, 1337])
     def test_cache_agrees_on_random_ops(self, seed):
+        """The hierarchy's inline L1 set logic against RefCache."""
         rng = random.Random(seed)
         for geometry in (TINY, STRESS_GEOMETRY, MachineConfig().l1):
-            diff_cache(geometry, gen_cache_ops(rng, 500, geometry))
+            diff_l1_lru(geometry, random_blocks(rng, 500, geometry))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 1337])
     def test_hierarchy_agrees_on_random_ops(self, seed):
@@ -141,35 +171,23 @@ class TestDifferential:
         diff_hierarchy(STRESS_MACHINE, ops)
 
     def test_planted_cache_bug_is_caught(self):
-        """A promoted-on-contains bug must not survive the differential."""
+        """An L1 hit that fails to promote its line to MRU must not survive
+        the differential."""
 
-        class BuggyCache(Cache):
-            def contains(self, block):
-                way = self._sets[block & self._set_mask]
-                if block in way:
-                    way.remove(block)
-                    way.append(block)
-                    return True
-                return False
+        class NoPromoteOnHit(MemoryHierarchy):
+            def access(self, addr, now):
+                way = self.l1._sets[self.block_of(addr) & self.l1._set_mask]
+                order = list(way)
+                stall = super().access(addr, now)
+                if self.block_of(addr) in order:
+                    way[:] = order  # planted bug: the hit keeps its LRU slot
+                return stall
 
-        caught = False
         rng = random.Random(3)
-        for _ in range(10):
-            ops = gen_cache_ops(rng, 400, STRESS_GEOMETRY)
-            prod, ref = BuggyCache(STRESS_GEOMETRY), RefCache(STRESS_GEOMETRY)
-            try:
-                for kind, block in ops:
-                    if kind == "flush":
-                        prod.flush(); ref.flush(); continue
-                    if getattr(prod, kind)(block) != getattr(ref, kind)(block):
-                        raise OracleError("return mismatch")
-                for s in range(STRESS_GEOMETRY.num_sets):
-                    if list(prod._sets[s]) != ref.lru_order(s):
-                        raise OracleError("order mismatch")
-            except OracleError:
-                caught = True
-                break
-        assert caught, "differential failed to flag the planted LRU bug"
+        blocks = random_blocks(rng, 400, STRESS_GEOMETRY)
+        diff_l1_lru(STRESS_GEOMETRY, blocks)
+        with pytest.raises(OracleError):
+            diff_l1_lru(STRESS_GEOMETRY, blocks, NoPromoteOnHit)
 
     def test_planted_hierarchy_bug_is_caught(self):
         """Mis-charging late prefetches as useful must be flagged."""

@@ -60,8 +60,7 @@ def test_levels_tag_with_their_own_scheme(level):
     sources = {e.source for e in sink.events if e.kind == "PrefetchIssued"}
     assert sources == {expected}
     # ... and the per-source metrics counter reconciles.
-    snapshot = session.registry.snapshot()
-    assert snapshot["counters"][f"prefetch.issued.{expected}"] == stats.issued
+    assert result.metrics["counters"][f"prefetch.issued.{expected}"] == stats.issued
 
 
 def test_levels_without_prefetching_have_empty_breakdown():

@@ -1,17 +1,19 @@
 """Tests for the repro.telemetry subsystem.
 
-Covers the event model, sinks, metrics registry, exporters, the sampling
-invariants, the zero-observer-effect guarantee, and the agreement between the
-telemetry registry and the legacy simulation counters on full runs.
+Covers the event model, sinks, the rendered run metrics, exporters, the
+sampling invariants, the zero-observer-effect guarantee, and the agreement
+between the metrics snapshot and the simulation counters on full runs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.bench.runner import run_level
+from repro.engine.result import RunResult
 from repro.errors import ConfigError
 from repro.machine.config import CacheGeometry, MachineConfig
 from repro.machine.hierarchy import MemoryHierarchy
@@ -24,16 +26,10 @@ from repro.telemetry.events import (
     Event,
     EventBus,
     PrefetchIssued,
-    RunBegin,
     from_record,
 )
-from repro.telemetry.export import (
-    load_metrics_json,
-    summarize,
-    write_metrics_csv,
-    write_metrics_json,
-)
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.export import write_metrics_json
+from repro.telemetry.metrics import LEAD_TIME_BUCKETS, EventTally, run_metrics
 from repro.telemetry.session import TelemetryRecorder, TelemetrySession
 from repro.telemetry.sinks import NULL_SINK, ListSink
 
@@ -154,55 +150,81 @@ class TestSinksAndExporters:
         assert load.complete and loaded == events
 
     def test_metrics_json_round_trip(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.inc("a.count", 3)
-        reg.set_gauge("a.rate", 0.5, cycle=100)
-        reg.observe("a.hist", 7, bounds=(4, 8, 16))
+        result = run_level("vortex", "dyn", passes=1)
         path = tmp_path / "metrics.json"
-        write_metrics_json(reg.snapshot(), path)
-        assert load_metrics_json(path) == json.loads(json.dumps(reg.snapshot()))
-
-    def test_metrics_csv_rows(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.inc("a.count", 2)
-        reg.observe("a.hist", 5, bounds=(4, 8))
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(reg.snapshot(), path)
-        text = path.read_text()
-        assert "counter,a.count,2" in text
-        assert "a.hist[le=8]" in text
-
-    def test_summarize_mentions_event_counts(self):
-        events = [RunBegin(0, "vpr", "dyn"), BurstBegin(1), BurstBegin(2)]
-        reg = MetricsRegistry()
-        reg.inc("exec.cycles", 1234)
-        report = summarize(events, reg.snapshot())
-        assert "BurstBegin" in report and "2" in report
-        assert "exec.cycles" in report
+        write_metrics_json(result.metrics, path)
+        assert json.loads(path.read_text()) == result.metrics
 
 
-class TestMetricsRegistry:
-    def test_counter_and_gauge(self):
-        reg = MetricsRegistry()
-        reg.inc("c")
-        reg.inc("c", 4)
-        reg.set_counter("d", 10)
-        reg.set_gauge("g", 0.25, cycle=7)
-        snap = reg.snapshot()
-        assert snap["counters"]["c"] == 5
-        assert snap["counters"]["d"] == 10
-        assert snap["gauges"]["g"] == {"value": 0.25, "cycle": 7}
+#: sha256 of ``json.dumps(result.to_dict()["metrics"], sort_keys=True)`` for
+#: vortex/dyn, recorded before the metrics were rendered from the run's
+#: counters; the rendering must not move a byte.
+METRICS_PINS = {
+    # passes=1 under recording(tracing=True, track_prefetches=True)
+    1: "288de13eaadb33b8b34bb9394a1af5e7110dc9da62eda6942f7fc63ef25c527e",
+    # passes=3, as above plus exhaustive sampling: lead times, streams, DFSMs
+    3: "b9aadc3d7a172005954da44d11282db06a03a8759daf987c416658105bb5dabd",
+}
 
-    def test_histogram_buckets(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("h", (10, 100))
-        for value in (5, 50, 500, 7):
-            hist.observe(value)
-        snap = reg.snapshot()["histograms"]["h"]
-        assert snap["count"] == 4
-        assert snap["total"] == 562
-        assert snap["counts"] == [2, 1, 1]
-        assert hist.mean == pytest.approx(562 / 4)
+
+def _pinned_run(passes):
+    sampling = {} if passes == 1 else {"miss_sample_every": 1, "prefetch_sample_every": 1}
+    session = TelemetrySession.recording(tracing=True, track_prefetches=True, **sampling)
+    return session, run_level("vortex", "dyn", passes=passes, telemetry=session)
+
+
+class TestRunMetrics:
+    """The metrics snapshot is a pure function of the finished run."""
+
+    def test_metrics_only_run_renders_from_counters(self):
+        result = run_level("vortex", "dyn", passes=2)
+        assert result.metrics == run_metrics(result.stats, result.hierarchy, result.summary)
+        assert not any(name.startswith("events.") for name in result.metrics["counters"])
+        assert "prefetch.lead_time" not in result.metrics["histograms"]
+
+    def test_evented_run_renders_from_counters_and_tally(self):
+        session, result = _pinned_run(3)
+        assert session.tally is not None
+        assert result.metrics == run_metrics(
+            result.stats, result.hierarchy, result.summary, session.tally
+        )
+        assert session.metrics == result.metrics
+
+    def test_round_trip_keeps_metrics(self):
+        _, result = _pinned_run(3)
+        replayed = RunResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        assert replayed.metrics == result.metrics
+        assert replayed.to_dict() == result.to_dict()
+
+    @pytest.mark.parametrize("passes", sorted(METRICS_PINS))
+    def test_serialized_metrics_bytes_are_pinned(self, passes):
+        _, result = _pinned_run(passes)
+        text = json.dumps(result.to_dict()["metrics"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == METRICS_PINS[passes]
+
+    def test_snapshot_layout(self):
+        result = run_level("vortex", "dyn", passes=2)
+        metrics = result.metrics
+        for section in ("counters", "gauges", "histograms"):
+            assert list(metrics[section]) == sorted(metrics[section])
+        assert all(g["cycle"] == result.cycles for g in metrics["gauges"].values())
+        assert all(isinstance(g["value"], float) for g in metrics["gauges"].values())
+        lengths = metrics["histograms"]["optimizer.stream_length"]
+        assert set(lengths) == {"bounds", "counts", "count", "total"}
+        assert len(lengths["counts"]) == len(lengths["bounds"]) + 1
+        assert sum(lengths["counts"]) == lengths["count"]
+
+    def test_tally_buckets_lead_times(self):
+        tally = EventTally()
+        for lead in (0, 5, 10, 11, 5000):
+            tally.handle(EVENT_TYPES["PrefetchUsed"](1, 0x40, False, lead))
+        tally.handle(BurstBegin(2))
+        assert tally.kinds == {"PrefetchUsed": 5, "BurstBegin": 1}
+        hist = tally.lead_time()
+        assert hist["bounds"] == list(LEAD_TIME_BUCKETS)
+        assert hist["counts"][:3] == [1, 2, 1]
+        assert hist["counts"][-1] == 1  # above the last bound: overflow bucket
+        assert (hist["count"], hist["total"]) == (5, 5026)
 
 
 class TestRunAgreement:
@@ -212,7 +234,7 @@ class TestRunAgreement:
     def test_dyn_run_counters_agree(self, name, passes):
         session = TelemetrySession.recording(miss_sample_every=1, prefetch_sample_every=1)
         result = run_level(name, "dyn", passes=passes, telemetry=session)
-        counters = session.registry.snapshot()["counters"]
+        counters = result.metrics["counters"]
         stats, hier = result.stats, result.hierarchy
         assert counters["exec.cycles"] == stats.cycles
         assert counters["exec.instructions"] == stats.instructions
@@ -231,7 +253,7 @@ class TestRunAgreement:
         used = hier.prefetch.useful + hier.prefetch.late
         assert counters["events.PrefetchUsed"] == used
         assert counters["events.OptimizeCycle"] == result.summary.num_cycles
-        assert session.registry.snapshot()["histograms"]["prefetch.lead_time"]["count"] == used
+        assert result.metrics["histograms"]["prefetch.lead_time"]["count"] == used
 
     def test_optimizer_summary_to_dict(self):
         result = run_level("vpr", "dyn", passes=2)
@@ -289,7 +311,7 @@ class TestRecorder:
         kinds = {event.kind for event in events}
         assert {"RunBegin", "RunEnd"} <= kinds
         assert all(isinstance(event, Event) for event in events)
-        snapshots = load_metrics_json(metrics_path)
+        snapshots = json.loads(metrics_path.read_text())
         assert set(snapshots) == {"vpr/orig", "vpr/dyn"}
         assert snapshots["vpr/dyn"]["context"] == {"workload": "vpr", "level": "dyn"}
         assert snapshots["vpr/dyn"]["optimizer"]["num_cycles"] >= 1

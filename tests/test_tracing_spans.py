@@ -1,8 +1,8 @@
-"""Tests for repro.tracing.spans: the tracer, the null tracer, the collector.
+"""Tests for repro.tracing.spans: the tracer and the null tracer.
 
 Covers the zero-overhead disabled path, auto-parenting, close-out ordering,
-the collector's tree reconstruction (including synthetic burst spans), and
-the span tree produced by a real traced run.
+and the span tree a real traced run records, rebuilt from its
+``SpanBegin``/``SpanEnd``/``Burst*`` events.
 """
 
 from __future__ import annotations
@@ -10,24 +10,54 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.runner import run_level
-from repro.telemetry.events import BurstBegin, BurstEnd, EventBus, SpanBegin, SpanEnd
+from repro.telemetry.events import EventBus, SpanBegin, SpanEnd
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.sinks import ListSink
-from repro.tracing.spans import (
-    NULL_TRACER,
-    SPAN_CATEGORIES,
-    SpanCollector,
-    SpanTracer,
-)
+from repro.tracing.spans import NULL_TRACER, SPAN_CATEGORIES, SpanTracer
 
 
 def _traced_bus():
     bus = EventBus()
     sink = ListSink()
-    collector = SpanCollector()
     bus.attach(sink)
-    bus.attach(collector)
-    return bus, sink, collector
+    return bus, sink
+
+
+def span_tree(events):
+    """Rebuild the span tree from a run's recorded events.
+
+    Each span is a dict (``category``, ``name``, ``begin``, ``end``,
+    ``children``).  Bursts become ``burst`` spans under the innermost open
+    epoch; ``RunEnd`` closes a burst left open.  Returns the roots: spans
+    whose parent was never seen.
+    """
+    by_id, open_ids, spans = {}, [], []
+    burst = None
+
+    def add(sid, parent_id, category, name, begin):
+        span = {"category": category, "name": name, "begin": begin, "end": None,
+                "parent": parent_id, "children": []}
+        spans.append(span)
+        by_id[sid] = span
+        if parent_id in by_id:
+            by_id[parent_id]["children"].append(span)
+        return span
+
+    for event in events:
+        if event.kind == "SpanBegin":
+            add(event.span_id, event.parent_id, event.category, event.name, event.cycle)
+            open_ids.append(event.span_id)
+        elif event.kind == "SpanEnd":
+            by_id[event.span_id]["end"] = event.cycle
+            open_ids.remove(event.span_id)
+        elif event.kind == "BurstBegin":
+            epochs = [sid for sid in open_ids if by_id[sid]["category"] == "epoch"]
+            burst = add(-len(spans) - 1, epochs[-1] if epochs else 0, "burst", "burst",
+                        event.cycle)
+        elif event.kind in ("BurstEnd", "RunEnd") and burst is not None:
+            burst["end"] = event.cycle
+            burst = None
+    return [span for span in spans if span["parent"] not in by_id]
 
 
 class TestSpanTracer:
@@ -44,14 +74,14 @@ class TestSpanTracer:
         NULL_TRACER.close_all(9)
 
     def test_ids_are_unique_and_nonzero(self):
-        bus, _, _ = _traced_bus()
+        bus, _ = _traced_bus()
         tracer = SpanTracer(bus)
         ids = [tracer.begin(i, f"s{i}", "epoch") for i in range(5)]
         assert 0 not in ids
         assert len(set(ids)) == 5
 
     def test_auto_parenting_uses_innermost_open_span(self):
-        bus, sink, _ = _traced_bus()
+        bus, sink = _traced_bus()
         tracer = SpanTracer(bus)
         outer = tracer.begin(0, "run", "run")
         inner = tracer.begin(10, "epoch-1", "epoch")
@@ -62,7 +92,7 @@ class TestSpanTracer:
         assert begins[leaf].parent_id == inner
 
     def test_explicit_parent_wins_over_stack(self):
-        bus, sink, _ = _traced_bus()
+        bus, sink = _traced_bus()
         tracer = SpanTracer(bus)
         outer = tracer.begin(0, "run", "run")
         tracer.begin(5, "epoch", "epoch")
@@ -71,7 +101,7 @@ class TestSpanTracer:
         assert begins[pinned].parent_id == outer
 
     def test_end_removes_from_open_stack(self):
-        bus, sink, _ = _traced_bus()
+        bus, sink = _traced_bus()
         tracer = SpanTracer(bus)
         outer = tracer.begin(0, "run", "run")
         inner = tracer.begin(5, "epoch", "epoch")
@@ -81,7 +111,7 @@ class TestSpanTracer:
         assert begins[sibling].parent_id == outer
 
     def test_close_all_closes_innermost_first(self):
-        bus, sink, _ = _traced_bus()
+        bus, sink = _traced_bus()
         tracer = SpanTracer(bus)
         a = tracer.begin(0, "a", "run")
         b = tracer.begin(1, "b", "epoch")
@@ -92,70 +122,26 @@ class TestSpanTracer:
         assert all(e.cycle == 50 for e in sink.events if isinstance(e, SpanEnd))
 
 
-class TestSpanCollector:
-    def test_builds_tree(self):
-        bus, _, collector = _traced_bus()
-        tracer = SpanTracer(bus)
-        run = tracer.begin(0, "run", "run")
-        epoch = tracer.begin(1, "e1", "epoch")
-        tracer.end(90, epoch)
-        tracer.end(100, run)
-        roots = collector.roots()
-        assert len(roots) == 1
-        root = roots[0]
-        assert root.name == "run" and root.begin == 0 and root.end == 100
-        assert root.duration == 100
-        assert [c.name for c in root.children] == ["e1"]
-        assert root.children[0].duration == 89
-
-    def test_synthesizes_burst_spans_under_open_epoch(self):
-        bus, _, collector = _traced_bus()
-        tracer = SpanTracer(bus)
-        tracer.begin(0, "run", "run")
-        epoch = tracer.begin(1, "e1", "epoch")
-        bus.emit(BurstBegin(cycle=10))
-        bus.emit(BurstEnd(cycle=30, index=0))
-        tracer.end(90, epoch)
-        tracer.close_all(100)
-        (root,) = collector.roots()
-        epoch_span = root.children[0]
-        burst = epoch_span.children[0]
-        assert burst.category == "burst"
-        assert (burst.begin, burst.end) == (10, 30)
-        assert burst.span_id < 0  # synthetic ids never collide with real ones
-
-    def test_tree_lines_render_and_elide(self):
-        bus, _, collector = _traced_bus()
-        tracer = SpanTracer(bus)
-        run = tracer.begin(0, "run", "run")
-        for i in range(12):
-            sid = tracer.begin(i, f"e{i}", "epoch", parent=run)
-            tracer.end(i + 1, sid)
-        tracer.close_all(20)
-        lines = collector.tree_lines(max_children=8)
-        assert lines[0].startswith("run:run")
-        assert any("more" in line for line in lines)
-
-
 class TestTracedRun:
     def test_real_run_produces_well_formed_tree(self):
-        session = TelemetrySession(sinks=[ListSink()], tracing=True)
+        session = TelemetrySession.recording(tracing=True)
         result = run_level("vortex", "dyn", passes=2, telemetry=session)
-        roots = session.spans.roots()
+        roots = span_tree(session.events)
         assert len(roots) == 1
         root = roots[0]
-        assert root.category == "run"
-        assert root.name == "vortex/dyn"
-        assert root.begin == 0 and root.end == result.cycles
+        assert root["category"] == "run"
+        assert root["name"] == "vortex/dyn"
+        assert root["begin"] == 0 and root["end"] == result.cycles
         categories = set()
 
         def walk(span):
-            categories.add(span.category)
-            assert span.category in SPAN_CATEGORIES
-            assert span.end is not None, "close_all must close every span"
-            assert span.begin <= span.end
-            for child in span.children:
-                assert span.begin <= child.begin
+            categories.add(span["category"])
+            assert span["category"] in SPAN_CATEGORIES
+            assert span["end"] is not None, "close_all must close every span"
+            assert span["begin"] <= span["end"]
+            for child in span["children"]:
+                assert span["begin"] <= child["begin"]
+                assert child["end"] is not None and child["end"] <= span["end"]
                 walk(child)
 
         walk(root)
@@ -168,24 +154,24 @@ class TestTracedRun:
         run_level("vortex", "dyn", passes=2, telemetry=session)
         kinds = {e.kind for e in sink.events}
         assert "SpanBegin" not in kinds and "SpanEnd" not in kinds
-        assert session.spans is None
+        assert not session.tracer.enabled
 
     def test_injection_spans_present_when_optimizing(self):
-        session = TelemetrySession(sinks=[ListSink()], tracing=True)
+        session = TelemetrySession.recording(tracing=True)
         run_level("vortex", "dyn", passes=2, telemetry=session)
 
         found = []
 
         def walk(span):
-            if span.category == "injection":
+            if span["category"] == "injection":
                 found.append(span)
-            for child in span.children:
+            for child in span["children"]:
                 walk(child)
 
-        for root in session.spans.roots():
+        for root in span_tree(session.events):
             walk(root)
         assert found, "dyn run with injection should record injection spans"
-        assert all(s.duration == 0 for s in found), "injection spans are instants"
+        assert all(s["end"] == s["begin"] for s in found), "injection spans are instants"
 
 
 @pytest.mark.parametrize("category", SPAN_CATEGORIES)
