@@ -1,19 +1,15 @@
 """Analysis hot-path benchmark: flat-core Sequitur + batched feed vs PR 9.
 
-Three tiers, each identity-checked while it is timed:
+Two tiers, each identity-checked while it is timed:
 
 ``sequitur_micro``   grammar construction throughput (tokens/sec): the flat
                      array-backed engine fed in batches vs the demoted
                      linked reference fed per token, on the same stream.
-``incremental``      hot-stream analysis across optimizer-style epochs:
-                     the dirty-tracking :class:`HotStreamAnalyzer` vs the
-                     one-shot full re-walk, identical facts demanded.
 ``figures_dyn``      the real ``dyn`` experiment cells end-to-end under the
                      compiled kernel: the current hot path (flat engine,
-                     ``ref_buffer`` batching, incremental analysis) vs a
-                     faithful legacy profiler (linked engine, one Python
-                     call per traced reference, full re-analysis) swapped
-                     into the optimizer — results bit-compared.
+                     ``ref_buffer`` batching) vs a faithful legacy profiler
+                     (linked engine, one Python call per traced reference)
+                     swapped into the optimizer — results bit-compared.
 
 As in ``bench_fastpath.py``, hard floors fail the run (the CI regression
 signal); aspirational targets only warn.  The figures floor is the honest
@@ -37,12 +33,7 @@ import time
 from pathlib import Path
 
 import repro.core.optimizer as optimizer_mod
-from repro.analysis.hotstreams import (
-    AnalysisConfig,
-    HotStreamAnalyzer,
-    analyze_grammar,
-    find_hot_streams,
-)
+from repro.analysis.hotstreams import find_hot_streams
 from repro.engine.levels import execute_workload
 from repro.oracle.fuzz import grammar_state_diff
 from repro.oracle.refsequitur import RefSequitur
@@ -56,11 +47,10 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_analysis.json"
 #: Hard floors fail the run; targets are aspirational and only warn.
 #: ``figures_dyn`` is the refactor's acceptance gate: the whole dyn grid,
 #: same bytes out, at least twice as fast as the faithful PR 9 hot path.
-#: The micro floors are set from the structural wins (no per-symbol object
-#: allocation; no full re-walk per epoch) with headroom for slow CI boxes.
+#: The micro floor is set from the structural win (no per-symbol object
+#: allocation) with headroom for slow CI boxes.
 GATES = {
     "sequitur_micro": {"fail_below": 1.15, "target": 3.0},
-    "incremental": {"fail_below": 1.2, "target": 3.0},
     "figures_dyn": {"fail_below": 2.0, "target": 5.0},
 }
 
@@ -108,59 +98,10 @@ def _time_sequitur_micro(n_tokens: int, repeats: int) -> dict:
     }
 
 
-def _motif_stream(n: int) -> list[int]:
-    """A stable-working-set stream: many distinct recurring motifs, no noise.
-
-    This is the paper's hot-data-stream regime — once the grammar has seen
-    the motif vocabulary, later epochs mostly touch existing rules, which is
-    exactly what incremental analysis exploits.  The noisy ``_token_stream``
-    (kept for the construction micro) churns transient rules every epoch and
-    is the analyzer's worst case, not its operating point.
-    """
-    rng = random.Random(7)
-    motifs = [[rng.randrange(4096) for _ in range(16)] for _ in range(300)]
-    tokens: list[int] = []
-    while len(tokens) < n:
-        tokens.extend(motifs[rng.randrange(300)])
-    return tokens[:n]
-
-
-def _time_incremental(n_tokens: int, epochs: int, repeats: int) -> dict:
-    """Per-epoch analysis cost: dirty-tracking analyzer vs full re-walk."""
-    tokens = _motif_stream(n_tokens)
-    config = AnalysisConfig(heat_ratio=0.002, min_length=2, max_length=64, min_unique=3)
-    chunk = len(tokens) // epochs
-    inc_times, full_times = [], []
-    for _ in range(repeats):
-        seq = Sequitur()
-        analyzer = HotStreamAnalyzer(seq)
-        inc = full = 0.0
-        for e in range(epochs):
-            seq.extend_batch(tokens[e * chunk:(e + 1) * chunk])
-            t0 = time.perf_counter()
-            got = analyzer.analyze(config)
-            inc += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            want = analyze_grammar(seq, config)
-            full += time.perf_counter() - t0
-            if got != want:
-                raise SystemExit(f"identity violation in incremental analysis, epoch {e}")
-        inc_times.append(inc)
-        full_times.append(full)
-    full_t, inc_t = min(full_times), min(inc_times)
-    return {
-        "tokens": n_tokens,
-        "epochs": epochs,
-        "full_s": round(full_t, 4),
-        "incremental_s": round(inc_t, 4),
-        "speedup": round(full_t / inc_t, 2),
-    }
-
-
 class LegacyProfiler:
-    """The PR 9 analysis hot path, faithfully: linked-object Sequitur, one
-    Python call per traced reference (no ``ref_buffer``, so both kernels
-    fall back to the per-call sink), full re-analysis every epoch."""
+    """The analysis hot path before the flat core, faithfully: the linked
+    Sequitur and one Python call per traced reference (no ``ref_buffer``,
+    so both kernels fall back to the per-call sink)."""
 
     def __init__(self) -> None:
         self.symbols = SymbolTable()
@@ -233,9 +174,6 @@ def run_benchmark(quick=False):
     repeats = 2 if quick else 3
     sections = {
         "sequitur_micro": _time_sequitur_micro(micro_tokens, repeats),
-        "incremental": _time_incremental(
-            micro_tokens // 2, epochs=10 if quick else 20, repeats=repeats
-        ),
         # passes=1 keeps every timed cycle in the profiling/analysis regime;
         # later passes run mostly patched code with the profiler hibernating,
         # which is identical on both sides and only dilutes the signal.

@@ -12,6 +12,8 @@ expands to exactly one word ``w_A``:
 Running time is linear in the grammar size.  This is the paper's fast,
 slightly conservative alternative to Larus's exact whole-program-paths
 algorithm; :mod:`repro.analysis.exact` provides ground truth for tests.
+The optimizer runs it once per profiling period, on that period's
+grammar, so it keeps no state from one call to the next.
 """
 
 from __future__ import annotations
@@ -97,29 +99,28 @@ class RuleFacts:
     children: list[int] = field(default_factory=list)
 
 
-def _figure5(
-    start_id: int,
-    rule_ids: list[int],
-    lengths: dict[int, int],
-    children: dict[int, list[int]],
-    trace_length: int,
-    config: AnalysisConfig,
-) -> dict[int, RuleFacts]:
-    """The Figure 5 computation over an id-level view of the grammar.
+def analyze_grammar(seq: Sequitur, config: AnalysisConfig) -> dict[int, RuleFacts]:
+    """Run the Figure 5 algorithm; return the per-rule computed values.
 
-    Shared by the one-shot :func:`analyze_grammar` (which derives the view
-    from the grammar's public API) and :class:`HotStreamAnalyzer` (which
-    maintains it incrementally); both must produce identical facts.
+    The returned facts expose every intermediate of the worked example
+    (length, reverse-post-order index, uses, coldUses, heat, hotness); use
+    :func:`find_hot_streams` when only the streams are needed.  Uses only
+    the grammar's public API, so it works on any engine exposing it (the
+    flat core and the oracle's linked reference alike).
     """
+    lengths = seq.expansion_lengths()
+    start_id = seq.start.id
     facts: dict[int, RuleFacts] = {
-        rule_id: RuleFacts(rule_id=rule_id, length=lengths[rule_id])
-        for rule_id in rule_ids
+        rule_id: RuleFacts(
+            rule_id=rule_id,
+            length=lengths[rule_id],
+            children=[child.id for child in seq.children(rule)],
+        )
+        for rule_id, rule in seq.rules.items()
     }
-    for rule_id in rule_ids:
-        facts[rule_id].children = list(children[rule_id])
 
     # Reverse post-order numbering (iterative DFS; parents get lower indices).
-    next_index = len(rule_ids)
+    next_index = len(facts)
     visited: set[int] = set()
     stack: list[tuple[int, bool]] = [(start_id, False)]
     while stack:
@@ -132,7 +133,7 @@ def _figure5(
             continue
         visited.add(rule_id)
         stack.append((rule_id, True))
-        for child_id in children[rule_id]:
+        for child_id in facts[rule_id].children:
             if child_id not in visited:
                 stack.append((child_id, False))
     if next_index != 0:
@@ -149,7 +150,7 @@ def _figure5(
             child.cold_uses = child.uses
 
     # Hot detection with cold-use discounting, in ascending index order.
-    threshold = config.resolved_threshold(trace_length)
+    threshold = config.resolved_threshold(seq.length)
     for fact in order:
         fact.heat = fact.length * fact.cold_uses
         is_start = fact.rule_id == start_id
@@ -165,29 +166,14 @@ def _figure5(
     return facts
 
 
-def analyze_grammar(seq: Sequitur, config: AnalysisConfig) -> dict[int, RuleFacts]:
-    """Run the Figure 5 algorithm; return the per-rule computed values.
+def find_hot_streams(seq: Sequitur, config: AnalysisConfig) -> list[HotDataStream]:
+    """Extract hot data streams, hottest first.
 
-    The returned facts expose every intermediate of the worked example
-    (length, reverse-post-order index, uses, coldUses, heat, hotness); use
-    :func:`find_hot_streams` when only the streams are needed.  Uses only
-    the grammar's public API, so it works on any engine exposing it (the
-    flat core and the oracle's linked reference alike).
+    Applies the ``min_unique`` and ``max_streams`` filters on top of
+    :func:`analyze_grammar`, expands each hot non-terminal to its reference
+    sequence, and deduplicates identical sequences (keeping the hottest).
     """
-    lengths = seq.expansion_lengths()
-    children = {
-        rule_id: [child.id for child in seq.children(rule)]
-        for rule_id, rule in seq.rules.items()
-    }
-    return _figure5(
-        seq.start.id, list(seq.rules), lengths, children, seq.length, config
-    )
-
-
-def _streams_from_facts(
-    seq: Sequitur, facts: dict[int, RuleFacts], config: AnalysisConfig
-) -> list[HotDataStream]:
-    """Expand, filter, dedupe and rank the hot facts (shared tail)."""
+    facts = analyze_grammar(seq, config)
     streams: dict[tuple[int, ...], HotDataStream] = {}
     for fact in sorted(facts.values(), key=lambda f: f.index):
         if not fact.hot:
@@ -204,162 +190,23 @@ def _streams_from_facts(
     return ranked
 
 
-def find_hot_streams(seq: Sequitur, config: AnalysisConfig) -> list[HotDataStream]:
-    """Extract hot data streams, hottest first.
-
-    Applies the ``min_unique`` and ``max_streams`` filters on top of
-    :func:`analyze_grammar`, expands each hot non-terminal to its reference
-    sequence, and deduplicates identical sequences (keeping the hottest).
-    """
-    return _streams_from_facts(seq, analyze_grammar(seq, config), config)
-
-
 class HotStreamAnalyzer:
-    """Incremental Figure 5 analysis bound to one flat grammar.
+    """The Figure 5 analysis of one profiling period's grammar.
 
-    The expensive inputs of the analysis — each rule's terminal count,
-    child list and expansion length — are cached and refreshed from the
-    engine's dirty-rule set (:meth:`Sequitur.take_dirty`): per-symbol body
-    walks happen only over rules whose bodies changed since the previous
-    epoch.  The O(#rules + #edges) propagation of uses/coldUses/heat then
-    runs over the cached id-level view; it cannot be skipped for clean
-    subgraphs because the heat threshold is trace-length-relative and
-    re-resolves every epoch.  Results are identical to
-    :func:`analyze_grammar` on the same grammar (pinned by tests and
-    ``analysis/exact.py``).
-
-    Single consumer: constructing two analyzers over one grammar would
-    split the dirty stream between them.
+    The optimizer analyzes each period's grammar once, when the awake phase
+    ends, and profiles the next period into a fresh grammar, so there is
+    no state to carry between analyses: the analyzer holds only the
+    grammar, and :meth:`find_hot_streams` is :func:`find_hot_streams` on
+    it.  :meth:`TemporalProfiler.hot_streams
+    <repro.profiling.profiler.TemporalProfiler.hot_streams>` calls through
+    this class, which gives the analysis one named entry point.
     """
+
+    __slots__ = ("seq",)
 
     def __init__(self, seq: Sequitur) -> None:
         self.seq = seq
-        self._terms: dict[int, int] = {}
-        self._children: dict[int, list[int]] = {}
-        self._lengths: dict[int, int] = {}
-        #: per-rule distinct-child sets, kept to diff edges across epochs
-        self._child_sets: dict[int, set[int]] = {}
-        #: inverted child relation, maintained edge-by-edge as bodies change
-        self._parents: dict[int, set[int]] = {}
-
-    def _walk_body(self, rule_id: int) -> tuple[int, list[int]]:
-        """One rule body pass over the flat arrays: (terminal count, child ids).
-
-        This deliberately reads the engine's slot arrays instead of the
-        ``Rule.rhs()`` generator — the start rule is dirtied by every batch
-        and its body dominates the walk, so the per-symbol constant here is
-        most of the refresh cost.
-        """
-        seq = self.seq
-        nxt = seq._nxt
-        key = seq._key
-        guard = seq.rules[rule_id].guard
-        t = 0
-        ch: list[int] = []
-        node = nxt[guard]
-        while node != guard:
-            k = key[node]
-            if k >= 0:  # type: ignore[operator]
-                t += 1
-            else:
-                ch.append(-1 - k)  # type: ignore[operator]
-            node = nxt[node]
-        return t, ch
-
-    def _refresh(self) -> None:
-        """Re-walk dirtied rule bodies; rebuild affected expansion lengths.
-
-        Strictly dirty-driven — no pass here scans all rules.  The engine
-        puts every rule id into the dirty stream at birth and at death, so
-        the stream alone tells us which caches to drop and which bodies to
-        re-walk; the incrementally-maintained parents map turns "this body
-        changed" into the exact set of invalidated expansion lengths.
-        """
-        seq = self.seq
-        rules = seq.rules
-        terms = self._terms
-        children = self._children
-        lengths = self._lengths
-        child_sets = self._child_sets
-        parents = self._parents
-        dirty = seq.take_dirty()
-        if not dirty:
-            return
-        stale: list[int] = []
-        for rule_id in dirty:
-            if rule_id in rules:
-                stale.append(rule_id)
-            elif rule_id in terms:  # died since last epoch: drop its facts
-                del terms[rule_id]
-                del children[rule_id]
-                for child_id in child_sets.pop(rule_id):
-                    child_parents = parents.get(child_id)
-                    if child_parents is not None:  # child may be dead too
-                        child_parents.discard(rule_id)
-                parents.pop(rule_id, None)
-                lengths.pop(rule_id, None)
-        for rule_id in stale:
-            t, ch = self._walk_body(rule_id)
-            terms[rule_id] = t
-            children[rule_id] = ch
-            new_set = set(ch)
-            old_set = child_sets.get(rule_id)
-            if old_set is None:
-                for child_id in new_set:
-                    parents.setdefault(child_id, set()).add(rule_id)
-            else:  # touch only the edges that actually changed
-                for child_id in old_set - new_set:
-                    child_parents = parents.get(child_id)
-                    if child_parents is not None:  # child may be dead too
-                        child_parents.discard(rule_id)
-                for child_id in new_set - old_set:
-                    parents.setdefault(child_id, set()).add(rule_id)
-            child_sets[rule_id] = new_set
-        # A dirty rule's length change propagates to every ancestor; walk
-        # the parents map up from the stale set, then recompute exactly the
-        # invalidated lengths bottom-up from the caches.
-        invalid: set[int] = set()
-        work = list(stale)
-        while work:
-            rule_id = work.pop()
-            if rule_id in invalid:
-                continue
-            invalid.add(rule_id)
-            work.extend(parents.get(rule_id, ()))
-        for rule_id in invalid:
-            lengths.pop(rule_id, None)
-        # The start rule expands to the entire trace by construction, so its
-        # length is the engine's maintained counter — no need to re-sum its
-        # (large, always-invalid) child list every epoch.
-        start_id = seq.start.id
-        if start_id in invalid:
-            invalid.discard(start_id)
-            lengths[start_id] = seq.length
-        for rule_id in invalid:
-            if rule_id in lengths:
-                continue
-            stack: list[tuple[int, bool]] = [(rule_id, False)]
-            while stack:
-                cur, ready = stack.pop()
-                if cur in lengths:
-                    continue
-                if ready:
-                    lengths[cur] = terms[cur] + sum(lengths[c] for c in children[cur])
-                    continue
-                stack.append((cur, True))
-                for child_id in children[cur]:
-                    if child_id not in lengths:
-                        stack.append((child_id, False))
-
-    def analyze(self, config: AnalysisConfig) -> dict[int, RuleFacts]:
-        """Per-rule facts, identical to ``analyze_grammar(self.seq, config)``."""
-        self._refresh()
-        seq = self.seq
-        return _figure5(
-            seq.start.id, list(seq.rules), self._lengths, self._children,
-            seq.length, config,
-        )
 
     def find_hot_streams(self, config: AnalysisConfig) -> list[HotDataStream]:
-        """Hot data streams, identical to ``find_hot_streams(self.seq, config)``."""
-        return _streams_from_facts(self.seq, self.analyze(config), config)
+        """Hot data streams of the grammar, hottest first."""
+        return find_hot_streams(self.seq, config)

@@ -30,10 +30,12 @@ from repro.engine.spec import RunSpec
 from repro.telemetry.events import CheckpointLoaded
 from repro.telemetry.sinks import NULL_SINK
 
-#: Default checkpoint cadence, in simulated instructions.  Small enough that
-#: the golden-corpus workloads cross several boundaries, large enough that
-#: pickling cost stays a rounding error next to simulation time.
-DEFAULT_CHECKPOINT_EVERY = 250_000
+#: Default checkpoint cadence, in simulated instructions, sized from what a
+#: save costs.  On a 2-core x86 host a save of a preset ``dyn`` cell takes
+#: 35-70 ms and those cells simulate 1.5-2.3M instructions/s, so saving
+#: every 2M instructions spends about 3-5 % of a run in saves.  Callers
+#: that need more progress on disk pass ``checkpoint_every``.
+DEFAULT_CHECKPOINT_EVERY = 2_000_000
 
 #: EWMA smoothing for the per-slice cache-hit / prefetch-accuracy rates
 #: reported through the progress callback.

@@ -179,19 +179,9 @@ def check_tracing_observer_effect(
         run_fingerprint(traced),
         f"tracing observer effect ({plain.workload}/{level})",
     )
-    mismatches = session.ledger.reconcile(traced.hierarchy.prefetch)
-    per_stream = session.ledger.per_stream()
-    for key, stats in per_stream.items():
-        hier = traced.hierarchy.stream_stats.get(key)
-        if hier is None:
-            mismatches.append(f"ledger stream {key!r} unknown to the hierarchy")
-            continue
-        for attr in ("issued", "useful", "late"):
-            if getattr(hier, attr) != getattr(stats, attr):
-                mismatches.append(
-                    f"stream {key!r} {attr}: ledger {getattr(stats, attr)} "
-                    f"!= hierarchy {getattr(hier, attr)}"
-                )
+    mismatches = session.ledger.reconcile(
+        traced.hierarchy.prefetch, traced.hierarchy.stream_stats
+    )
     _require(
         not mismatches,
         f"prefetch ledger out of balance ({plain.workload}/{level}): " + "; ".join(mismatches),

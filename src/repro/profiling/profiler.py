@@ -18,10 +18,12 @@ Both disciplines intern references in stream order (``record`` flushes any
 buffered prefix first), so the symbol table and the grammar are identical
 to the historical one-call-per-reference behavior.
 
-``reset`` starts a fresh grammar for the next profiling period (hibernation
-references are never recorded because the phase controller turns the
-interpreter's ``tracing_enabled`` flag off — "ignored by Sequitur to avoid
-trace contamination").
+``hot_streams`` analyzes the period's grammar once, when the awake phase
+ends, and ``reset`` starts a fresh grammar for the next profiling period,
+so no analysis state outlives a period (hibernation references are never
+recorded because the phase controller turns the interpreter's
+``tracing_enabled`` flag off — "ignored by Sequitur to avoid trace
+contamination").
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class TemporalProfiler:
     def __init__(self) -> None:
         self.symbols = SymbolTable()
         self.sequitur = Sequitur()
-        self.analyzer = HotStreamAnalyzer(self.sequitur)
         self.total_recorded = 0
         #: pending raw ``(pc, addr)`` pairs, appended by the execution
         #: kernels and consumed by :meth:`flush`
@@ -70,9 +71,9 @@ class TemporalProfiler:
         return self.sequitur.length + len(self.ref_buffer)
 
     def hot_streams(self, config: AnalysisConfig) -> list[HotDataStream]:
-        """Hot data streams of the current period (incremental analysis)."""
+        """Hot data streams of the current period (Figure 5, one pass)."""
         self.flush()
-        return self.analyzer.find_hot_streams(config)
+        return HotStreamAnalyzer(self.sequitur).find_hot_streams(config)
 
     def reset(self) -> None:
         """Drop the grammar for a new profiling period (symbol table kept).
@@ -82,4 +83,3 @@ class TemporalProfiler:
         """
         self.flush()
         self.sequitur = Sequitur()
-        self.analyzer = HotStreamAnalyzer(self.sequitur)

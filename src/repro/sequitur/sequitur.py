@@ -36,10 +36,6 @@ and inlines ``R`` again; :meth:`_lengthen` applies the net effect (``R'``
 takes over ``R``'s slots, the other site's ``t`` moves to the end of the
 body) and the same digram-index operations in O(1), and falls back to
 ``_match`` whenever the reference would do anything else.
-
-The engine additionally tracks the set of rules whose bodies changed since
-the last :meth:`take_dirty` call, which drives the incremental hot-stream
-analysis (:class:`repro.analysis.hotstreams.HotStreamAnalyzer`).
 """
 
 from __future__ import annotations
@@ -82,15 +78,10 @@ class Sequitur:
         self._next_rule_id = 0
         #: digram packed-key -> leftmost slot of the indexed digram
         self._digrams: dict[int, int] = {}
-        #: rule ids whose bodies changed since the last take_dirty()
-        self._dirty: set[int] = set()
         self.start = self._new_rule()
         #: live rules by id (includes the start rule)
         self.rules: dict[int, Rule] = {self.start.id: self.start}
         self.length = 0
-        # Every rule enters the dirty stream at birth (and at death); the
-        # incremental analyzer relies on never having to scan for changes.
-        self._dirty.add(self.start.id)
 
     # ------------------------------------------------------------- plumbing
 
@@ -279,7 +270,6 @@ class Sequitur:
         else:
             rule = self._new_rule()
             self.rules[rule.id] = rule
-            self._dirty.add(rule.id)
             k1 = key[new]
             k2 = key[nxt[new]]
             first = self._alloc(k1, rule.guard)
@@ -308,7 +298,6 @@ class Sequitur:
         own = self._own
         prev = self._prv[s]
         owner = prev if self._key[prev] is None else own[prev]
-        self._dirty.add(own[owner])
         self._delete(nxt[prev])
         self._delete(nxt[prev])
         rule.refcount += 1
@@ -328,10 +317,6 @@ class Sequitur:
         own = self._own
         rule = self.rules[-1 - self._key[s]]  # type: ignore[operator]
         target = own[s]  # the surrounding rule's guard slot
-        self._dirty.add(own[target])
-        # The dying rule's id goes into the dirty stream too, so incremental
-        # consumers can prune its cached facts without scanning all rules.
-        self._dirty.add(rule.id)
         left, right = prv[s], nxt[s]
         g = rule.guard
         first, last = nxt[g], prv[g]
@@ -397,12 +382,6 @@ class Sequitur:
         dget = digrams.get
         rid = self._next_rule_id
         self._next_rule_id = rid + 1
-        # Dirty in the reference's first-insertion order: R', site 1's rule,
-        # the start rule (site 2's, already dirty in extend_batch), R.
-        dirty = self._dirty
-        dirty.add(rid)
-        dirty.add(own[p1] if k1 is None else own[own[p1]])
-        dirty.add(old.id)
         lm = lk & _M  # type: ignore[operator]
         nm = (-1 - rid) & _M
         # _substitute(site 1): unindex (p1, R), (R, t), (t, q1); index
@@ -481,7 +460,6 @@ class Sequitur:
         lengthen = self._lengthen
         start = self.start
         g = start.guard
-        self._dirty.add(start.id)
         length = self.length
         try:
             for token in tokens:
@@ -528,18 +506,6 @@ class Sequitur:
                     self._match(last, m)
         finally:
             self.length = length
-
-    def take_dirty(self) -> set[int]:
-        """Rule ids whose bodies changed since the last call (then cleared).
-
-        Single-consumer: intended for the one incremental analyzer attached
-        to this grammar (see :class:`repro.analysis.hotstreams.HotStreamAnalyzer`).
-        Ids of since-deleted rules may appear; rule ids are never reused, so
-        consumers simply ignore ids absent from :attr:`rules`.
-        """
-        dirty = self._dirty
-        self._dirty = set()
-        return dirty
 
     def grammar_size(self) -> int:
         """Total number of symbols on all right-hand sides."""
@@ -715,9 +681,6 @@ class Sequitur:
             (((k1 & _M) << 32) | (k2 & _M)): flat[pos]
             for (k1, k2), pos in state["digrams"]
         }
-        # Restored grammars start with every rule dirty: analyzer caches are
-        # not serialized, so the first incremental analysis rebuilds them.
-        self._dirty = set(rules)
 
     # ------------------------------------------------------------ inspection
 

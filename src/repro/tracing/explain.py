@@ -133,18 +133,7 @@ def explain_level(
             )
         )
 
-    mismatches = ledger.reconcile(hierarchy.prefetch)
-    for key, stats in per_stream.items():
-        hier = hierarchy.stream_stats.get(key)
-        if hier is None:
-            mismatches.append(f"ledger stream {key!r} unknown to the hierarchy")
-            continue
-        for attr in ("issued", "useful", "late"):
-            if getattr(hier, attr) != getattr(stats, attr):
-                mismatches.append(
-                    f"stream {key!r} {attr}: ledger {getattr(stats, attr)} "
-                    f"!= hierarchy {getattr(hier, attr)}"
-                )
+    mismatches = ledger.reconcile(hierarchy.prefetch, hierarchy.stream_stats)
 
     return WorkloadExplanation(
         workload=name,

@@ -173,11 +173,13 @@ class PrefetchLedger:
                     stats.residuals.append(record.residual)
         return out
 
-    def reconcile(self, prefetch_stats) -> list[str]:
+    def reconcile(self, prefetch_stats, stream_stats=None) -> list[str]:
         """Diff ledger totals against a :class:`PrefetchStats`; [] = agree.
 
         The aggregate ``wasted`` counter covers both mid-run pollution and
         end-of-run expiry, so it corresponds to ``polluting + wasted`` here.
+        With ``stream_stats`` (the hierarchy's per-stream counters), each
+        stream's issued/useful/late counts are diffed too.
         """
         mismatches: list[str] = []
         counts = self.fate_counts
@@ -193,4 +195,16 @@ class PrefetchLedger:
         check("wasted", counts["polluting"] + counts["wasted"], prefetch_stats.wasted)
         if self._open:
             mismatches.append(f"{len(self._open)} records still open (run not finalized?)")
+        if stream_stats is not None:
+            for key, stats in self.per_stream().items():
+                hier = stream_stats.get(key)
+                if hier is None:
+                    mismatches.append(f"ledger stream {key!r} unknown to the hierarchy")
+                    continue
+                for attr in ("issued", "useful", "late"):
+                    if getattr(hier, attr) != getattr(stats, attr):
+                        mismatches.append(
+                            f"stream {key!r} {attr}: ledger {getattr(stats, attr)} "
+                            f"!= hierarchy {getattr(hier, attr)}"
+                        )
         return mismatches

@@ -29,6 +29,7 @@ class TestSupervisedFigures:
         assert cli_main([
             "figures", *TINY, "--cache-dir", chaos_cache,
             "--jobs", "2", "--chaos-seed", "1", "--task-timeout", "4",
+            "--checkpoint-every", "250000",
         ]) == 0
         assert capsys.readouterr().out == plain
 

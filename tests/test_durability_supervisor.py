@@ -27,6 +27,10 @@ PLAN = RunPlan.of(
 #: Fast supervisor: tight deadlines so failure paths resolve in seconds.
 FAST = SupervisorConfig(task_timeout=120.0, stall_timeout=2.0, backoff_base=0.05)
 
+#: Checkpoint cadence of the chaos cases: finer than the default, so the
+#: plan's cells write checkpoints for the kills and truncations to hit.
+CHAOS_EVERY = 250_000
+
 
 def _docs(results):
     return [r.to_dict() for r in results]
@@ -79,6 +83,7 @@ class TestChaosRecovery:
         bus, events = _bus()
         policy = DurabilityPolicy(
             journal_root=tmp_path / "journal",
+            checkpoint_every=CHAOS_EVERY,
             supervisor=FAST,
             chaos=ChaosPlan(seed=1, kinds=("kill_worker", "stall_worker")),
             bus=bus,
@@ -96,6 +101,7 @@ class TestChaosRecovery:
         bus, events = _bus()
         policy = DurabilityPolicy(
             journal_root=tmp_path / "journal",
+            checkpoint_every=CHAOS_EVERY,
             supervisor=FAST,
             chaos=ChaosPlan(seed=1, kinds=("kill_worker", "truncate_checkpoint")),
             bus=bus,

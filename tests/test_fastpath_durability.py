@@ -101,6 +101,7 @@ class TestSupervisedFastpath:
         reference."""
         policy = DurabilityPolicy(
             journal_root=tmp_path / "journal",
+            checkpoint_every=250_000,  # vortex/dyn writes one checkpoint to hit
             supervisor=FAST_SUPERVISOR,
             chaos=ChaosPlan(seed=1, kinds=("kill_worker", "truncate_checkpoint")),
         )

@@ -4,13 +4,18 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.hotstreams import HotStreamAnalyzer
 from repro.analysis.stream import HotDataStream
+from repro.bench.runner import run_workload
 from repro.core.config import OptimizerConfig, paper_scale
 from repro.core.optimizer import AWAKE, HIBERNATING, DynamicPrefetcher, _dedupe_streams
 from repro.errors import ConfigError
 from repro.interp.interpreter import Interpreter
 from repro.machine.config import CacheGeometry, MachineConfig
+from repro.resilience.faults import FaultPlan
+from repro.resilience.watchdog import WatchdogConfig
 from repro.vulcan.static_edit import instrument_program
+from repro.workloads import build_named
 from repro.workloads.chainmix import build_chainmix
 
 #: A small hierarchy so the small workload actually misses (and prefetching
@@ -132,6 +137,34 @@ class TestPhaseCycle:
             return stats.cycles, optimizer.summary.num_cycles
 
         assert once() == once()
+
+
+#: (workload, passes, optimizer config, profiling periods it analyzes at
+#: least); the pass counts make the first two runs span two periods.
+ANALYSIS_RUNS = {
+    "vpr": ("vpr", 16, None, 2),
+    "phaseshift-watchdog": ("phaseshift", 168, OptimizerConfig(watchdog=WatchdogConfig()), 2),
+    "phaseshift-faults": ("phaseshift", None, OptimizerConfig(faults=FaultPlan(seed=3)), 1),
+}
+
+
+@pytest.mark.parametrize("run", ANALYSIS_RUNS.values(), ids=ANALYSIS_RUNS.keys())
+def test_each_profiling_period_is_analyzed_once(run, monkeypatch):
+    """No grammar is analyzed twice: each period's grammar is analyzed once,
+    when the awake phase ends, and the next period profiles into a fresh
+    one.  That is why the analysis carries no state from call to call."""
+    name, passes, opt, min_periods = run
+    grammars = []  # holding every grammar keeps the ids below unique
+    analyze = HotStreamAnalyzer.find_hot_streams
+
+    def spy(self, config):
+        grammars.append(self.seq)
+        return analyze(self, config)
+
+    monkeypatch.setattr(HotStreamAnalyzer, "find_hot_streams", spy)
+    run_workload(build_named(name, passes=passes), "dyn", opt=opt)
+    assert len(grammars) >= min_periods
+    assert len({id(seq) for seq in grammars}) == len(grammars)
 
 
 class TestDedupeStreams:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.runner import run_level
-from repro.machine.hierarchy import PrefetchStats
+from repro.machine.hierarchy import PrefetchStats, StreamPrefetchStats
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.sinks import ListSink
 from repro.tracing.ledger import FATES, TERMINAL_FATES, PrefetchLedger
@@ -87,6 +87,23 @@ class TestLedgerUnit:
         stats = PrefetchStats(issued=2, useful=1)
         mismatches = led.reconcile(stats)
         assert mismatches and any("issued" in m for m in mismatches)
+
+    def test_reconcile_flags_per_stream_mismatch(self):
+        led = PrefetchLedger()
+        for block, stream in ((1, "a"), (2, "a"), (3, "b")):
+            led.on_issue(block=block, cycle=0, source="sw", stream=stream, redundant=False)
+            led.on_use(block=block, cycle=10, late=False, lead=10)
+        stats = PrefetchStats(issued=3, useful=3)
+        streams = {
+            "a": StreamPrefetchStats(issued=2, useful=2),
+            "b": StreamPrefetchStats(issued=1, useful=1),
+        }
+        assert led.reconcile(stats, streams) == []
+        streams["a"].useful = 1
+        assert led.reconcile(stats) == []  # the aggregate books still agree
+        assert led.reconcile(stats, streams) == ["stream 'a' useful: ledger 2 != hierarchy 1"]
+        del streams["b"]
+        assert "ledger stream 'b' unknown to the hierarchy" in led.reconcile(stats, streams)
 
     def test_reconcile_flags_open_records(self):
         led = PrefetchLedger()
