@@ -88,7 +88,9 @@ SEED`` arms the deterministic chaos harness (worker kills, stalls, torn
 checkpoints, corrupt cache entries, flipped journal bytes) — the run must
 still produce byte-identical output.  Any of these flags routes execution
 through the supervised executor; journals and checkpoints live under
-``<cache root>/journal/``.
+``<cache root>/journal/``.  Runs recorded through ``--telemetry``/
+``--metrics`` execute live and in-process, outside that executor, so those
+flags refuse any durability flag.
 
 Tenancy (:mod:`repro.tenancy`): ``repro-bench tenancy --tenants
 vpr:dyn,phaseshift:dyn`` interleaves several workloads on one shared
@@ -458,6 +460,20 @@ def _run_explain(args, names: Sequence[str], cache: ResultCache, parser) -> int:
     return status
 
 
+def _durability_flags(args) -> list[str]:
+    """The durability flags given on the command line."""
+    return [
+        flag
+        for flag, given in (
+            ("--resume", args.resume),
+            ("--chaos-seed", args.chaos_seed is not None),
+            ("--task-timeout", args.task_timeout is not None),
+            ("--checkpoint-every", args.checkpoint_every is not None),
+        )
+        if given
+    ]
+
+
 def _durability_policy(args):
     """Build the DurabilityPolicy the flags ask for, or None for the plain path.
 
@@ -466,13 +482,7 @@ def _durability_policy(args):
     tracks the task timeout but never exceeds 10s — a live worker heartbeats
     every quarter second, so silence is a stall long before it is a timeout.
     """
-    engaged = (
-        args.resume
-        or args.chaos_seed is not None
-        or args.task_timeout is not None
-        or args.checkpoint_every is not None
-    )
-    if not engaged:
+    if not _durability_flags(args):
         return None
     from repro.durability import ChaosPlan, DurabilityPolicy, SupervisorConfig
     from repro.durability.runner import DEFAULT_CHECKPOINT_EVERY
@@ -904,17 +914,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     unknown = set(names) - set(presets.names())
     if unknown:
         parser.error(f"unknown workloads: {sorted(unknown)}")
+    # trace logs its own events and explain replays none; every other
+    # artifact records through the shared recorder, whose sink refuses a
+    # used --telemetry directory before any run starts.
+    recording = bool(args.telemetry or args.metrics) and args.artifact not in ("trace", "explain")
+    if recording and durability is not None:
+        # A recorded run executes live and in-process, never through the
+        # supervised executor, so these flags would be silently ignored.
+        parser.error(
+            f"{', '.join(_durability_flags(args))} cannot combine with "
+            f"{'--telemetry' if args.telemetry else '--metrics'}: recorded runs "
+            "execute live, outside the supervised executor"
+        )
     if args.metrics:
         try:
             # Fail fast: a bad path should not surface minutes into a run.
             open(args.metrics, "a", encoding="utf-8").close()
         except OSError as exc:
             parser.error(f"cannot write {args.metrics}: {exc}")
-    # trace logs its own events and explain replays none; every other
-    # artifact records through the shared recorder, whose sink refuses a
-    # used --telemetry directory before any run starts.
     recorder = None
-    if (args.telemetry or args.metrics) and args.artifact not in ("trace", "explain"):
+    if recording:
         from repro.errors import ConfigError
 
         try:

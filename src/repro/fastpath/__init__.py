@@ -2,11 +2,11 @@
 
 ``repro.fastpath`` lowers each procedure's dense tuple code into generated
 Python source — straight-line superblock traces with registers held in local
-variables, inline ALU/compare operators, and an inline copy of the memory
-hierarchy's L1-hit and clean-miss paths — compiled once per (procedure, mode)
-with ``exec`` and driven by a small trampoline (:mod:`repro.fastpath.kernel`)
-that handles calls, returns, burst transitions and slice limits through the
-exact reference code paths.  Every other memory operation calls
+variables, inline ALU/compare operators, and inline copies of the memory
+hierarchy's common demand and prefetch outcomes — compiled once per
+(procedure, mode) with ``exec`` and driven by a small trampoline
+(:mod:`repro.fastpath.kernel`) that handles calls, returns, burst
+transitions and slice limits through the exact reference code paths.  Every other memory operation calls
 :class:`~repro.machine.hierarchy.MemoryHierarchy`'s own ``access`` and
 ``issue_prefetch``; there is no second implementation of the hierarchy.
 

@@ -21,9 +21,10 @@ single Python function of the shape::
 Each *trace* is the straight-line superblock starting at a leader: emission
 walks forward through the tuple code, inlining ALU/compare/mov/const as
 plain expressions, conditional branches as ``if reg: ip = T; continue``
-(fallthrough stays inside the trace), and memory references as an inline
-L1-hit/clean-miss path that calls the real ``hierarchy.access`` for every
-other case.  A trace ends with ``ip = L; continue`` where it would fall into
+(fallthrough stays inside the trace), memory references as an inline
+demand path and prefetches as an inline issue path, each calling the real
+``hierarchy.access``/``issue_prefetch`` for every case it does not handle.
+A trace ends with ``ip = L; continue`` where it would fall into
 a loop head (the target of a backward branch) or exceed ``TRACE_CAP``, so
 each loop body is emitted once.  ``icount``/``cycles`` increments are
 batched between observation points, which is where most of the speedup
@@ -39,15 +40,19 @@ Bit-identity ground rules (see DESIGN.md §5h):
 * every counter update, cost charge, telemetry emission and callback happens
   in exactly the reference order — the generated source for each opcode is a
   transliteration of the matching ``Interpreter._dispatch`` arm;
-* the inline L1 path is the only other copy of ``MemoryHierarchy.access``
-  and short-circuits just two cases on the active tenant's lane: an L1 hit
-  on a block that is neither in flight nor prefetched-and-unused (counters
-  plus an LRU promotion), and a miss while no prefetch is outstanding at all
-  and the lane's telemetry is off (the L2 lookup, inclusion eviction from
-  the victim owner's L1, and latency charge).  Neither case emits an event
-  or reaches a ledger hook, and the path makes exactly the lane and cache
-  counter updates ``access`` makes for them; every other case calls the
-  real ``access`` so classification, sampling and the ledger are untouched;
+* the inline paths are the only other copies of ``MemoryHierarchy.access``
+  and ``issue_prefetch``, and serve the active tenant's lane.  A load or
+  store stays inline for an L1 hit, a *useful* first use of an L1-resident
+  prefetched block (its data has arrived, and the lane's telemetry, ledger
+  and every stream attribution are off), and an L1 miss on a block with no
+  prefetch state whose L2 victim, if any, holds none either (telemetry
+  off).  A prefetch stays inline when it is *redundant* (the block is in
+  L1 or in flight) or fills a private L1 from L2, while the lane's
+  telemetry, ledger and stream map are off.  Each inline case tests its
+  whole guard before it mutates anything, emits no event, reaches no
+  ledger hook, and makes exactly the lane, cache and ``PrefetchStats``
+  updates the method makes; every other case calls the real method with
+  the state untouched (DESIGN.md §5h lists both sides);
 * anything the compiler cannot prove equivalent is not compiled — the
   trampoline falls back to the reference dispatch loop instruction by
   instruction.
@@ -120,21 +125,33 @@ _CMP_SYM = {
 }
 
 
-#: The inline memory path, emitted once per load/store on ``addr``: an
-#: L1 hit on a block with no prefetch state, or a miss while no prefetch is
-#: outstanding anywhere and the lane's telemetry is off; every other case
-#: calls ``access``.
+#: The inline demand path, emitted once per load/store on ``addr``.  Three
+#: cases stay inline on the active lane: an L1 hit; the useful first use of
+#: an L1-resident prefetched block whose data has arrived, while
+#: ``use_call`` (the lane's telemetry or ledger) is off and no prefetch is
+#: attributed to a stream (``stream_of``); and an L1 miss on a block with no
+#: prefetch state, while the lane's telemetry is off and the L2 victim, if
+#: the block misses a full L2 set, is no unused prefetch.  Every other case
+#: calls ``access`` before anything has changed.
+#:
+#: ``_inflight`` and ``_prefetched_unused`` always hold the same blocks, and
+#: every block in them is L2-resident (an L2 eviction wastes it), which the
+#: oracle's hierarchy differential checks after every op.  So ``pf_unused``
+#: alone says whether a block has prefetch state, and an L1 victim never
+#: needs ``access``: the method wastes it only when it is gone from L2 too.
 #:
 #: ``lblk`` memoizes the previous access's block: every inline path leaves
 #: its block MRU in L1 and outside the prefetch dicts, and nothing between
-#: two memory ops can disturb that (any prefetch issue or slow call resets
-#: the memo), so a back-to-back re-access is exactly a hit whose LRU
-#: promotion is a no-op.  Hit/miss/eviction and demand counters batch into
-#: locals (``hits1``/``miss1``/``hits2``/``miss2``/``ev1``/``ev2``/``d_acc``)
-#: that the function's finally block adds to the active lane's and the
-#: caches' counters — pure monotonic counters nothing reads mid-kernel.  An
-#: L2 victim leaves its owner's L1 (inclusion), which need not be the active
-#: lane's.
+#: two memory ops can disturb that (a slow call, an inline prefetch fill or
+#: an observer the compiler does not inline resets the memo; a redundant
+#: prefetch moves nothing), so a back-to-back re-access is exactly a hit
+#: whose LRU promotion is a no-op.
+#: Hit/miss/eviction and demand counters batch into locals
+#: (``hits1``/``miss1``/``hits2``/``miss2``/``ev1``/``ev2``/``d_acc``) that
+#: the function's finally block adds to the active lane's and the caches'
+#: counters — pure monotonic counters nothing reads mid-kernel; prefetch
+#: outcomes (``pfs``) count eagerly.  An L2 victim leaves its owner's L1
+#: (inclusion), which need not be the active lane's.
 _MEMORY_PATH = f"""\
 block = (addr >> bshift) + boff
 if block == lblk:
@@ -142,74 +159,119 @@ if block == lblk:
     hits1 += 1
 else:
     way = l1_sets[block & l1_mask]
-    if block in way:
-        if block in inflight or block in pf_unused:
+    if block in pf_unused and (use_call or stream_of or block not in way or inflight[block] > cycles):
+        stall = access(addr, cycles)
+        cycles += stall
+        mem_stall += stall
+        lblk = -1
+    elif block in way:
+        if block in pf_unused:
+            del inflight[block]
+            del pf_unused[block]
+            pfs.useful += 1
+        d_acc += 1
+        hits1 += 1
+        if way[-1] != block:
+            way.remove(block)
+            way.append(block)
+        lblk = block
+    else:
+        way2 = l2_sets[block & l2_mask]
+        if bus_on or pf_unused and len(way2) >= l2_assoc and way2[0] in pf_unused and block not in way2:
             stall = access(addr, cycles)
             cycles += stall
             mem_stall += stall
             lblk = -1
         else:
             d_acc += 1
-            hits1 += 1
-            if way[-1] != block:
-                way.remove(block)
-                way.append(block)
+            miss1 += 1
+            if block in way2:
+                hits2 += 1
+                if way2[-1] != block:
+                    way2.remove(block)
+                    way2.append(block)
+                cycles += l2_lat
+                mem_stall += l2_lat
+            else:
+                miss2 += 1
+                cycles += mem_lat
+                mem_stall += mem_lat
+                if len(way2) >= l2_assoc:
+                    victim = way2.pop(0)
+                    ev2 += 1
+                    wv = lane_sets[victim >> {TENANT_SHIFT}][victim & l1_mask]
+                    if victim in wv:
+                        wv.remove(victim)
+                way2.append(block)
+            if len(way) >= l1_assoc:
+                way.pop(0)
+                ev1 += 1
+            way.append(block)
             lblk = block
-    elif inflight or pf_unused or bus_on:
-        stall = access(addr, cycles)
-        cycles += stall
-        mem_stall += stall
+""".splitlines()
+
+#: The inline issue path, emitted once per prefetch site on ``a`` with the
+#: source tag expression ``{src}``.  While ``issue_call`` (the lane's
+#: telemetry, ledger or stream map) is off, two outcomes stay inline: a
+#: redundant prefetch (the block is in L1 or in flight), which counts and
+#: moves nothing, so the ``lblk`` memo survives it; and a fill of a private
+#: L1 from L2, which is ``issue_prefetch`` plus ``_install_l1`` in the same
+#: order.  Fills from memory (an L2 install that can waste another lane's
+#: block and feeds the pollution matrix) and fills of a shared L1 call the
+#: method.
+_PREFETCH_PATH = """\
+if issue_call:
+    issue_prefetch(a, cycles, {src})
+    lblk = -1
+else:
+    pblk = (a >> bshift) + boff
+    pway = l1_sets[pblk & l1_mask]
+    if pblk in pway or pblk in inflight:
+        pfs.issued += 1
+        pfs.redundant += 1
+        by_src[{src}] = by_src.get({src}, 0) + 1
+    elif l1_shared or pblk not in l2_sets[pblk & l2_mask]:
+        issue_prefetch(a, cycles, {src})
         lblk = -1
     else:
-        d_acc += 1
-        miss1 += 1
-        way2 = l2_sets[block & l2_mask]
-        if block in way2:
-            hits2 += 1
-            if way2[-1] != block:
-                way2.remove(block)
-                way2.append(block)
-            cycles += l2_lat
-            mem_stall += l2_lat
-        else:
-            miss2 += 1
-            cycles += mem_lat
-            mem_stall += mem_lat
-            if len(way2) >= l2_assoc:
-                victim = way2.pop(0)
-                ev2 += 1
-                wv = lane_sets[victim >> {TENANT_SHIFT}][victim & l1_mask]
-                if victim in wv:
-                    wv.remove(victim)
-            way2.append(block)
-        if len(way) >= l1_assoc:
-            way.pop(0)
-            ev1 += 1
-        way.append(block)
-        lblk = block
-""".splitlines()
+        pfs.issued += 1
+        by_src[{src}] = by_src.get({src}, 0) + 1
+        inflight[pblk] = cycles + l2_lat
+        if len(pway) >= l1_assoc:
+            pway.pop(0)
+            l1.evictions += 1
+            l1s.evictions += 1
+        pway.append(pblk)
+        pf_unused[pblk] = cycles
+        lblk = -1
+"""
+
+
+def _prefetch_path(src: str) -> list[str]:
+    """``_PREFETCH_PATH`` for one source tag expression."""
+    return _PREFETCH_PATH.format(src=src).splitlines()
+
 
 #: The :class:`~repro.fastpath.kernel.FastCtx` fields every kernel binds to
 #: locals of the same name for its loads and stores (``_MEMORY_PATH`` and the
-#: memory words) and for the counter flush.
+#: memory words), its prefetches (``_PREFETCH_PATH``) and the counter flush.
 _MEMORY_BINDINGS = (
     "hier", "access", "mem", "lane", "l1", "l1s", "l1_sets", "lane_sets",
     "l1_mask", "l1_assoc", "l1_shared", "l2", "l2s", "l2_sets", "l2_mask",
-    "l2_assoc", "l2_lat", "mem_lat", "inflight", "pf_unused", "bshift", "boff",
-    "bus_on",
+    "l2_assoc", "l2_lat", "mem_lat", "inflight", "pf_unused", "stream_of",
+    "pfs", "bshift", "boff", "bus_on", "use_call",
 )
 
 
 class CompiledMode:
     """One compiled procedure version plus the metadata the trampoline needs."""
 
-    __slots__ = ("fn", "leaders", "max_trace", "source")
+    __slots__ = ("fn", "leaders", "max_trace")
 
-    def __init__(self, fn, leaders: frozenset, max_trace: int, source: str) -> None:
+    def __init__(self, fn, leaders: frozenset, max_trace: int) -> None:
         self.fn = fn
         self.leaders = leaders
         self.max_trace = max_trace
-        self.source = source
 
 
 class _Emitter:
@@ -381,11 +443,11 @@ def _compile_mode(
                     em.indent += 1
                     em.w("for a in prefetches:")
                     em.indent += 1
-                    em.w("issue_prefetch(a, cycles, pf_source)")
+                    for line in _prefetch_path("pf_source"):
+                        em.w(line)
                     em.w("cycles += pf_cost")
                     em.indent -= 1
                     em.w("pf_issued += len(prefetches)")
-                    em.w("lblk = -1")
                     em.indent -= 1
                 if hwkind == "stride":
                     # Transliterated StridePrefetcher.observe with the table,
@@ -426,13 +488,13 @@ def _compile_mode(
                     )
                     em.w("for _k in range(1, st_degree + 1):")
                     em.indent += 1
-                    em.w("target = addr + step * _k")
-                    em.w("if target >= 0:")
+                    em.w("a = addr + step * _k")
+                    em.w("if a >= 0:")
                     em.indent += 1
-                    em.w('issue_prefetch(target, cycles, "stride")')
+                    for line in _prefetch_path('"stride"'):
+                        em.w(line)
                     em.indent -= 1
                     em.indent -= 1
-                    em.w("lblk = -1")
                     em.indent -= 1
                     em.indent -= 1
                 elif hwkind == "markov":
@@ -464,9 +526,10 @@ def _compile_mode(
                     em.indent += 1
                     em.w("for successor, _count in sorted(predicted.items(), key=_MK_RANK)[:mk_fanout]:")
                     em.indent += 1
-                    em.w('issue_prefetch(successor << mk_shift, cycles, "markov")')
+                    em.w("a = successor << mk_shift")
+                    for line in _prefetch_path('"markov"'):
+                        em.w(line)
                     em.indent -= 1
-                    em.w("lblk = -1")
                     em.indent -= 1
                     em.indent -= 1
                     em.w("hwpref._last_block = block")
@@ -557,11 +620,11 @@ def _compile_mode(
                 if t[1]:
                     em.w(f"for a in {K(t[1])}:")
                     em.indent += 1
-                    em.w("issue_prefetch(a, cycles, pf_source)")
+                    for line in _prefetch_path("pf_source"):
+                        em.w(line)
                     em.w("cycles += pf_cost")
                     em.indent -= 1
                     em.w(f"pf_issued += {len(t[1])}")
-                    em.w("lblk = -1")
             elif op == OP_HALT:
                 emit_exit(SIG_DONE, i + 1)
                 break
@@ -605,6 +668,10 @@ def _compile_mode(
     out.w("mget = mem.get")
     if uses & {"detect", "prefetch", "hwstride", "hwmarkov"}:
         out.w("issue_prefetch = ctx.issue_prefetch")
+        # The optimizer installs stream maps only in listener callbacks,
+        # which run between kernel entries, so one read per entry is exact.
+        out.w("issue_call = use_call or lane.stream_map is not None")
+        out.w("by_src = pfs.by_source")
     if uses & {"detect", "prefetch"}:
         out.w("pf_cost = ctx.pf_cost")
         out.w("pf_source = interp.prefetch_source")
@@ -691,8 +758,8 @@ def _compile_mode(
     out.indent += 1
     out.w("if d_acc:")
     out.indent += 1
-    # Exactly the counters MemoryHierarchy.access updates for an L1 hit or a
-    # clean miss: the active lane's and the caches' own.  Every L2 eviction,
+    # Exactly the counters MemoryHierarchy.access updates for an inline hit
+    # or miss: the active lane's and the caches' own.  Every L2 eviction,
     # and an L1 eviction when the L1 is shared, is a demand-caused eviction
     # of a shared level.
     out.w("lane.demand += d_acc")
@@ -725,7 +792,7 @@ def _compile_mode(
         make = namespace["_make"]
         _MAKERS[source] = make
     fn = make(consts)
-    return CompiledMode(fn, frozenset(leaders), max_trace, source)
+    return CompiledMode(fn, frozenset(leaders), max_trace)
 
 
 #: source text -> exec'd ``_make`` closure factory (see _compile_mode).

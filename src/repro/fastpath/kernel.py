@@ -44,7 +44,7 @@ _CHECKING, _INSTRUMENTED = 0, 1
 #: The hierarchy's own demand/prefetch functions, as they were when this
 #: module was imported.  The kernel's slow path calls these directly, so
 #: instrumentation wrapped around the class methods later sees no more calls
-#: than it would if the inline L1 path had handled every access.
+#: than it would if the inline paths had handled every access and prefetch.
 _ACCESS = MemoryHierarchy.access
 _ISSUE_PREFETCH = MemoryHierarchy.issue_prefetch
 
@@ -68,12 +68,16 @@ def mirror_eligible(hier) -> bool:
 
 
 class FastCtx:
-    """Per-run bindings the compiled kernels read (rebuilt every entry).
+    """Bindings the compiled kernels read, built once per :func:`run_fast` call.
 
-    The memory-path fields describe the lane active at :func:`run_fast`
-    entry; nothing switches lanes inside one call.  Nothing here is part of
-    the architectural state: a checkpoint restore builds a fresh context
-    (and recompiles procedures) transparently.
+    Every kernel entry copies the fields it uses into locals.  The
+    memory-path fields describe the lane active at :func:`run_fast` entry;
+    nothing switches lanes, attaches telemetry or a ledger inside one call.
+    The lane's stream map is the exception: the optimizer installs it in
+    listener callbacks between kernel entries, so kernels read it from the
+    lane at each entry.  Nothing here is part of the architectural state: a
+    checkpoint restore builds a fresh context (and recompiles procedures)
+    transparently.
     """
 
     __slots__ = (
@@ -81,8 +85,8 @@ class FastCtx:
         "check_cost", "trace_cost", "detect_base", "detect_per_case", "pf_cost",
         "lane", "l1", "l1s", "l1_sets", "lane_sets", "l1_mask", "l1_assoc",
         "l1_shared", "l2", "l2s", "l2_sets", "l2_mask", "l2_assoc", "l2_lat",
-        "mem_lat", "inflight", "pf_unused", "bshift", "boff", "bus_on",
-        "call", "ret_value",
+        "mem_lat", "inflight", "pf_unused", "stream_of", "pfs", "bshift",
+        "boff", "bus_on", "use_call", "call", "ret_value",
     )
 
     def __init__(self, interp) -> None:
@@ -97,8 +101,8 @@ class FastCtx:
         self.detect_base = cfg.detect_base
         self.detect_per_case = cfg.detect_per_case
         self.pf_cost = cfg.prefetch_issue_cost
-        # The inline L1-hit/clean-miss path works on the active lane's set
-        # lists and counters; every other access goes through `access`.
+        # The inline demand and issue paths work on the active lane's set
+        # lists and counters; every other case goes through the methods.
         self.access = MethodType(_ACCESS, hier)
         self.issue_prefetch = MethodType(_ISSUE_PREFETCH, hier)
         lane = hier._lane
@@ -120,10 +124,15 @@ class FastCtx:
         self.mem_lat = hier.config.memory_latency
         self.inflight = hier._inflight
         self.pf_unused = hier._prefetched_unused
+        self.stream_of = hier._stream_of
+        self.pfs = lane.prefetch
         self.bshift = hier._block_shift
         self.boff = hier._offset
         # A miss with the lane's telemetry on may be sampled as a CacheMiss.
         self.bus_on = lane.bus.enabled
+        # A prefetch outcome also reaches the lane's sampled events and
+        # ledger hooks, so with either on it is classified by the methods.
+        self.use_call = self.bus_on or lane.ledger is not None
         self.call = None
         self.ret_value = 0
 

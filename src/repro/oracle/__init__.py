@@ -22,6 +22,7 @@ from repro.errors import OracleError
 from repro.oracle.fuzz import (
     check_with_shrinking,
     diff_hierarchy,
+    diff_kernel,
     diff_sequitur,
     diff_streams,
     gen_hierarchy_ops,
@@ -89,6 +90,7 @@ __all__ = [
     "gen_periodic_trace",
     "gen_trace",
     "diff_hierarchy",
+    "diff_kernel",
     "diff_sequitur",
     "diff_streams",
     "shrink_ops",

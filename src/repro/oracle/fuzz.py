@@ -20,8 +20,12 @@ from typing import Callable, Sequence
 from repro.analysis.exact import enumerate_hot_substrings
 from repro.analysis.hotstreams import AnalysisConfig, find_hot_streams
 from repro.errors import AnalysisError, OracleError
+from repro.interp.interpreter import Interpreter
+from repro.ir.instructions import Const, Load, Pc, Prefetch, Ret
+from repro.ir.program import Procedure, Program
 from repro.machine.config import MachineConfig
 from repro.machine.hierarchy import SHARING_MODES, TENANT_SHIFT, MemoryHierarchy
+from repro.machine.memory import Memory
 from repro.oracle.refgrammar import check_sequitur, ref_expand
 from repro.oracle.refmodel import RefHierarchy
 from repro.oracle.refsequitur import RefSequitur
@@ -39,13 +43,33 @@ _HIER_WEIGHTS = (68, 26, 3, 3)
 
 
 def gen_hierarchy_ops(rng, count: int, machine: MachineConfig) -> list[Op]:
-    """Random hierarchy op sequence (byte addresses, unaligned on purpose)."""
+    """Random hierarchy op sequence (byte addresses, unaligned on purpose).
+
+    Each op draws its block one of three ways:
+
+    * one op in four: one of ``associativity + 3`` blocks that share one L2
+      set, so that set overflows between flushes and its evictions
+      (inclusion, wasted prefetches) are exercised;
+    * about one in seven: the block of one of the last four ops, so
+      re-accesses, uses of prefetched blocks and redundant prefetches come
+      close together;
+    * the rest: a pool three times the L1's size.
+    """
     l1_blocks = machine.l1.size_bytes // machine.block_bytes
     pool_blocks = max(3 * l1_blocks, 16)
+    conflict_blocks = machine.l2.associativity + 3
     ops: list[Op] = []
+    recent: list[int] = []
     for _ in range(count):
         (kind,) = rng.choices(_HIER_OPS, weights=_HIER_WEIGHTS)
-        block = rng.randrange(pool_blocks)
+        draw = rng.random()
+        if draw < 0.25:
+            block = rng.randrange(conflict_blocks) * machine.l2.num_sets
+        elif draw < 0.4 and recent:
+            block = rng.choice(recent[-4:])
+        else:
+            block = rng.randrange(pool_blocks)
+        recent.append(block)
         addr = block * machine.block_bytes + rng.randrange(machine.block_bytes)
         ops.append((kind, addr))
     return ops
@@ -110,7 +134,9 @@ def diff_hierarchy(machine: MachineConfig, ops: Sequence[Op], tenant: int = 0) -
     the ops as that tenant of a ``tenant + 1``-tenant hierarchy, in both
     sharing modes, with every other tenant idle: the lane's ``view()``
     counters must match the reference, and resident blocks must match once
-    translated back by the lane's offset.
+    translated back by the lane's offset.  After every op the in-flight and
+    unused-prefetch dicts must hold the same blocks, all L2-resident: the
+    identities the compiled kernel's inline paths rely on.
     """
     if tenant == 0:
         hierarchies = [MemoryHierarchy(machine)]
@@ -146,6 +172,7 @@ def _diff_lane(prod: MemoryHierarchy, tenant: int, ref: RefHierarchy, ops: Seque
             ref.finalize(now)
         else:
             raise OracleError(f"unknown hierarchy op {kind!r}")
+        _check_prefetch_state(prod, f"{where}: after op #{i}")
     prod.finalize(now)
     ref.finalize(now)
     # The lane's own counters, and (every other tenant being idle) the
@@ -174,6 +201,115 @@ def _diff_lane(prod: MemoryHierarchy, tenant: int, ref: RefHierarchy, ops: Seque
     for level, cache, ref_c in (("L1", prod.l1, ref.l1), ("L2", prod.l2, ref.l2)):
         if {block - offset for block in cache.resident_blocks()} != ref_c.resident_blocks():
             raise OracleError(f"{where}: {level} resident sets differ")
+
+
+def _check_prefetch_state(prod: MemoryHierarchy, where: str) -> None:
+    """The identities the compiled kernel's inline paths rely on: the
+    in-flight and unused-prefetch dicts hold the same blocks, and each of
+    them is L2-resident (an L2 eviction wastes it)."""
+    inflight, unused = prod._inflight, prod._prefetched_unused
+    if inflight.keys() != unused.keys():
+        raise OracleError(
+            f"{where}: in-flight blocks {sorted(inflight)} are not the unused "
+            f"prefetches {sorted(unused)}"
+        )
+    for block in unused:
+        if block not in prod._l2_sets[block & prod._l2_mask]:
+            raise OracleError(f"{where}: unused prefetch {block:#x} is not L2-resident")
+
+
+#: The cases :func:`kernel_case` tells apart that the compiled kernel
+#: decides inline, and those it leaves to ``access``/``issue_prefetch``,
+#: while the lane's telemetry, ledger and stream attribution are off.
+KERNEL_INLINE = ("hit", "useful", "miss", "redundant", "l2 fill")
+KERNEL_FALLBACK = ("late", "in-flight miss", "unused l2 victim", "memory fill", "shared l1 fill")
+
+
+def kernel_case(hier: MemoryHierarchy, kind: str, addr: int, now: int) -> str:
+    """The case a demand access (``kind == "access"``) or prefetch of the
+    active lane at cycle ``now`` falls in, read off ``hier`` before the op."""
+    block = hier.block_of(addr)
+    way = hier._l1_sets[block & hier._l1_mask]
+    way2 = hier._l2_sets[block & hier._l2_mask]
+    unused = hier._prefetched_unused
+    if kind == "access":
+        if block in unused:
+            if block not in way:
+                return "in-flight miss"
+            return "late" if hier._inflight[block] > now else "useful"
+        if block in way:
+            return "hit"
+        if block not in way2 and len(way2) >= hier._l2_assoc and way2[0] in unused:
+            return "unused l2 victim"
+        return "miss"
+    if block in way or block in hier._inflight:
+        return "redundant"
+    if block not in way2:
+        return "memory fill"
+    return "shared l1 fill" if hier._l1_shared else "l2 fill"
+
+
+def diff_kernel(machine: MachineConfig, ops: Sequence[Op], tenant: int = 0) -> None:
+    """Run ``ops`` as one straight-line procedure on both kernels.
+
+    Each access becomes ``CONST`` + ``LOAD`` of its word-aligned address and
+    each prefetch a one-address ``PREFETCH``; flush and finalize ops have no
+    instruction and are dropped.  Fresh interpreters run the procedure on
+    the reference dispatch loop and on the compiled kernel, whose inline
+    paths decide most of these ops without calling the hierarchy.  Their
+    ``ExecStats``, every lane's counters, the caches' own counters and
+    contents, the prefetch outcomes (``by_source`` and its order included),
+    the in-flight state, the shared-eviction split and the pollution matrix
+    must all match.  ``tenant`` selects the lane as for
+    :func:`diff_hierarchy`: a non-zero one runs as that lane of a
+    ``tenant + 1``-tenant hierarchy, in both sharing modes.
+    """
+    body: list = []
+    for i, (kind, addr) in enumerate(ops):
+        if kind == "access":
+            body += [Const(0, addr & ~3), Load(1, 0, 0, Pc("fuzz", i))]
+        elif kind == "prefetch":
+            body.append(Prefetch((addr,)))
+    body.append(Ret())
+    program = Program([Procedure("fuzz", 0, 2, body, {})], "fuzz")
+    for sharing in SHARING_MODES if tenant else ("private-l1",):
+        reference, compiled = (
+            _kernel_run(program, machine, tenant, sharing, fast) for fast in (False, True)
+        )
+        for key, want in reference.items():
+            if compiled.get(key) != want:
+                raise OracleError(
+                    f"tenant {tenant} of {tenant + 1} ({sharing}): compiled kernel and "
+                    f"reference loop differ in {key}: compiled {compiled.get(key)}, "
+                    f"reference {want}"
+                )
+
+
+def _kernel_run(
+    program: Program, machine: MachineConfig, tenant: int, sharing: str, fast: bool
+) -> dict:
+    """Run ``program`` on a fresh hierarchy; everything the run can leave
+    behind in it, as plain data."""
+    hier = MemoryHierarchy(machine, tenant + 1, sharing)
+    hier.activate(tenant)
+    try:
+        stats = Interpreter(program, Memory(), machine, hier).run(fast=fast)
+    except Exception as exc:  # a crash is an outcome to compare, like a counter
+        return {"outcome": repr(exc)}
+    caches = [*hier._l1_caches, hier.l2]
+    prefetch = hier.prefetch
+    return {
+        "outcome": "finished",
+        "ExecStats": stats.to_dict(),
+        "lane views": [hier.view(t).to_dict() for t in range(hier.num_tenants)],
+        "cache counters": [(c.hits, c.misses, c.evictions) for c in caches],
+        "cache contents": [[list(way) for way in c._sets] for c in caches],
+        "prefetch stats": (prefetch.to_dict(), list(prefetch.by_source)),
+        "in-flight blocks": list(hier._inflight.items()),
+        "unused prefetches": list(hier._prefetched_unused.items()),
+        "shared-eviction split": (hier.demand_shared_evictions, hier.prefetch_shared_evictions),
+        "pollution counts": sorted(hier.pollution_counts.items()),
+    }
 
 
 def grammar_state_diff(got: dict, want: dict) -> str:

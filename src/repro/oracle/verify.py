@@ -4,7 +4,10 @@ Sections (all seeded, all deterministic for a given ``--seed``):
 
 ``hierarchy``   randomized differential runs, MemoryHierarchy vs RefHierarchy,
                 per-op stalls and full counter fingerprints, as the one
-                tenant (lane 0) and as tenant 1 of two in both sharing modes.
+                tenant (lane 0) and as tenant 1 of two in both sharing modes;
+                the same op sequences as straight-line programs on the
+                compiled kernel vs the reference dispatch loop, whose inline
+                memory paths they explore.
 ``sequitur``    randomized traces through production Sequitur, its own
                 ``verify_invariants`` and the independent brute-force checker;
                 short-motif traces plus long periodic ones per run.
@@ -133,13 +136,14 @@ def _verify_hierarchy(rng: random.Random, runs: int) -> SectionResult:
     for _ in range(runs):
         ops = fuzz.gen_hierarchy_ops(rng, 300, STRESS_MACHINE)
         for tenant in (0, 1):
-            section.run_case(
-                lambda o=ops, t=tenant: fuzz.check_with_shrinking(
-                    o,
-                    lambda seq: fuzz.diff_hierarchy(STRESS_MACHINE, seq, t),
-                    f"hierarchy differential (tenant {t})",
+            for name, diff in (("hierarchy", fuzz.diff_hierarchy), ("kernel", fuzz.diff_kernel)):
+                section.run_case(
+                    lambda o=ops, t=tenant, d=diff, n=name: fuzz.check_with_shrinking(
+                        o,
+                        lambda seq: d(STRESS_MACHINE, seq, t),
+                        f"{n} differential (tenant {t})",
+                    )
                 )
-            )
     return section
 
 

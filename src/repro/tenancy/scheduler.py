@@ -57,7 +57,7 @@ def run_tenant_plan(
 
     ``fast=False`` runs every tenant slice on the reference dispatch loop
     instead of the compiled kernel.  Each slice's kernel binds the lane of
-    the tenant activated for it, so its inline L1 path serves that tenant;
+    the tenant activated for it, so its inline memory paths serve that tenant;
     results stay bit-identical either way.
     """
     if sessions is not None and len(sessions) != len(plan):

@@ -67,6 +67,38 @@ class TestFlagValidation:
         assert excinfo.value.code == 2
 
 
+class TestTelemetryRefusesDurability:
+    """Recorded runs execute live and in-process, never through the
+    supervised executor, so a durability flag would be silently ignored."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--resume"],
+            ["--chaos-seed", "1"],
+            ["--task-timeout", "30"],
+            ["--checkpoint-every", "250000"],
+        ],
+    )
+    def test_rejected_before_any_run(self, flags, tmp_path, capsys):
+        log = tmp_path / "log"
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["figures", *TINY, "--telemetry", str(log), *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "--telemetry" in err
+        assert not log.exists()
+        assert not (_cache_dir() / "journal").exists()
+
+    def test_metrics_alone_is_refused_too(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.json"
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["figures", *TINY, "--metrics", str(metrics), "--resume"])
+        assert excinfo.value.code == 2
+        assert "--metrics" in capsys.readouterr().err
+        assert not metrics.exists()
+
+
 class TestCacheDryRun:
     def test_dry_run_reports_without_deleting(self, capsys):
         assert cli_main(["figure11", *TINY]) == 0

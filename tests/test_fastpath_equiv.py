@@ -11,6 +11,7 @@ runs (telemetry, ledger, attribution), error paths, and a hypothesis
 property over arbitrary slice partitions.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,9 +21,11 @@ from hypothesis import strategies as st
 from repro.engine.levels import execute_workload
 from repro.engine.spec import RunSpec
 from repro.errors import MemoryFault
+from repro.fastpath import kernel
 from repro.fastpath.compiler import clear_cache
 from repro.interp.interpreter import Interpreter
 from repro.machine.config import CacheGeometry, MachineConfig
+from repro.oracle.fuzz import KERNEL_FALLBACK, kernel_case
 from repro.resilience import FaultPlan, WatchdogConfig
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.sinks import ListSink
@@ -139,8 +142,8 @@ class TestFaultConfigEquivalence:
 TENANT_MIX = (("vpr", "dyn"), ("twolf", "orig"), ("phaseshift", "dyn"))
 
 
-def co_run(sharing, quantum, fast, monkeypatch):
-    """Run the mix on MACHINE; the result and its hierarchy's snapshot."""
+def co_run(sharing, quantum, fast, monkeypatch, machine=MACHINE):
+    """Run the mix on ``machine``; the result and its hierarchy's snapshot."""
     built = []
 
     def capture(*args):
@@ -153,7 +156,7 @@ def co_run(sharing, quantum, fast, monkeypatch):
         tenants=tuple(TenantSpec(w, level, passes=1) for w, level in TENANT_MIX),
         quantum=quantum,
         sharing=sharing,
-        machine=MACHINE,
+        machine=machine,
     )
     result = run_tenant_plan(plan, fast=fast)
     return result.to_dict(), hierarchy_snapshot(built[0])
@@ -172,6 +175,68 @@ class TestTenancyEquivalence:
         # The machine is small enough that lanes evict each other's lines.
         assert reference[1]["shared_evictions"][0] > 0
         assert reference[1]["pollution"]
+
+    @pytest.mark.parametrize("sharing", ("shared", "private-l1"))
+    def test_three_tenant_mix_on_the_paper_machine(self, sharing, monkeypatch):
+        """Only an L1 the size of the paper's keeps blocks resident long
+        enough for the handlers' prefetches to meet them: the inline
+        redundant-prefetch path, on tenant lanes."""
+        machine = MachineConfig()
+        reference = co_run(sharing, 2048, False, monkeypatch, machine=machine)
+        compiled = co_run(sharing, 2048, True, monkeypatch, machine=machine)
+        assert compiled == reference
+        _issued, _useful, _late, _wasted, redundant, _by_source = reference[1]["prefetch"]
+        assert redundant
+
+
+class TestInlineCoverage:
+    """The kernel calls the hierarchy only for the cases its inline paths
+    leave to it (DESIGN.md §5h).  A change that stays bit-identical but
+    silently sends an inline case out of line passes every equivalence test
+    above; it fails here."""
+
+    @staticmethod
+    def slow_call_cases(monkeypatch) -> Counter:
+        """Classify every call the kernel makes to the ``access`` and
+        ``issue_prefetch`` it binds from FastCtx, at call time."""
+        cases: Counter = Counter()
+        real_init = kernel.FastCtx.__init__
+
+        def init(ctx, interp):
+            real_init(ctx, interp)
+            hier, access, issue_prefetch = ctx.hier, ctx.access, ctx.issue_prefetch
+
+            def slow_access(addr, now):
+                cases[kernel_case(hier, "access", addr, now)] += 1
+                return access(addr, now)
+
+            def slow_issue_prefetch(addr, now, source="sw"):
+                cases[kernel_case(hier, "prefetch", addr, now)] += 1
+                return issue_prefetch(addr, now, source)
+
+            ctx.access = slow_access
+            ctx.issue_prefetch = slow_issue_prefetch
+
+        monkeypatch.setattr(kernel.FastCtx, "__init__", init)
+        return cases
+
+    # Both run on the paper's machine: in MACHINE's 512 B L1 no handler
+    # prefetch meets a resident block, so none would be redundant.
+
+    def test_dyn_run(self, monkeypatch):
+        cases = self.slow_call_cases(monkeypatch)
+        result = execute_workload(build_named("vpr", passes=1), "dyn", fast=True)
+        assert cases and set(cases) <= set(KERNEL_FALLBACK), cases
+        prefetch = result.hierarchy.prefetch
+        assert prefetch.useful and prefetch.redundant
+
+    @pytest.mark.parametrize("sharing", ("shared", "private-l1"))
+    def test_tenant_mix(self, sharing, monkeypatch):
+        cases = self.slow_call_cases(monkeypatch)
+        _, snapshot = co_run(sharing, 2048, True, monkeypatch, machine=MachineConfig())
+        assert cases and set(cases) <= set(KERNEL_FALLBACK), cases
+        _issued, useful, _late, _wasted, redundant, _by_source = snapshot["prefetch"]
+        assert useful and redundant
 
 
 class TestObservedRunEquivalence:

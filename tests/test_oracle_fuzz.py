@@ -1,13 +1,27 @@
-"""The fuzz driver's shrinker: minimal reproducers from planted bugs."""
+"""The fuzz drivers: minimal reproducers from planted bugs, and the
+compiled kernel's differential."""
 
+import ast
+import functools
 import random
+from collections import Counter
 
 import pytest
 
 from repro.errors import OracleError
+from repro.fastpath import compiler
 from repro.machine.config import CacheGeometry
-from repro.oracle import RefCache, check_with_shrinking, shrink_ops
-from repro.oracle.fuzz import diff_sequitur, gen_periodic_trace
+from repro.machine.hierarchy import MemoryHierarchy
+from repro.oracle import RefCache, check_with_shrinking, gen_hierarchy_ops, shrink_ops
+from repro.oracle.fuzz import (
+    KERNEL_FALLBACK,
+    KERNEL_INLINE,
+    diff_kernel,
+    diff_sequitur,
+    gen_periodic_trace,
+    kernel_case,
+)
+from repro.oracle.verify import STRESS_MACHINE
 from repro.sequitur import Sequitur
 
 #: 4 sets x 2 ways: constant conflict pressure.
@@ -142,3 +156,82 @@ class TestGenPeriodicTrace:
                 longest, max(r.rhs_length() for r in seq.rules.values() if r is not seq.start)
             )
         assert longest >= 15
+
+
+class TestKernelDifferential:
+    """diff_kernel: the compiled kernel's inline memory paths against the
+    reference dispatch loop, on the hierarchy section's op sequences."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_kernels(self):
+        compiler.clear_cache()
+        yield
+        compiler.clear_cache()
+
+    def test_removed_l2_victim_guard_is_caught_and_shrunk(self, monkeypatch):
+        """A demand miss that evicts an unused prefetch from L2 inline skips
+        its wasted classification; the differential must flag the kernel
+        and shrink the input to a replayable reproducer."""
+        guard = (
+            "if bus_on or pf_unused and len(way2) >= l2_assoc"
+            " and way2[0] in pf_unused and block not in way2:"
+        )
+        path = [line.replace(guard, "if bus_on:") for line in compiler._MEMORY_PATH]
+        assert path != compiler._MEMORY_PATH
+        monkeypatch.setattr(compiler, "_MEMORY_PATH", path)
+        rng = random.Random(0)
+        for _ in range(25):
+            ops = gen_hierarchy_ops(rng, 300, STRESS_MACHINE)
+            try:
+                diff_kernel(STRESS_MACHINE, ops)
+            except OracleError:
+                break
+        else:
+            pytest.fail("the unguarded kernel passed every seed-0 input")
+        with pytest.raises(OracleError, match="minimal reproducer") as exc_info:
+            check_with_shrinking(
+                ops, lambda seq: diff_kernel(STRESS_MACHINE, seq), "kernel differential"
+            )
+        message = str(exc_info.value)
+        assert "compiled kernel and reference loop differ" in message
+        minimal = ast.literal_eval(message.split("ops = ", 1)[1])
+        assert len(minimal) < 10 and minimal[-1][0] == "access"
+
+    def test_seed_zero_inputs_reach_every_case(self, monkeypatch):
+        """Every case the inline paths decide, and every case they leave to
+        the hierarchy, occurs in the section's first seed-0 input."""
+        cases: Counter = Counter()
+        wasted = []
+
+        def classify(kind, method):
+            # A class-level wrapper sees the reference loop's calls; the
+            # compiled kernel calls the import-time methods directly.
+            @functools.wraps(method)
+            def wrapper(self, addr, now, *rest):
+                cases[kernel_case(self, kind, addr, now)] += 1
+                return method(self, addr, now, *rest)
+
+            return wrapper
+
+        def waste(method):
+            @functools.wraps(method)
+            def wrapper(self, victim, now):
+                wasted.append(victim)
+                return method(self, victim, now)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            MemoryHierarchy, "access", classify("access", MemoryHierarchy.access)
+        )
+        monkeypatch.setattr(
+            MemoryHierarchy,
+            "issue_prefetch",
+            classify("prefetch", MemoryHierarchy.issue_prefetch),
+        )
+        monkeypatch.setattr(MemoryHierarchy, "_waste", waste(MemoryHierarchy._waste))
+        ops = gen_hierarchy_ops(random.Random(0), 300, STRESS_MACHINE)
+        for tenant in (0, 1):
+            diff_kernel(STRESS_MACHINE, ops, tenant)
+        assert set(cases) == set(KERNEL_INLINE) | set(KERNEL_FALLBACK)
+        assert wasted

@@ -189,6 +189,23 @@ class TestDifferential:
         with pytest.raises(OracleError):
             diff_l1_lru(STRESS_GEOMETRY, blocks, NoPromoteOnHit)
 
+    def test_planted_prefetch_state_bug_is_caught(self, monkeypatch):
+        """A wasted prefetch that stays in flight breaks an identity the
+        compiled kernel relies on; the differential flags it right after
+        the op that broke it."""
+        waste = MemoryHierarchy._waste
+
+        def waste_keeping_flight(self, victim, now):
+            ready = self._inflight.get(victim)
+            waste(self, victim, now)
+            if ready is not None:
+                self._inflight[victim] = ready  # planted bug
+
+        monkeypatch.setattr(MemoryHierarchy, "_waste", waste_keeping_flight)
+        ops = gen_hierarchy_ops(random.Random(0), 500, STRESS_MACHINE)
+        with pytest.raises(OracleError, match="in-flight blocks .* are not the unused prefetches"):
+            diff_hierarchy(STRESS_MACHINE, ops)
+
     def test_planted_hierarchy_bug_is_caught(self):
         """Mis-charging late prefetches as useful must be flagged."""
 
