@@ -77,20 +77,21 @@ audit); ``repro-bench cache --clear`` empties it; ``repro-bench cache gc
 oldest-until-it-fits), and ``--dry-run`` reports the eviction set without
 deleting anything.
 
-Durability (:mod:`repro.durability`): ``--resume`` replays the write-ahead
-journal of an interrupted ``figures``/``tables``/``verify`` run and restarts
-only the unfinished tasks, so a SIGKILLed long run picks up where it died —
-with output byte-identical to a straight-through run.  ``--task-timeout S``
-bounds each task's wall-clock (stalled or crashed workers are SIGKILLed and
-retried with backoff, resuming their own checkpoints); ``--checkpoint-every
-N`` sets the checkpoint cadence in simulated instructions; ``--chaos-seed
-SEED`` arms the deterministic chaos harness (worker kills, stalls, torn
-checkpoints, corrupt cache entries, flipped journal bytes) — the run must
-still produce byte-identical output.  Any of these flags routes execution
-through the supervised executor; journals and checkpoints live under
-``<cache root>/journal/``.  Runs recorded through ``--telemetry``/
-``--metrics`` execute live and in-process, outside that executor, so those
-flags refuse any durability flag.
+Durability (:mod:`repro.durability`): ``--task-timeout S`` bounds each
+task's wall-clock (stalled or crashed workers are SIGKILLed and retried with
+backoff, resuming their own checkpoints); ``--checkpoint-every N`` sets the
+checkpoint cadence in simulated instructions; ``--chaos-seed SEED`` arms the
+deterministic chaos harness (worker kills, stalls, torn checkpoints, corrupt
+result entries) — the run must still produce byte-identical output.  Any of
+these flags routes execution through the supervised executor, which stores
+every finished run before moving on: in the result cache, or under
+``--no-cache`` in a private store that retires with the run.  Running a
+SIGKILLed command again therefore replays its finished runs and resumes the
+rest from their checkpoints, with output byte-identical to a straight-through
+run.  Checkpoints, ``status.json`` and private results live under
+``<cache root>/run/``.  Runs recorded through ``--telemetry``/``--metrics``
+execute live and in-process, outside that executor, so those flags refuse
+any durability flag.
 
 Tenancy (:mod:`repro.tenancy`): ``repro-bench tenancy --tenants
 vpr:dyn,phaseshift:dyn`` interleaves several workloads on one shared
@@ -115,6 +116,7 @@ from repro.bench import figures
 from repro.bench.figures import ResultCache
 from repro.bench.reporting import Ratio, format_table
 from repro.core.config import OptimizerConfig
+from repro.durability.runner import DEFAULT_CHECKPOINT_EVERY
 from repro.engine.cache import ResultStore
 from repro.resilience import FaultPlan, WatchdogConfig
 from repro.telemetry.session import TelemetryRecorder
@@ -465,7 +467,6 @@ def _durability_flags(args) -> list[str]:
     return [
         flag
         for flag, given in (
-            ("--resume", args.resume),
             ("--chaos-seed", args.chaos_seed is not None),
             ("--task-timeout", args.task_timeout is not None),
             ("--checkpoint-every", args.checkpoint_every is not None),
@@ -485,11 +486,9 @@ def _durability_policy(args):
     if not _durability_flags(args):
         return None
     from repro.durability import ChaosPlan, DurabilityPolicy, SupervisorConfig
-    from repro.durability.runner import DEFAULT_CHECKPOINT_EVERY
 
     task_timeout = args.task_timeout if args.task_timeout is not None else 600.0
     return DurabilityPolicy(
-        resume=args.resume,
         checkpoint_every=(
             args.checkpoint_every
             if args.checkpoint_every is not None
@@ -543,7 +542,7 @@ def _run_status(args, parser) -> int:
     run_dir = args.subcommand
     if run_dir is None:
         root = Path(args.cache_dir) if args.cache_dir else default_cache_root()
-        run_dir = Path(root) / "journal"
+        run_dir = Path(root) / "run"
     try:
         doc = read_status(run_dir)
     except ConfigError as exc:
@@ -684,7 +683,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         nargs="?",
         default=None,
         help="cache: optional subcommand (gc); "
-        "status: run directory (default: the result cache's journal root)",
+        "status: run directory (default: the result cache's run/ directory)",
     )
     parser.add_argument("--scale", type=float, default=1.0, help="workload pass-count scale")
     parser.add_argument("--workloads", default="", help="comma-separated subset of benchmarks")
@@ -731,12 +730,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="cache gc: report what would be evicted without deleting anything",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay the write-ahead journal of an interrupted run and "
-        "restart only its unfinished tasks (engages the supervised executor)",
-    )
-    parser.add_argument(
         "--task-timeout",
         type=float,
         default=None,
@@ -750,7 +743,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="N",
         help="supervised executor: checkpoint each run every N simulated "
-        "instructions (default 250000 once engaged)",
+        f"instructions (default {DEFAULT_CHECKPOINT_EVERY} once engaged)",
     )
     parser.add_argument(
         "--chaos-seed",
@@ -758,7 +751,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="SEED",
         help="deterministically inject engine-level faults (worker kills, "
-        "stalls, torn checkpoints, corrupt cache/journal bytes) from SEED; "
+        "stalls, torn checkpoints, corrupt result entries) from SEED; "
         "output must stay byte-identical",
     )
     parser.add_argument(

@@ -142,7 +142,7 @@ class ResultCache:
         self.store = store
         self.jobs = max(1, jobs)
         #: Optional :class:`~repro.durability.supervisor.DurabilityPolicy`:
-        #: batches route through the supervised executor (journal +
+        #: batches route through the supervised executor (stored results +
         #: checkpoints + retries), byte-identical to the plain path.
         self.durability = durability
         self._results: dict[tuple[str, str], RunResult] = {}

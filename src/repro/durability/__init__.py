@@ -2,8 +2,8 @@
 
 Long multi-configuration studies must survive crashed workers, SIGKILLed
 processes and torn writes without redoing finished work — and without *ever*
-trading correctness for availability.  This package supplies the three
-pieces (see DESIGN.md §5g):
+trading correctness for availability.  This package supplies the pieces
+(see DESIGN.md §5g):
 
 :mod:`repro.durability.checkpoint`
     Format-versioned, sha256-integrity-tagged snapshots of the full
@@ -14,25 +14,21 @@ pieces (see DESIGN.md §5g):
     bit-identical to straight-through execution — pinned by the
     ``check_checkpoint_resume_identity`` oracle invariant.
 
-:mod:`repro.durability.journal`
-    A write-ahead run journal under ``.repro-cache/journal/``: every
-    completed task's serialized result is appended (fsync'd, per-line
-    sha256) before the plan moves on, so ``--resume`` replays finished
-    work and restarts only what is left.  Corrupt lines are skipped and
-    counted — they degrade to recomputation, never to wrong results.
-
 :mod:`repro.durability.supervisor`
     :func:`~repro.durability.supervisor.execute_plan_supervised` wraps the
     engine's plan executor with per-task timeouts, worker heartbeats,
     bounded retry with exponential backoff and a final in-process fallback,
-    so a plan always completes with correct results.
+    so a plan always completes with correct results.  Every finished task
+    is stored in the result store before the plan moves on, so running an
+    interrupted plan again replays finished work and resumes the rest from
+    its checkpoints.
 
 :mod:`repro.durability.chaos`
     A seeded, deterministic :class:`~repro.durability.chaos.ChaosPlan` (in
     the spirit of :mod:`repro.resilience.faults`) that injects engine-level
     faults — SIGKILL a worker mid-task, stall past the heartbeat deadline,
-    truncate a checkpoint, corrupt a cache entry, flip a journal byte — to
-    prove every recovery path under test and in CI.
+    truncate a checkpoint, corrupt a result entry — to prove every recovery
+    path under test and in CI.
 """
 
 from repro.durability.chaos import CHAOS_KINDS, ChaosInjector, ChaosPlan
@@ -43,7 +39,6 @@ from repro.durability.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.durability.journal import RunJournal, journal_path, plan_fingerprint
 from repro.durability.runner import run_spec_durable
 from repro.durability.supervisor import (
     DurabilityPolicy,
@@ -59,12 +54,9 @@ __all__ = [
     "ChaosInjector",
     "ChaosPlan",
     "DurabilityPolicy",
-    "RunJournal",
     "SupervisorConfig",
     "execute_plan_supervised",
-    "journal_path",
     "load_checkpoint",
-    "plan_fingerprint",
     "run_spec_durable",
     "save_checkpoint",
 ]

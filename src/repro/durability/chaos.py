@@ -13,19 +13,16 @@ layer the supervised executor defends:
 ``truncate_checkpoint``  a dead worker's checkpoint file is truncated before
                       the retry, exercising integrity rejection and
                       recompute-from-start
-``corrupt_cache_entry``  one byte of a just-stored cache entry is flipped,
+``corrupt_cache_entry``  one byte of a just-stored result entry is flipped,
                       exercising the store's corrupt-degrades-to-miss path
-``flip_journal_byte`` one byte of the last journal line is flipped,
-                      exercising per-line digest validation on ``--resume``
 ====================  ========================================================
 
 Same determinism contract as :class:`~repro.resilience.faults.FaultInjector`:
 one independent seeded PRNG stream per kind, draws consumed even when a kind
 is disabled or capped, so the decision sequence for a kind depends only on
 its own opportunity index.  Every fired fault is recorded on
-:attr:`ChaosInjector.fired` and emitted as a
-:class:`~repro.telemetry.events.ChaosInjected` event — recovery is proven by
-the run's results being byte-identical to an undisturbed run's.
+:attr:`ChaosInjector.fired` — recovery is proven by the run's results being
+byte-identical to an undisturbed run's.
 """
 
 from __future__ import annotations
@@ -36,15 +33,12 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.errors import ConfigError
-from repro.telemetry.events import ChaosInjected
-from repro.telemetry.sinks import NULL_SINK
 
 CHAOS_KINDS = (
     "kill_worker",
     "stall_worker",
     "truncate_checkpoint",
     "corrupt_cache_entry",
-    "flip_journal_byte",
 )
 
 
@@ -100,9 +94,8 @@ class ChaosPlan:
 class ChaosInjector:
     """Executes a :class:`ChaosPlan` with per-kind deterministic PRNG streams."""
 
-    def __init__(self, plan: ChaosPlan, bus=NULL_SINK) -> None:
+    def __init__(self, plan: ChaosPlan) -> None:
         self.plan = plan
-        self.bus = bus
         self._rngs = {
             kind: random.Random((plan.seed << 8) ^ (index + 1))
             for index, kind in enumerate(CHAOS_KINDS)
@@ -126,8 +119,6 @@ class ChaosInjector:
             return False
         self.counts[kind] += 1
         self.fired.append((kind, detail))
-        if self.bus.enabled:
-            self.bus.emit(ChaosInjected(cycle=0, fault=kind, detail=detail))
         return True
 
     # ------------------------------------------------- filesystem sabotage

@@ -42,8 +42,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.errors import ReproError
-from repro.telemetry.events import CheckpointRejected, CheckpointSaved, CheckpointSkipped
-from repro.telemetry.sinks import NULL_SINK
 
 #: Format version of the checkpoint file; bump on any layout change — a
 #: loader must refuse foreign versions, never guess at them.
@@ -53,9 +51,8 @@ CHECKPOINT_FORMAT = 1
 class CheckpointError(ReproError):
     """A checkpoint failed validation (version/digest/truncation/fingerprint).
 
-    ``reason`` is a short machine-readable tag (``format``, ``digest``,
-    ``truncated``, ``fingerprint``, ``unreadable``) mirrored into the
-    :class:`~repro.telemetry.events.CheckpointRejected` event.
+    ``reason`` is a short machine-readable tag naming the failed gate:
+    ``format``, ``digest``, ``truncated``, ``fingerprint`` or ``unreadable``.
     """
 
     def __init__(self, reason: str, message: str) -> None:
@@ -84,7 +81,6 @@ def save_checkpoint(
     workload: str,
     level: str,
     fingerprint: str,
-    bus=NULL_SINK,
 ) -> Optional[Path]:
     """Atomically write a checkpoint of a mid-slice run; None if unpicklable.
 
@@ -101,12 +97,7 @@ def save_checkpoint(
         payload = pickle.dumps(
             {"interp": interp, "summary": summary}, protocol=pickle.HIGHEST_PROTOCOL
         )
-    except Exception as exc:  # transient unpicklable state: skip, don't fail
-        if bus.enabled:
-            bus.emit(CheckpointSkipped(
-                cycle=0, workload=workload, level=level,
-                reason=f"{type(exc).__name__}: {exc}",
-            ))
+    except Exception:  # transient unpicklable state: skip, don't fail
         return None
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -126,11 +117,6 @@ def save_checkpoint(
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    if bus.enabled:
-        bus.emit(CheckpointSaved(
-            cycle=0, workload=workload, level=level, path=str(path),
-            icount=header["icount"], bytes_written=len(blob),
-        ))
     return path
 
 
@@ -157,47 +143,40 @@ def read_header(path: Union[str, os.PathLike]) -> dict:
 def load_checkpoint(
     path: Union[str, os.PathLike],
     fingerprint: Optional[str] = None,
-    bus=NULL_SINK,
 ) -> Checkpoint:
     """Validate and restore a checkpoint; :class:`CheckpointError` on any gate.
 
     Gates, in order: header readable and format current; spec ``fingerprint``
     matches (when given — it covers the code version, so a checkpoint from an
     edited simulator is refused, not misloaded); payload complete; payload
-    sha256 matches.  Every rejection emits a
-    :class:`~repro.telemetry.events.CheckpointRejected` event on ``bus``.
+    sha256 matches.  The error's ``reason`` names the gate that failed.
     """
     path = Path(path)
+    header = read_header(path)
+    if fingerprint is not None and header.get("fingerprint") != fingerprint:
+        raise CheckpointError(
+            "fingerprint",
+            f"{path}: checkpoint is for a different spec/code version",
+        )
     try:
-        header = read_header(path)
-        if fingerprint is not None and header.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                "fingerprint",
-                f"{path}: checkpoint is for a different spec/code version",
-            )
-        try:
-            with open(path, "rb") as fh:
-                fh.readline()
-                payload = fh.read()
-        except OSError as exc:
-            raise CheckpointError("unreadable", f"{path}: {exc}") from exc
-        expected = int(header.get("payload_bytes", -1))
-        if len(payload) != expected:
-            raise CheckpointError(
-                "truncated",
-                f"{path}: payload is {len(payload)} bytes, header promises {expected}",
-            )
-        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            raise CheckpointError("digest", f"{path}: payload sha256 mismatch")
-        try:
-            state = pickle.loads(payload)
-            interp, summary = state["interp"], state["summary"]
-        except Exception as exc:
-            raise CheckpointError("unreadable", f"{path}: payload unpicklable: {exc}") from exc
-    except CheckpointError as err:
-        if bus.enabled:
-            bus.emit(CheckpointRejected(cycle=0, path=str(path), reason=err.reason))
-        raise
+        with open(path, "rb") as fh:
+            fh.readline()
+            payload = fh.read()
+    except OSError as exc:
+        raise CheckpointError("unreadable", f"{path}: {exc}") from exc
+    expected = int(header.get("payload_bytes", -1))
+    if len(payload) != expected:
+        raise CheckpointError(
+            "truncated",
+            f"{path}: payload is {len(payload)} bytes, header promises {expected}",
+        )
+    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+        raise CheckpointError("digest", f"{path}: payload sha256 mismatch")
+    try:
+        state = pickle.loads(payload)
+        interp, summary = state["interp"], state["summary"]
+    except Exception as exc:
+        raise CheckpointError("unreadable", f"{path}: payload unpicklable: {exc}") from exc
     return Checkpoint(
         interp=interp,
         summary=summary,

@@ -6,8 +6,8 @@ interpreter through :meth:`~repro.interp.interpreter.Interpreter.run_slice`
 in ``checkpoint_every``-instruction slices — slicing is invisible to the
 simulated program, so the result is bit-identical to one
 :meth:`~repro.interp.interpreter.Interpreter.run` — and writes an
-architectural-state checkpoint at each boundary.  A later call with
-``resume=True`` restores the newest valid checkpoint and finishes the run
+architectural-state checkpoint at each boundary.  A later call on the same
+checkpoint path restores the newest valid checkpoint and finishes the run
 from there; anything wrong with the checkpoint (version bump, digest
 mismatch, truncation, foreign spec/code fingerprint) degrades to
 recompute-from-start.
@@ -27,8 +27,6 @@ from repro.durability.checkpoint import (
 from repro.engine.levels import finish_workload, prepare_workload
 from repro.engine.result import RunResult
 from repro.engine.spec import RunSpec
-from repro.telemetry.events import CheckpointLoaded
-from repro.telemetry.sinks import NULL_SINK
 
 #: Default checkpoint cadence, in simulated instructions, sized from what a
 #: save costs.  On a 2-core x86 host a save of a preset ``dyn`` cell takes
@@ -88,8 +86,6 @@ def run_spec_durable(
     spec: RunSpec,
     checkpoint_path: Union[str, os.PathLike, None] = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    resume: bool = True,
-    bus=NULL_SINK,
     stop_after_checkpoints: Optional[int] = None,
     fast: bool = True,
     progress: Optional[Callable[[dict], None]] = None,
@@ -117,17 +113,18 @@ def run_spec_durable(
     dict — ``icount``, ``cycles``, ``epoch`` (completed optimizer cycles) and
     per-slice EWMAs of the L1 hit rate and prefetch accuracy — the feed for
     the supervisor's live ``status.json``.  Purely descriptive; it never
-    touches the simulation.
+    touches the simulation.  After a resume the first sample's ``icount``
+    lies past the checkpoint's.
     """
     fingerprint = spec.fingerprint()
     checkpoint_path = Path(checkpoint_path) if checkpoint_path is not None else None
     prepared = prepare_workload(spec.build(), spec.level, spec.machine, spec.opt)
     resumed = False
-    if checkpoint_path is not None and resume and checkpoint_path.is_file():
+    if checkpoint_path is not None and checkpoint_path.is_file():
         try:
-            cp = load_checkpoint(checkpoint_path, fingerprint=fingerprint, bus=bus)
+            cp = load_checkpoint(checkpoint_path, fingerprint=fingerprint)
         except CheckpointError:
-            # Rejected (and reported via the bus): recompute from the start.
+            # Rejected: recompute from the start.
             try:
                 checkpoint_path.unlink()
             except OSError:
@@ -140,11 +137,6 @@ def run_spec_durable(
             prepared.summary = cp.summary
             prepared.session.wire(cp.interp)
             resumed = True
-            if bus.enabled:
-                bus.emit(CheckpointLoaded(
-                    cycle=0, workload=spec.workload, level=spec.level,
-                    path=str(checkpoint_path), icount=cp.icount,
-                ))
     interp = prepared.interp
     if not resumed:
         interp.start(prepared.args)
@@ -168,7 +160,6 @@ def run_spec_durable(
                 workload=spec.workload,
                 level=spec.level,
                 fingerprint=fingerprint,
-                bus=bus,
             )
             if written is not None:
                 saved += 1

@@ -1,4 +1,4 @@
-"""Supervised plan execution: heartbeats, timeouts, retries, journaling.
+"""Supervised plan execution: heartbeats, timeouts, retries, resumable plans.
 
 :func:`execute_plan_supervised` is the crash-safe sibling of
 :func:`~repro.engine.executor.execute_plan`, engaged through its
@@ -14,18 +14,19 @@ bit-identical to serial execution — plus a production posture:
   always completes;
 * workers checkpoint their runs (:mod:`repro.durability.runner`), so a
   retried task resumes mid-run instead of restarting;
-* every finished task is appended to the write-ahead
-  :class:`~repro.durability.journal.RunJournal` (fsync'd, digest-tagged,
-  result inline) *before* the plan moves on — ``resume=True`` replays the
-  journal and restarts only unfinished tasks;
+* every finished task is stored in the result store (fsync'd,
+  digest-tagged) *before* the plan moves on — the caller's store, or a
+  private one under the run root that retires with the plan — so running
+  an interrupted plan again replays its finished tasks and resumes the rest
+  from their checkpoints;
+* each task's row in ``status.json`` records its failed attempts
+  (``crash``, ``timeout`` or ``stall``) and its slow-but-progressing spells;
 * an optional :class:`~repro.durability.chaos.ChaosPlan` deterministically
   injects the very failures the machinery defends (worker SIGKILL, stalls,
-  torn checkpoints, corrupt cache entries, flipped journal bytes), with a
-  telemetry event on every recovery path.
+  torn checkpoints, corrupt result entries).
 
-Failure handling is strictly *recompute, never trust damaged state*: a torn
-journal line, truncated checkpoint or corrupt cache entry costs time, not
-correctness.
+Failure handling is strictly *recompute, never trust damaged state*: a
+truncated checkpoint or corrupt result entry costs time, not correctness.
 """
 
 from __future__ import annotations
@@ -40,14 +41,11 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.durability.chaos import ChaosInjector, ChaosPlan
-from repro.durability.journal import RunJournal, journal_path, plan_fingerprint
 from repro.durability.runner import DEFAULT_CHECKPOINT_EVERY, run_spec_durable
 from repro.engine.cache import ResultStore, default_cache_root
 from repro.engine.result import RunResult
 from repro.engine.spec import RunPlan, RunSpec
 from repro.obs.status import StatusWriter
-from repro.telemetry.events import TaskRetried, WorkerCrashed, WorkerSlow, WorkerTimedOut
-from repro.telemetry.sinks import NULL_SINK
 
 ProgressHook = Callable[[RunSpec, RunResult], None]
 
@@ -78,24 +76,23 @@ class SupervisorConfig:
 class DurabilityPolicy:
     """Everything the engine needs to run a plan durably.
 
-    ``journal_root`` defaults to ``<cache root>/journal`` (the store's root
-    when one is attached, else the global default), keeping journals and
-    checkpoints under the same ``.repro-cache/`` umbrella the ``.gitignore``
+    ``run_root`` defaults to ``<cache root>/run`` (the store's root when one
+    is attached, else the global default).  It holds checkpoints,
+    ``status.json`` and, for a plan without a store, the plan's private
+    results, under the same ``.repro-cache/`` umbrella the ``.gitignore``
     already covers.
     """
 
-    journal_root: Union[str, os.PathLike, None] = None
-    resume: bool = False
+    run_root: Union[str, os.PathLike, None] = None
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     chaos: Optional[ChaosPlan] = None
-    bus: object = NULL_SINK
 
-    def resolve_journal_root(self, store: Optional[ResultStore]) -> Path:
-        if self.journal_root is not None:
-            return Path(self.journal_root)
+    def resolve_run_root(self, store: Optional[ResultStore]) -> Path:
+        if self.run_root is not None:
+            return Path(self.run_root)
         root = store.root if store is not None else default_cache_root()
-        return Path(root) / "journal"
+        return Path(root) / "run"
 
 
 def _durable_worker(
@@ -138,12 +135,10 @@ def _durable_worker(
         # long enough to reach a boundary).
         run_spec_durable(
             spec, checkpoint_path, checkpoint_every,
-            resume=True, stop_after_checkpoints=1, progress=progress,
+            stop_after_checkpoints=1, progress=progress,
         )
         os.kill(os.getpid(), signal.SIGKILL)
-    result = run_spec_durable(
-        spec, checkpoint_path, checkpoint_every, resume=True, progress=progress
-    )
+    result = run_spec_durable(spec, checkpoint_path, checkpoint_every, progress=progress)
     conn.send(result.to_dict())
     conn.close()
     stop.set()
@@ -165,15 +160,14 @@ class _Task:
     """Supervisor-side state of one plan entry."""
 
     __slots__ = (
-        "index", "spec", "fingerprint", "checkpoint_path", "attempts",
+        "index", "spec", "checkpoint_path", "attempts",
         "proc", "conn", "heartbeat", "started", "eligible_at",
-        "progress", "last_icount", "advanced_at", "slow_logged",
+        "progress", "last_icount", "advanced_at", "slow_noted",
     )
 
-    def __init__(self, index: int, spec: RunSpec, fingerprint: str, checkpoint_path: Path) -> None:
+    def __init__(self, index: int, spec: RunSpec, checkpoint_path: Path) -> None:
         self.index = index
         self.spec = spec
-        self.fingerprint = fingerprint
         self.checkpoint_path = checkpoint_path
         self.attempts = 0
         self.proc = None
@@ -186,7 +180,7 @@ class _Task:
         self.progress = multiprocessing.Array("d", len(_PROGRESS_FIELDS))
         self.last_icount = 0.0
         self.advanced_at = 0.0
-        self.slow_logged = False
+        self.slow_noted = False
 
 
 class _StatusBoard:
@@ -199,9 +193,9 @@ class _StatusBoard:
     inferred from ``updated_at``).
     """
 
-    def __init__(self, plan: RunPlan, plan_fp: str, root: Path, jobs: int) -> None:
+    def __init__(self, plan: RunPlan, root: Path, jobs: int) -> None:
         self.writer = StatusWriter(root)
-        self.plan_fp = plan_fp
+        self.plan_fp = plan.fingerprint()
         self.jobs = max(1, jobs)
         self.tasks = [
             {
@@ -215,6 +209,10 @@ class _StatusBoard:
                 "epoch": 0,
                 "hit_ewma": 0.0,
                 "acc_ewma": 0.0,
+                #: one reason per failed attempt: crash, timeout or stall
+                "failures": [],
+                #: spells of missed heartbeats while the simulation advanced
+                "slow": 0,
             }
             for i, spec in enumerate(plan)
         ]
@@ -248,7 +246,7 @@ class _StatusBoard:
         remaining = sum(
             1
             for entry in self.tasks
-            if entry["state"] not in ("done", "replayed", "cached")
+            if entry["state"] not in ("done", "cached")
         )
         if not remaining or not self._durations:
             return None
@@ -276,86 +274,58 @@ def execute_plan_supervised(
 ) -> list[RunResult]:
     """Execute ``plan`` under supervision; results in plan order, always.
 
-    Resolution order per task: journal replay (``policy.resume``), then the
-    result store, then supervised worker execution with retries, then the
-    in-process fallback.  Completed tasks are journaled write-ahead and
-    stored, so any interruption — including SIGKILL of this very process —
-    is resumable.
+    Resolution order per task: the result store, then supervised worker
+    execution with retries, then the in-process fallback.  Every finished
+    task is stored before the plan moves on, in ``store`` or, without one,
+    in a private store under the run root, so any interruption — including
+    SIGKILL of this very process — is resumed by executing the same plan
+    again.  A completed plan retires its checkpoints and private results.
     """
     policy = policy if policy is not None else DurabilityPolicy()
     cfg = policy.supervisor
-    bus = policy.bus
-    chaos = ChaosInjector(policy.chaos, bus=bus) if policy.chaos is not None else None
-    root = policy.resolve_journal_root(store)
-    plan_fp = plan_fingerprint(plan)
-    journal = RunJournal(journal_path(root, plan_fp), bus=bus)
+    chaos = ChaosInjector(policy.chaos) if policy.chaos is not None else None
+    root = policy.resolve_run_root(store)
+    results_store = store if store is not None else ResultStore(root / "results")
     fingerprints = [spec.fingerprint() for spec in plan]
     results: list[Optional[RunResult]] = [None] * len(plan)
-    board = _StatusBoard(plan, plan_fp, root, jobs)
+    board = _StatusBoard(plan, root, jobs)
 
-    def resolve(index: int, result: RunResult, journal_it: bool) -> None:
-        if journal_it:
-            journal.task_done(index, fingerprints[index], result.to_dict())
-        if store is not None:
-            store.store(plan[index], result)
-            if chaos is not None and chaos.fire("corrupt_cache_entry", fingerprints[index]):
-                chaos.corrupt_file(store.path_for(fingerprints[index]), "corrupt_cache_entry")
-        if chaos is not None and journal_it and chaos.fire("flip_journal_byte", str(journal.path)):
-            chaos.corrupt_file(journal.path, "flip_journal_byte")
+    def resolve(index: int, result: RunResult) -> None:
+        results_store.store(plan[index], result)
+        if chaos is not None and chaos.fire("corrupt_cache_entry", fingerprints[index]):
+            chaos.corrupt_file(results_store.path_for(fingerprints[index]), "corrupt_cache_entry")
         results[index] = result
         board.mark(index, "done")
         if progress is not None:
             progress(plan[index], result)
 
-    # Phase 0: replay the journal (only when resuming; a fresh execution
-    # discards any stale journal so it can never leak into a later resume).
-    if policy.resume:
-        replay = journal.replay(plan_fp)
-        for index, fingerprint in enumerate(fingerprints):
-            doc = replay.results.get(fingerprint)
-            if doc is None:
-                continue
-            try:
-                result = RunResult.from_dict(doc)
-            except Exception:
-                continue  # malformed-but-digest-valid: recompute
-            resolve(index, result, journal_it=False)
-            board.mark(index, "replayed")
-    else:
-        journal.discard()
-
-    # Phase 1: the result store (hits are exact replays; corrupt entries
-    # already degrade to misses inside the store).
-    if store is not None:
-        for index, spec in enumerate(plan):
-            if results[index] is not None:
-                continue
-            cached = store.load(spec)
-            if cached is not None:
-                results[index] = cached
-                board.mark(index, "cached")
-                if progress is not None:
-                    progress(spec, cached)
+    # Phase 1: replay finished tasks (hits are exact replays; corrupt
+    # entries already degrade to misses inside the store).
+    for index, spec in enumerate(plan):
+        cached = results_store.load(spec)
+        if cached is not None:
+            results[index] = cached
+            board.mark(index, "cached")
+            if progress is not None:
+                progress(spec, cached)
 
     pending = [
-        _Task(i, plan[i], fingerprints[i], root / "checkpoints" / f"{fingerprints[i]}.ckpt")
+        _Task(i, plan[i], root / "checkpoints" / f"{fingerprints[i]}.ckpt")
         for i in range(len(plan))
         if results[i] is None
     ]
-    if pending and journal.appended == 0:
-        journal.plan_begin(plan_fp, len(plan))
 
     # Phase 2: supervised workers.
-    _supervise(pending, jobs, cfg, policy, chaos, bus, resolve, board)
+    _supervise(pending, jobs, cfg, policy, chaos, resolve, board)
 
-    # Phase 3: the journal marks completion, then retires; checkpoints of
-    # killed final attempts retire with it.
-    if journal.appended:
-        journal.plan_end()
-    journal.discard()
-    for task in pending:
+    # Phase 3: retire the checkpoints of killed final attempts and, without
+    # a caller's store, the plan's private results.
+    retired = [task.checkpoint_path for task in pending]
+    if store is None:
+        retired += [results_store.path_for(fp) for fp in fingerprints]
+    for path in retired:
         try:
-            task.checkpoint_path.unlink()
+            path.unlink()
         except OSError:
             pass
     board.write(force=True, done=True)
@@ -368,8 +338,7 @@ def _supervise(
     cfg: SupervisorConfig,
     policy: DurabilityPolicy,
     chaos: Optional[ChaosInjector],
-    bus,
-    resolve: Callable[[int, RunResult, bool], None],
+    resolve: Callable[[int, RunResult], None],
     board: _StatusBoard,
 ) -> None:
     """Drive the worker fleet until every pending task has a result."""
@@ -386,7 +355,11 @@ def _supervise(
                 directive = "stall"
         try:
             recv, send = mp.Pipe(duplex=False)
-            task.heartbeat = mp.Value("d", time.monotonic())
+            # One clock read starts the heartbeat and the progress grace
+            # period, so a worker that never beats is a stall, never a
+            # slow spell first.
+            task.started = time.monotonic()
+            task.heartbeat = mp.Value("d", task.started)
             task.conn = recv
             task.proc = mp.Process(
                 target=_durable_worker,
@@ -406,9 +379,8 @@ def _supervise(
             send.close()
         except Exception:
             return False
-        task.started = time.monotonic()
         task.advanced_at = task.started
-        task.slow_logged = False
+        task.slow_noted = False
         board.mark(task.index, "running", attempts=task.attempts)
         return True
 
@@ -428,36 +400,21 @@ def _supervise(
         board.mark(task.index, "running", attempts=task.attempts)
         result = run_spec_durable(
             task.spec, task.checkpoint_path, policy.checkpoint_every,
-            resume=True, bus=bus, progress=_progress_callback(task.progress),
+            progress=_progress_callback(task.progress),
         )
         board.observe(task)
-        resolve(task.index, result, True)
+        resolve(task.index, result)
 
-    def fail(task: _Task, reason: str, elapsed: float) -> None:
+    def fail(task: _Task, reason: str) -> None:
         reap(task)
         task.attempts += 1
-        if bus.enabled:
-            if reason == "crash":
-                bus.emit(WorkerCrashed(
-                    cycle=0, workload=task.spec.workload,
-                    level=task.spec.level, attempt=task.attempts,
-                ))
-            else:
-                bus.emit(WorkerTimedOut(
-                    cycle=0, workload=task.spec.workload, level=task.spec.level,
-                    attempt=task.attempts, seconds=round(elapsed, 3), reason=reason,
-                ))
+        board.tasks[task.index]["failures"].append(reason)
         if task.attempts >= cfg.max_attempts:
             run_inline(task)
             return
         if chaos is not None and chaos.fire("truncate_checkpoint", str(task.checkpoint_path)):
             chaos.truncate_file(task.checkpoint_path)
         backoff = cfg.backoff_base * (cfg.backoff_factor ** (task.attempts - 1))
-        if bus.enabled:
-            bus.emit(TaskRetried(
-                cycle=0, workload=task.spec.workload, level=task.spec.level,
-                attempt=task.attempts, backoff=round(backoff, 3),
-            ))
         task.eligible_at = time.monotonic() + backoff
         board.mark(task.index, "retrying", attempts=task.attempts)
         queue.append(task)
@@ -485,7 +442,7 @@ def _supervise(
             if icount > task.last_icount:
                 task.last_icount = icount
                 task.advanced_at = now
-                task.slow_logged = False
+                task.slow_noted = False
             board.observe(task)
             # The pipe is checked before liveness so a worker that delivered
             # its result and exited in the same poll window counts as done,
@@ -497,37 +454,32 @@ def _supervise(
                     result = RunResult.from_dict(doc)
                 except Exception:
                     running.remove(task)
-                    fail(task, "crash", elapsed)
+                    fail(task, "crash")
                 else:
                     reap(task)
                     running.remove(task)
-                    resolve(task.index, result, True)
+                    resolve(task.index, result)
                 made_progress = True
             elif task.proc is not None and not task.proc.is_alive():
                 running.remove(task)
-                fail(task, "crash", elapsed)
+                fail(task, "crash")
                 made_progress = True
             elif elapsed > cfg.task_timeout:
                 running.remove(task)
-                fail(task, "timeout", elapsed)
+                fail(task, "timeout")
                 made_progress = True
             elif now - task.heartbeat.value > cfg.stall_timeout:
                 if now - task.advanced_at <= cfg.stall_timeout:
                     # Heartbeats missed but the simulation is still moving
                     # (slice stamps advance): slow, not stuck.  Spare it and
-                    # log once per quiet spell instead of killing work that
-                    # a retry would only have to redo.
-                    if not task.slow_logged:
-                        task.slow_logged = True
-                        if bus.enabled:
-                            bus.emit(WorkerSlow(
-                                cycle=0, workload=task.spec.workload,
-                                level=task.spec.level, attempt=task.attempts + 1,
-                                seconds=round(elapsed, 3), icount=int(icount),
-                            ))
+                    # count one slow spell per quiet spell instead of killing
+                    # work that a retry would only have to redo.
+                    if not task.slow_noted:
+                        task.slow_noted = True
+                        board.tasks[task.index]["slow"] += 1
                 else:
                     running.remove(task)
-                    fail(task, "stall", elapsed)
+                    fail(task, "stall")
                     made_progress = True
         board.write()
         if not made_progress:

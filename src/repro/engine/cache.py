@@ -18,10 +18,8 @@ over its canonical envelope, so even a single flipped byte inside the
 serialized result is detected and degrades to recomputation — a damaged
 cache can cost time, never correctness.
 
-The store keeps per-session hit/miss/stored counters and mirrors them as
-telemetry events (:class:`~repro.telemetry.events.ResultCacheHit` et al.) on
-its own bus; engine events happen *around* runs, not inside them, so they
-never pollute a run's event log.
+The store keeps per-session hit/miss/stored/evicted/corrupt counters;
+:meth:`ResultStore.summary_line` renders them for the CLI's stderr.
 """
 
 from __future__ import annotations
@@ -36,13 +34,6 @@ from typing import Optional, Union
 from repro.engine.result import RunResult
 from repro.engine.spec import RunSpec
 from repro.errors import ConfigError
-from repro.telemetry.events import (
-    ResultCacheEvicted,
-    ResultCacheHit,
-    ResultCacheMiss,
-    ResultCacheStored,
-)
-from repro.telemetry.sinks import NULL_SINK
 
 #: Format version stamped into cache entries; bump on layout changes.
 #: v2 added the envelope sha256, so a flipped byte inside the serialized
@@ -71,9 +62,8 @@ def default_cache_root() -> Path:
 class ResultStore:
     """Content-addressed store of serialized run results."""
 
-    def __init__(self, root: Union[str, os.PathLike, None] = None, bus=NULL_SINK) -> None:
+    def __init__(self, root: Union[str, os.PathLike, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
-        self.bus = bus
         # Session counters (reset with the store object, not the directory).
         self.hits = 0
         self.misses = 0
@@ -109,28 +99,13 @@ class ResultStore:
             result = RunResult.from_dict(doc["result"])
         except FileNotFoundError:
             self.misses += 1
-            if self.bus.enabled:
-                self.bus.emit(ResultCacheMiss(
-                    cycle=0, workload=spec.workload, level=spec.level,
-                    fingerprint=fingerprint,
-                ))
             return None
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             self.corrupt += 1
-            if self.bus.enabled:
-                self.bus.emit(ResultCacheMiss(
-                    cycle=0, workload=spec.workload, level=spec.level,
-                    fingerprint=fingerprint,
-                ))
             return None
         result.from_cache = True
         self.hits += 1
-        if self.bus.enabled:
-            self.bus.emit(ResultCacheHit(
-                cycle=0, workload=spec.workload, level=spec.level,
-                fingerprint=fingerprint,
-            ))
         return result
 
     def store(self, spec: RunSpec, result: RunResult) -> Path:
@@ -147,11 +122,6 @@ class ResultStore:
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         self._write_entry(path, payload)
         self.stored += 1
-        if self.bus.enabled:
-            self.bus.emit(ResultCacheStored(
-                cycle=0, workload=spec.workload, level=spec.level,
-                fingerprint=fingerprint, bytes_written=len(payload),
-            ))
         return path
 
     # ------------------------------------------------- generic payloads
@@ -160,12 +130,11 @@ class ResultStore:
     # envelope and checked on load, so a tenancy fingerprint can never be
     # satisfied by a single-run entry or vice versa.
 
-    def load_payload(self, fingerprint: str, kind: str, label: str) -> Optional[dict]:
+    def load_payload(self, fingerprint: str, kind: str) -> Optional[dict]:
         """Replay an arbitrary cached document, or None on a miss.
 
         Same degradation contract as :meth:`load`: anything unreadable or
-        mismatched is a miss, never an error.  ``label`` only feeds the
-        telemetry events (the fingerprint is the key).
+        mismatched is a miss, never an error.
         """
         path = self.path_for(fingerprint)
         try:
@@ -181,27 +150,15 @@ class ResultStore:
             payload = doc["payload"]
         except FileNotFoundError:
             self.misses += 1
-            if self.bus.enabled:
-                self.bus.emit(ResultCacheMiss(
-                    cycle=0, workload=label, level=kind, fingerprint=fingerprint,
-                ))
             return None
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             self.corrupt += 1
-            if self.bus.enabled:
-                self.bus.emit(ResultCacheMiss(
-                    cycle=0, workload=label, level=kind, fingerprint=fingerprint,
-                ))
             return None
         self.hits += 1
-        if self.bus.enabled:
-            self.bus.emit(ResultCacheHit(
-                cycle=0, workload=label, level=kind, fingerprint=fingerprint,
-            ))
         return payload
 
-    def store_payload(self, fingerprint: str, kind: str, label: str, payload: dict) -> Path:
+    def store_payload(self, fingerprint: str, kind: str, payload: dict) -> Path:
         """Write an arbitrary document under ``fingerprint`` (atomic, durable)."""
         path = self.path_for(fingerprint)
         doc = {
@@ -214,11 +171,6 @@ class ResultStore:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         self._write_entry(path, text)
         self.stored += 1
-        if self.bus.enabled:
-            self.bus.emit(ResultCacheStored(
-                cycle=0, workload=label, level=kind,
-                fingerprint=fingerprint, bytes_written=len(text),
-            ))
         return path
 
     @staticmethod
@@ -294,7 +246,7 @@ class ResultStore:
             removed += 1
         return removed
 
-    def _evict(self, path: Path, reason: str) -> int:
+    def _evict(self, path: Path) -> int:
         """Remove one entry; returns the bytes freed (0 if already gone)."""
         try:
             size = path.stat().st_size
@@ -302,10 +254,6 @@ class ResultStore:
         except OSError:
             return 0
         self.evicted += 1
-        if self.bus.enabled:
-            self.bus.emit(ResultCacheEvicted(
-                cycle=0, fingerprint=path.stem, reason=reason, bytes_freed=size,
-            ))
         return size
 
     def gc(
@@ -321,7 +269,7 @@ class ResultStore:
         if the survivors still exceed ``max_size_mb``, oldest entries go
         until the store fits.  ``now`` pins the reference clock for tests.
         ``dry_run`` reports the same eviction set without deleting anything
-        (and without bumping counters or emitting events).  Returns
+        (and without bumping counters).  Returns
         ``{"evicted": n, "bytes_freed": b, "entries": remaining,
         "bytes": remaining_bytes, "dry_run": bool}``.
         """
@@ -330,10 +278,10 @@ class ResultStore:
         if now is None:
             now = time.time()
 
-        def remove(path: Path, size: int, reason: str) -> int:
+        def remove(path: Path, size: int) -> int:
             if dry_run:
                 return size
-            return self._evict(path, reason)
+            return self._evict(path)
 
         survivors: list[tuple[float, int, Path]] = []
         evicted = 0
@@ -344,7 +292,7 @@ class ResultStore:
             except OSError:
                 continue
             if max_age_days is not None and now - stat.st_mtime > max_age_days * 86400.0:
-                freed = remove(path, stat.st_size, "age")
+                freed = remove(path, stat.st_size)
                 if freed:
                     evicted += 1
                     bytes_freed += freed
@@ -357,7 +305,7 @@ class ResultStore:
             index = 0
             while total > budget and index < len(survivors):
                 _mtime, size, path = survivors[index]
-                freed = remove(path, size, "size")
+                freed = remove(path, size)
                 if freed:
                     evicted += 1
                     bytes_freed += freed

@@ -89,10 +89,10 @@ def execute_plan(
     standard ``ProcessPoolExecutor``.
 
     ``durability`` (a :class:`~repro.durability.supervisor.DurabilityPolicy`)
-    reroutes the whole plan through the supervised executor — write-ahead
-    journal, per-task timeouts and heartbeats, bounded retries, checkpointed
-    workers, optional chaos injection — with byte-identical results
-    (``pool_factory`` does not apply there).
+    reroutes the whole plan through the supervised executor — results
+    stored as each task finishes, per-task timeouts and heartbeats, bounded
+    retries, checkpointed workers, optional chaos injection — with
+    byte-identical results (``pool_factory`` does not apply there).
     """
     if durability is not None:
         from repro.durability.supervisor import execute_plan_supervised

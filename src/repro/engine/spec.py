@@ -153,3 +153,12 @@ class RunPlan:
 
     def __getitem__(self, index: int) -> RunSpec:
         return self.specs[index]
+
+    def fingerprint(self) -> str:
+        """Content address of the whole plan: sha256 over its spec
+        fingerprints, in order."""
+        digest = hashlib.sha256()
+        for spec in self.specs:
+            digest.update(spec.fingerprint().encode())
+            digest.update(b"\0")
+        return digest.hexdigest()

@@ -138,7 +138,7 @@ _CMP_SYM = {
 #: every block in them is L2-resident (an L2 eviction wastes it), which the
 #: oracle's hierarchy differential checks after every op.  So ``pf_unused``
 #: alone says whether a block has prefetch state, and an L1 victim never
-#: needs ``access``: the method wastes it only when it is gone from L2 too.
+#: needs ``access``: evicting it from L1 wastes nothing.
 #:
 #: ``lblk`` memoizes the previous access's block: every inline path leaves
 #: its block MRU in L1 and outside the prefetch dicts, and nothing between

@@ -545,7 +545,7 @@ class MemoryHierarchy:
                 n = 0
                 telem.emit(CacheMiss(now, level, block, stall))
             lane.misses_since = n
-        self._install_l1(block, way, now, False)
+        self._install_l1(block, way, False)
         return stall
 
     def _classify_use(self, lane: _Lane, block: int, now: int, issued_at: int, stall: int) -> None:
@@ -619,7 +619,7 @@ class MemoryHierarchy:
         else:
             inflight[block] = now + self.config.memory_latency
             self._install_l2(block, way2, now, True)
-        self._install_l1(block, way, now, True)
+        self._install_l1(block, way, True)
         self._prefetched_unused[block] = now
         if skey is not None:
             self._stream_of[block] = skey
@@ -628,7 +628,9 @@ class MemoryHierarchy:
     # Both install paths run only for a block absent from the level, so they
     # append without a membership test.  ``way`` is the block's set list.
 
-    def _install_l1(self, block: int, way: list, now: int, from_prefetch: bool) -> None:
+    def _install_l1(self, block: int, way: list, from_prefetch: bool) -> None:
+        # An L1 victim never wastes a prefetch: every unused prefetched block
+        # is L2-resident (an L2 eviction wastes it first), so it stays usable.
         if len(way) >= self._l1_assoc:
             victim = way.pop(0)
             lane = self._lane
@@ -636,13 +638,6 @@ class MemoryHierarchy:
             lane.l1_stats.evictions += 1
             if self._l1_shared:
                 self._credit_shared_eviction(victim, from_prefetch)
-            # A prefetched block that falls out of L1 while absent from L2
-            # without being used was pure pollution.
-            if (
-                victim in self._prefetched_unused
-                and victim not in self._l2_sets[victim & self._l2_mask]
-            ):
-                self._waste(victim, now)
         way.append(block)
 
     def _install_l2(self, block: int, way2: list, now: int, from_prefetch: bool) -> None:

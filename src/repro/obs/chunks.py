@@ -13,8 +13,7 @@ it is *sealed*:
    atomic: a chunk either exists complete or not at all),
 3. a digest-tagged line naming the chunk — its sequence number, record
    count, byte size and content sha256 — is appended (flush + fsync) to
-   ``MANIFEST.jsonl``, in the per-line integrity scheme of
-   :mod:`repro.digestlines` that the run journal also uses.
+   ``MANIFEST.jsonl`` (:func:`encode_tagged_line`).
 
 Crash tolerance is therefore by construction, not by recovery code: every
 live sink registers with SIGTERM/atexit hooks that seal its open buffer
@@ -48,7 +47,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.digestlines import decode_tagged_line, encode_tagged_line
 from repro.errors import ConfigError
 from repro.telemetry.events import Event, RecordSkipped, from_record
 
@@ -62,6 +60,47 @@ DEFAULT_MAX_BYTES = 1 << 20
 
 def chunk_name(seq: int) -> str:
     return f"chunk-{seq:08d}.jsonl"
+
+
+# ------------------------------------------------------- manifest lines
+# Each manifest line is ``{"sha256": <hex of the canonical body>, "body":
+# {"format": N, ...}}`` with sorted keys and compact separators.  A line is
+# trusted only if its body's digest matches and its format version is the
+# reader's, so a torn tail, a flipped byte or a foreign schema version all
+# read as "unreadable" rather than as a wrong record.
+
+
+def _canonical(body: dict) -> str:
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
+def encode_tagged_line(body: dict, fmt: int) -> str:
+    """One tagged line (no newline) for ``body``, stamped with format ``fmt``."""
+    body = {"format": fmt, **body}
+    return json.dumps(
+        {"sha256": hashlib.sha256(_canonical(body).encode()).hexdigest(), "body": body},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def decode_tagged_line(line: str, fmt: int) -> Optional[dict]:
+    """Digest-check one line; the body dict, or None if torn, tampered or foreign."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(record, dict):
+        return None
+    body = record.get("body")
+    digest = record.get("sha256")
+    if not isinstance(body, dict) or not isinstance(digest, str):
+        return None
+    if hashlib.sha256(_canonical(body).encode()).hexdigest() != digest:
+        return None
+    if body.get("format") != fmt:
+        return None
+    return body
 
 
 # ---------------------------------------------------------------- writing

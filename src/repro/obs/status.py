@@ -1,10 +1,13 @@
 """Live status for long runs: a machine-readable progress file + renderer.
 
 The supervised runner (:mod:`repro.durability.supervisor`) throttle-writes
-``status.json`` into the journal root as it polls worker heartbeats: per-task
-state and progress counters (instructions, cycles, optimizer epoch,
-cache-hit and prefetch-accuracy EWMAs), aggregate counts, and an ETA
-extrapolated from completed-task durations.  Writes are atomic
+``status.json`` into its run directory as it polls worker heartbeats:
+per-task state and progress counters (instructions, cycles, optimizer epoch,
+cache-hit and prefetch-accuracy EWMAs), each task's recoveries (one
+``failures`` reason per failed attempt — ``crash``, ``timeout`` or
+``stall`` — and a ``slow`` count of spells with missed heartbeats but
+advancing simulation), aggregate counts, and an ETA extrapolated from
+completed-task durations.  Writes are atomic
 (temp-file + ``os.replace``), so a reader never observes a torn document —
 ``repro-bench status <run-dir>`` works identically on a run that is still
 executing, one that finished, and one whose process was SIGKILLed (the
@@ -27,7 +30,7 @@ from repro.errors import ConfigError
 
 #: Status document format version.
 STATUS_FORMAT = 1
-#: File name written into the journal root.
+#: File name written into the run directory.
 STATUS_NAME = "status.json"
 #: A non-done status older than this many seconds renders as "likely dead".
 STALE_AFTER_S = 30.0
@@ -119,8 +122,12 @@ def render_status(doc: dict, now: Optional[float] = None) -> str:
     header = f"  {'#':>3} {'workload':<16} {'level':<6} {'state':<9} {'attempts':>8} {'epoch':>5} {'icount':>8} {'cycles':>8} {'hit':>6} {'acc':>6}"
     lines.append(header)
     for task in tasks:
+        recoveries = [str(reason) for reason in task.get("failures", [])]
+        if task.get("slow"):
+            recoveries.append(f"slow x{task['slow']}")
+        note = f"  ({', '.join(recoveries)})" if recoveries else ""
         lines.append(
-            "  {index:>3} {workload:<16} {level:<6} {state:<9} {attempts:>8} {epoch:>5} {icount:>8} {cycles:>8} {hit:>6} {acc:>6}".format(
+            "  {index:>3} {workload:<16} {level:<6} {state:<9} {attempts:>8} {epoch:>5} {icount:>8} {cycles:>8} {hit:>6} {acc:>6}{note}".format(
                 index=task.get("index", "?"),
                 workload=str(task.get("workload", "?"))[:16],
                 level=str(task.get("level", "?"))[:6],
@@ -131,6 +138,7 @@ def render_status(doc: dict, now: Optional[float] = None) -> str:
                 cycles=_fmt_count(task.get("cycles", 0)),
                 hit=f"{float(task.get('hit_ewma', 0.0)):.2f}",
                 acc=f"{float(task.get('acc_ewma', 0.0)):.2f}",
+                note=note,
             )
         )
     return "\n".join(lines)

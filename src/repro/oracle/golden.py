@@ -101,7 +101,7 @@ def _execute_corpus(
     """Execute a batch of corpus cells (parallel when ``jobs > 1``).
 
     ``durability`` routes the batch through the supervised executor
-    (journal, checkpoints, retries) — byte-identical results, so golden
+    (stored results, checkpoints, retries) — byte-identical results, so golden
     verification under chaos is the same verification.
     """
     plan = RunPlan.of(*(golden_spec(run) for run in runs))

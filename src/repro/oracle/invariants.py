@@ -224,41 +224,42 @@ def check_checkpoint_resume_identity(spec=None) -> None:
     Drives ``spec`` (default: vortex/dyn, one pass) through the durable
     runner with a small checkpoint cadence and kills it (via the
     ``stop_after_checkpoints`` crash hook) after its first checkpoint; a
-    second call must restore that checkpoint — proven by a
-    ``CheckpointLoaded`` event — and finish with a counter fingerprint *and*
-    full serialization (``to_dict``) identical to a straight-through run.
+    second call must restore that checkpoint — proven by its first
+    ``progress`` sample, which must end past the checkpoint's icount — and
+    finish with a counter fingerprint *and* full serialization
+    (``to_dict``) identical to a straight-through run.
     This is the durability layer's license to substitute resumed runs for
     uninterrupted ones everywhere.
     """
     import tempfile
     from pathlib import Path
 
+    from repro.durability.checkpoint import read_header
     from repro.durability.runner import run_spec_durable
     from repro.engine.executor import run_spec
     from repro.engine.spec import RunSpec
-    from repro.telemetry.events import EventBus
-    from repro.telemetry.sinks import ListSink
 
     spec = spec if spec is not None else RunSpec("vortex", "dyn", passes=1)
     context = f"checkpoint resume ({spec.label})"
     straight = run_spec(spec)
-    events = ListSink()
-    bus = EventBus()
-    bus.attach(events)
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = Path(tmp) / "run.ckpt"
         interrupted = run_spec_durable(
-            spec, ckpt, checkpoint_every=60_000, bus=bus, stop_after_checkpoints=1
+            spec, ckpt, checkpoint_every=60_000, stop_after_checkpoints=1
         )
         _require(interrupted is None, f"{context}: run finished before the simulated crash")
         _require(ckpt.is_file(), f"{context}: no checkpoint survived the simulated crash")
-        resumed = run_spec_durable(spec, ckpt, checkpoint_every=60_000, bus=bus)
+        saved_at = int(read_header(ckpt)["icount"])
+        samples: list[dict] = []
+        resumed = run_spec_durable(
+            spec, ckpt, checkpoint_every=60_000, progress=samples.append
+        )
         _require(resumed is not None, f"{context}: resumed run did not finish")
-        counts = events.counts()
+        first = samples[0]["icount"] if samples else 0
         _require(
-            counts.get("CheckpointLoaded", 0) >= 1,
-            f"{context}: resume recomputed from scratch instead of loading "
-            f"the checkpoint (events: {counts})",
+            first > saved_at,
+            f"{context}: resume recomputed from scratch instead of loading the "
+            f"checkpoint taken at icount {saved_at}: first slice ended at icount {first}",
         )
         _require(
             not ckpt.is_file(),

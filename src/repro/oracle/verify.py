@@ -286,7 +286,7 @@ def run_verify(
     ``store``/``jobs`` accelerate the golden section through the engine's
     result cache and process pool; ``durability`` (a
     :class:`~repro.durability.supervisor.DurabilityPolicy`) routes the golden
-    corpus through the supervised executor (journaled, checkpointed,
+    corpus through the supervised executor (resumable, checkpointed,
     optionally chaos-injected) with byte-identical results.  The randomized
     differential sections are in-process by construction (they fuzz
     components, not whole runs).

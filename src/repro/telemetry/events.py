@@ -306,174 +306,6 @@ class RecordSkipped(Event):
     snippet: str
 
 
-# ------------------------------------------------- experiment engine (cache)
-
-
-@dataclass(frozen=True, slots=True)
-class ResultCacheHit(Event):
-    """The result cache served a run without simulating (``cycle`` is 0).
-
-    Emitted by :class:`repro.engine.cache.ResultStore` on its own bus —
-    engine events happen *around* runs, not inside them, so they never
-    appear in a run's event log.
-    """
-
-    workload: str
-    level: str
-    fingerprint: str
-
-
-@dataclass(frozen=True, slots=True)
-class ResultCacheMiss(Event):
-    """No cache entry for a spec's fingerprint; the run will simulate."""
-
-    workload: str
-    level: str
-    fingerprint: str
-
-
-@dataclass(frozen=True, slots=True)
-class ResultCacheStored(Event):
-    """A fresh run's serialized result was written to the cache."""
-
-    workload: str
-    level: str
-    fingerprint: str
-    bytes_written: int
-
-
-@dataclass(frozen=True, slots=True)
-class ResultCacheEvicted(Event):
-    """``cache gc`` removed an entry (``reason`` is ``age`` or ``size``)."""
-
-    fingerprint: str
-    reason: str
-    bytes_freed: int
-
-
-# --------------------------------------------- durability (repro.durability)
-# Engine-level events (``cycle`` is always 0): they describe what happened
-# *around* simulated runs — checkpoints, the supervised executor's recovery
-# paths and the chaos harness — never inside one, so a run's own event log
-# stays byte-identical whether or not it executed under supervision.
-
-
-@dataclass(frozen=True, slots=True)
-class CheckpointSaved(Event):
-    """A mid-run architectural-state checkpoint was written (fsync'd)."""
-
-    workload: str
-    level: str
-    path: str
-    icount: int
-    bytes_written: int
-
-
-@dataclass(frozen=True, slots=True)
-class CheckpointLoaded(Event):
-    """A run resumed from an integrity-verified checkpoint."""
-
-    workload: str
-    level: str
-    path: str
-    icount: int
-
-
-@dataclass(frozen=True, slots=True)
-class CheckpointRejected(Event):
-    """A checkpoint failed validation and was discarded (recompute-from-start).
-
-    ``reason`` names the failed gate: ``format`` (version bump), ``digest``
-    (payload hash mismatch), ``truncated``, ``fingerprint`` (spec or code
-    changed since it was taken) or ``unreadable``.
-    """
-
-    path: str
-    reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class CheckpointSkipped(Event):
-    """A checkpoint could not be taken (unpicklable transient state); the run
-    continues uncheckpointed — never fails — and retries at the next boundary."""
-
-    workload: str
-    level: str
-    reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class WorkerCrashed(Event):
-    """A supervised worker process died without delivering a result."""
-
-    workload: str
-    level: str
-    attempt: int
-
-
-@dataclass(frozen=True, slots=True)
-class WorkerTimedOut(Event):
-    """A supervised worker was killed for exceeding a deadline.
-
-    ``reason`` is ``timeout`` (total task budget) or ``stall`` (heartbeats
-    stopped); ``seconds`` is the elapsed time at the kill.
-    """
-
-    workload: str
-    level: str
-    attempt: int
-    seconds: float
-    reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class WorkerSlow(Event):
-    """A worker missed its heartbeat deadline but is still making progress.
-
-    The stall detector distinguishes *slow but progressing* (simulated
-    ``icount`` advanced within the stall window — the worker is spared and
-    this event logs it, once per attempt) from *stuck* (no heartbeat and no
-    progress — killed with ``WorkerTimedOut(reason="stall")``).
-    """
-
-    workload: str
-    level: str
-    attempt: int
-    seconds: float
-    icount: int
-
-
-@dataclass(frozen=True, slots=True)
-class TaskRetried(Event):
-    """The supervisor rescheduled a failed task after backing off."""
-
-    workload: str
-    level: str
-    attempt: int
-    backoff: float
-
-
-@dataclass(frozen=True, slots=True)
-class JournalReplayed(Event):
-    """``--resume`` replayed finished tasks from a write-ahead run journal.
-
-    ``corrupt`` counts skipped unreadable/tampered lines — they degrade to
-    recomputation, never to wrong results.
-    """
-
-    path: str
-    replayed: int
-    corrupt: int
-
-
-@dataclass(frozen=True, slots=True)
-class ChaosInjected(Event):
-    """The deterministic chaos harness fired one planned engine-level fault."""
-
-    fault: str
-    detail: str
-
-
 class EventBus:
     """Fans events out to attached sinks.
 

@@ -168,13 +168,13 @@ def run_tenant_plan_cached(
     if store is None:
         return run_tenant_plan(plan)
     fingerprint = plan.fingerprint()
-    cached = store.load_payload(fingerprint, TENANCY_PAYLOAD_KIND, plan.label)
+    cached = store.load_payload(fingerprint, TENANCY_PAYLOAD_KIND)
     if cached is not None:
         result = TenancyResult.from_dict(cached)
         result.from_cache = True
         return result
     result = run_tenant_plan(plan)
-    store.store_payload(fingerprint, TENANCY_PAYLOAD_KIND, plan.label, result.to_dict())
+    store.store_payload(fingerprint, TENANCY_PAYLOAD_KIND, result.to_dict())
     return result
 
 
@@ -201,9 +201,7 @@ def execute_tenant_plans(
     misses: list[int] = []
     for idx, plan in enumerate(plans):
         if store is not None:
-            cached = store.load_payload(
-                plan.fingerprint(), TENANCY_PAYLOAD_KIND, plan.label
-            )
+            cached = store.load_payload(plan.fingerprint(), TENANCY_PAYLOAD_KIND)
             if cached is not None:
                 result = TenancyResult.from_dict(cached)
                 result.from_cache = True
@@ -227,9 +225,6 @@ def execute_tenant_plans(
         for idx, result in results.items():
             if not result.from_cache:
                 store.store_payload(
-                    plans[idx].fingerprint(),
-                    TENANCY_PAYLOAD_KIND,
-                    plans[idx].label,
-                    result.to_dict(),
+                    plans[idx].fingerprint(), TENANCY_PAYLOAD_KIND, result.to_dict()
                 )
     return [results[idx] for idx in range(len(plans))]

@@ -7,16 +7,6 @@ import pytest
 
 from repro.engine.cache import ResultStore
 from repro.errors import ConfigError
-from repro.telemetry.events import ResultCacheEvicted
-from repro.telemetry.sinks import ListSink
-
-
-def _bus_with(sink):
-    from repro.telemetry.events import EventBus
-
-    bus = EventBus()
-    bus.attach(sink)
-    return bus
 
 
 def _seed_entries(store, count, size=1000, mtime=None):
@@ -24,7 +14,7 @@ def _seed_entries(store, count, size=1000, mtime=None):
     paths = []
     for i in range(count):
         fp = f"{i:02d}" + "ab" * 31
-        path = store.store_payload(fp, "test", f"entry{i}", {"blob": "x" * size})
+        path = store.store_payload(fp, "test", {"blob": "x" * size})
         if mtime is not None:
             os.utime(path, (mtime, mtime))
         paths.append(path)
@@ -35,21 +25,21 @@ class TestPayloadApi:
     def test_payload_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path)
         payload = {"hello": [1, 2, 3]}
-        store.store_payload("ff" * 32, "tenancy", "demo", payload)
-        assert store.load_payload("ff" * 32, "tenancy", "demo") == payload
+        store.store_payload("ff" * 32, "tenancy", payload)
+        assert store.load_payload("ff" * 32, "tenancy") == payload
         assert store.hits == 1 and store.stored == 1
 
     def test_kind_mismatch_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.store_payload("ff" * 32, "tenancy", "demo", {"a": 1})
-        assert store.load_payload("ff" * 32, "other-kind", "demo") is None
+        store.store_payload("ff" * 32, "tenancy", {"a": 1})
+        assert store.load_payload("ff" * 32, "other-kind") is None
         assert store.misses == 1
 
     def test_corrupt_payload_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
-        path = store.store_payload("ff" * 32, "tenancy", "demo", {"a": 1})
+        path = store.store_payload("ff" * 32, "tenancy", {"a": 1})
         path.write_text("{not json")
-        assert store.load_payload("ff" * 32, "tenancy", "demo") is None
+        assert store.load_payload("ff" * 32, "tenancy") is None
 
 
 class TestGc:
@@ -61,7 +51,7 @@ class TestGc:
         store = ResultStore(tmp_path)
         now = time.time()
         _seed_entries(store, 3, mtime=now - 10 * 86400)  # 10 days old
-        fresh = store.store_payload("aa" * 32, "test", "fresh", {"new": True})
+        fresh = store.store_payload("aa" * 32, "test", {"new": True})
         report = store.gc(max_age_days=7, now=now)
         assert report["evicted"] == 3
         assert report["entries"] == 1
@@ -83,15 +73,15 @@ class TestGc:
         assert all(p.exists() for p in paths[1:])
         assert report["bytes"] <= budget_mb * 1024 * 1024
 
-    def test_gc_emits_telemetry_events(self, tmp_path):
-        sink = ListSink()
-        store = ResultStore(tmp_path, bus=_bus_with(sink))
+    def test_gc_reports_and_counts_evictions(self, tmp_path):
+        store = ResultStore(tmp_path)
         now = time.time()
-        _seed_entries(store, 2, mtime=now - 30 * 86400)
-        store.gc(max_age_days=1, now=now)
-        evicted = [e for e in sink.events if isinstance(e, ResultCacheEvicted)]
-        assert len(evicted) == 2
-        assert all(e.reason == "age" and e.bytes_freed > 0 for e in evicted)
+        paths = _seed_entries(store, 2, mtime=now - 30 * 86400)
+        size = sum(p.stat().st_size for p in paths)
+        report = store.gc(max_age_days=1, now=now)
+        assert report["evicted"] == 2 and report["bytes_freed"] == size
+        assert store.evicted == 2
+        assert "2 evicted" in store.summary_line()
 
     def test_gc_to_zero_then_stats_consistent(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -106,14 +96,6 @@ class TestGc:
         now = time.time()
         _seed_entries(store, 2, mtime=now - 30 * 86400)
         keep_fp = "cc" * 32
-        store.store_payload(keep_fp, "tenancy", "keep", {"kept": 1})
+        store.store_payload(keep_fp, "tenancy", {"kept": 1})
         store.gc(max_age_days=1, now=now)
-        assert store.load_payload(keep_fp, "tenancy", "keep") == {"kept": 1}
-
-
-class TestEventSerialization:
-    def test_evicted_event_roundtrips(self):
-        from repro.telemetry.events import from_record
-
-        event = ResultCacheEvicted(cycle=0, fingerprint="ab" * 32, reason="size", bytes_freed=123)
-        assert from_record(event.to_record()) == event
+        assert store.load_payload(keep_fp, "tenancy") == {"kept": 1}

@@ -56,6 +56,15 @@ def test_parser_help_exits_zero(capsys):
         assert artifact in out
 
 
+def test_help_names_the_default_checkpoint_cadence(capsys):
+    from repro.durability.runner import DEFAULT_CHECKPOINT_EVERY
+
+    with pytest.raises(SystemExit):
+        cli_main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"(default {DEFAULT_CHECKPOINT_EVERY} once engaged)" in out
+
+
 @pytest.mark.parametrize("artifact", ARTIFACTS)
 def test_minimal_invocation_exits_zero(artifact, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # trace writes its default output file here

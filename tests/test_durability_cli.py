@@ -1,8 +1,9 @@
 """CLI durability flags: supervised runs, resume, cache gc --dry-run.
 
 The contract surfaced to users: durability flags never change stdout (tables
-stay byte-identical), ``--resume`` on a clean slate is just a fresh run, and
-``cache gc --dry-run`` reports without deleting.
+stay byte-identical), a supervised run on a clean slate is just a fresh run
+that leaves no run state behind, and ``cache gc --dry-run`` reports without
+deleting.
 """
 
 import os
@@ -36,14 +37,16 @@ class TestSupervisedFigures:
     def test_resume_without_prior_run_is_fresh(self, capsys):
         assert cli_main(["figures", *TINY]) == 0
         plain = capsys.readouterr().out
-        resumed_cache = str(_cache_dir() / "resumed")
+        # Without a result cache the supervisor keeps finished runs in a
+        # private store under the run directory until the plan completes.
         assert cli_main([
-            "figures", *TINY, "--cache-dir", resumed_cache, "--resume",
+            "figures", *TINY, "--no-cache", "--checkpoint-every", "50000",
         ]) == 0
         assert capsys.readouterr().out == plain
-        # A completed supervised run retires its journal.
-        journals = list((Path(resumed_cache) / "journal").glob("*.jsonl"))
-        assert journals == []
+        run_dir = _cache_dir() / "run"
+        assert (run_dir / "status.json").is_file()
+        assert list(run_dir.rglob("*.ckpt")) == []
+        assert list((run_dir / "results").rglob("*.json")) == []
 
     def test_checkpoint_every_engages_supervisor(self, capsys):
         assert cli_main([
@@ -74,7 +77,6 @@ class TestTelemetryRefusesDurability:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--resume"],
             ["--chaos-seed", "1"],
             ["--task-timeout", "30"],
             ["--checkpoint-every", "250000"],
@@ -88,12 +90,12 @@ class TestTelemetryRefusesDurability:
         err = capsys.readouterr().err
         assert flags[0] in err and "--telemetry" in err
         assert not log.exists()
-        assert not (_cache_dir() / "journal").exists()
+        assert not (_cache_dir() / "run").exists()
 
     def test_metrics_alone_is_refused_too(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["figures", *TINY, "--metrics", str(metrics), "--resume"])
+            cli_main(["figures", *TINY, "--metrics", str(metrics), "--task-timeout", "30"])
         assert excinfo.value.code == 2
         assert "--metrics" in capsys.readouterr().err
         assert not metrics.exists()

@@ -1,21 +1,20 @@
 """Supervised plan execution: identity, recovery, resume.
 
 Everything here pins one claim: whatever the supervisor survives — crashes,
-stalls, torn checkpoints, corrupt journals — its results are bit-identical
-to plain serial execution.
+stalls, torn checkpoints, corrupt result entries, a rerun after being
+killed — its results are bit-identical to plain serial execution.
 """
 
 import pytest
 
 from repro.durability import ChaosPlan, DurabilityPolicy, SupervisorConfig
-from repro.durability.journal import RunJournal, journal_path, plan_fingerprint
 from repro.durability.runner import run_spec_durable
 from repro.durability.supervisor import execute_plan_supervised
 from repro.engine.cache import ResultStore
 from repro.engine.executor import execute_plan
+from repro.engine.result import RunResult
 from repro.engine.spec import RunPlan, RunSpec
-from repro.telemetry.events import EventBus
-from repro.telemetry.sinks import ListSink
+from repro.obs.status import read_status
 
 #: Small but real plan: two levels of one workload plus a second workload.
 PLAN = RunPlan.of(
@@ -36,11 +35,15 @@ def _docs(results):
     return [r.to_dict() for r in results]
 
 
-def _bus():
-    events = ListSink()
-    bus = EventBus()
-    bus.attach(events)
-    return bus, events
+def _rows(root):
+    """The task rows of the run's ``status.json``."""
+    return read_status(root)["tasks"]
+
+
+def _interrupted(store, plain_docs, indices=(0, 2)):
+    """What a killed run leaves behind: some finished tasks in ``store``."""
+    for index in indices:
+        store.store(PLAN[index], RunResult.from_dict(plain_docs[index]))
 
 
 @pytest.fixture(scope="module")
@@ -50,20 +53,20 @@ def plain_docs():
 
 class TestIdentity:
     def test_supervised_equals_plain(self, tmp_path, plain_docs):
-        policy = DurabilityPolicy(journal_root=tmp_path / "journal", supervisor=FAST)
+        policy = DurabilityPolicy(run_root=tmp_path / "run", supervisor=FAST)
         supervised = execute_plan_supervised(PLAN, jobs=2, policy=policy)
         assert _docs(supervised) == plain_docs
 
-    def test_journal_and_checkpoints_retire_on_success(self, tmp_path, plain_docs):
-        root = tmp_path / "journal"
-        policy = DurabilityPolicy(journal_root=root, supervisor=FAST)
+    def test_checkpoints_and_private_results_retire_on_success(self, tmp_path, plain_docs):
+        root = tmp_path / "run"
+        policy = DurabilityPolicy(run_root=root, checkpoint_every=CHAOS_EVERY, supervisor=FAST)
         execute_plan_supervised(PLAN, jobs=2, policy=policy)
-        assert not journal_path(root, plan_fingerprint(PLAN)).exists()
         assert not list((root / "checkpoints").glob("*.ckpt"))
+        assert ResultStore(root / "results").entries() == []
 
     def test_results_store_and_progress(self, tmp_path, plain_docs):
         store = ResultStore(tmp_path / "cache")
-        policy = DurabilityPolicy(journal_root=tmp_path / "journal", supervisor=FAST)
+        policy = DurabilityPolicy(run_root=tmp_path / "run", supervisor=FAST)
         seen = []
         results = execute_plan_supervised(
             PLAN, jobs=2, store=store,
@@ -80,31 +83,31 @@ class TestIdentity:
 
 class TestChaosRecovery:
     def test_kill_and_stall_recover_bit_identical(self, tmp_path, plain_docs):
-        bus, events = _bus()
+        root = tmp_path / "run"
         policy = DurabilityPolicy(
-            journal_root=tmp_path / "journal",
+            run_root=root,
             checkpoint_every=CHAOS_EVERY,
             supervisor=FAST,
             chaos=ChaosPlan(seed=1, kinds=("kill_worker", "stall_worker")),
-            bus=bus,
         )
         results = execute_plan_supervised(PLAN, jobs=2, policy=policy)
         assert _docs(results) == plain_docs
-        counts = events.counts()
-        assert counts.get("ChaosInjected", 0) == 2
-        assert counts.get("TaskRetried", 0) >= 1
-        # One kill -> WorkerCrashed, one stall -> WorkerTimedOut(stall).
-        assert counts.get("WorkerCrashed", 0) >= 1
-        assert counts.get("WorkerTimedOut", 0) >= 1
+        # Each kind fires once: the kill is a crash, the stall a stall, and
+        # each failed attempt is retried.
+        rows = _rows(root)
+        failures = sorted(reason for row in rows for reason in row["failures"])
+        assert failures == ["crash", "stall"]
+        assert all(row["attempts"] == len(row["failures"]) for row in rows)
+        assert all(row["state"] == "done" for row in rows)
+        # A worker that never beats is a stall, not a slow spell first.
+        assert all(row["slow"] == 0 for row in rows if "stall" in row["failures"])
 
     def test_truncated_checkpoint_recovers(self, tmp_path, plain_docs):
-        bus, events = _bus()
         policy = DurabilityPolicy(
-            journal_root=tmp_path / "journal",
+            run_root=tmp_path / "run",
             checkpoint_every=CHAOS_EVERY,
             supervisor=FAST,
             chaos=ChaosPlan(seed=1, kinds=("kill_worker", "truncate_checkpoint")),
-            bus=bus,
         )
         results = execute_plan_supervised(PLAN, jobs=2, policy=policy)
         assert _docs(results) == plain_docs
@@ -112,7 +115,7 @@ class TestChaosRecovery:
     def test_corrupt_cache_entry_recovers(self, tmp_path, plain_docs):
         store = ResultStore(tmp_path / "cache")
         policy = DurabilityPolicy(
-            journal_root=tmp_path / "journal",
+            run_root=tmp_path / "run",
             supervisor=FAST,
             chaos=ChaosPlan(seed=1, kinds=("corrupt_cache_entry",)),
         )
@@ -123,54 +126,48 @@ class TestChaosRecovery:
         assert fresh.scan()["corrupt"] == 1
         again = execute_plan_supervised(
             PLAN, jobs=2, store=fresh,
-            policy=DurabilityPolicy(journal_root=tmp_path / "journal", supervisor=FAST),
+            policy=DurabilityPolicy(run_root=tmp_path / "run", supervisor=FAST),
         )
         assert _docs(again) == plain_docs
         assert fresh.corrupt == 1
 
 
 class TestResume:
-    def test_journal_resume_skips_finished_tasks(self, tmp_path, plain_docs):
-        root = tmp_path / "journal"
-        plan_fp = plan_fingerprint(PLAN)
-        # Simulate an interrupted run: tasks 0 and 2 journaled, then death.
-        journal = RunJournal(journal_path(root, plan_fp))
-        journal.plan_begin(plan_fp, len(PLAN))
-        journal.task_done(0, PLAN[0].fingerprint(), plain_docs[0])
-        journal.task_done(2, PLAN[2].fingerprint(), plain_docs[2])
-        bus, events = _bus()
-        policy = DurabilityPolicy(
-            journal_root=root, resume=True, supervisor=FAST, bus=bus,
-        )
+    def test_rerun_replays_finished_tasks_from_the_store(self, tmp_path, plain_docs):
+        store = ResultStore(tmp_path / "cache")
+        _interrupted(store, plain_docs)
+        root = tmp_path / "run"
+        policy = DurabilityPolicy(run_root=root, supervisor=FAST)
+        results = execute_plan_supervised(PLAN, jobs=2, store=store, policy=policy)
+        assert _docs(results) == plain_docs
+        # Tasks 0 and 2 replay; only task 1 is simulated and stored.
+        assert [row["state"] for row in _rows(root)] == ["cached", "done", "cached"]
+        assert (store.hits, store.stored) == (2, 3)
+
+    def test_storeless_rerun_replays_the_private_store(self, tmp_path, plain_docs):
+        root = tmp_path / "run"
+        private = ResultStore(root / "results")
+        _interrupted(private, plain_docs)
+        policy = DurabilityPolicy(run_root=root, supervisor=FAST)
         results = execute_plan_supervised(PLAN, jobs=2, policy=policy)
         assert _docs(results) == plain_docs
-        replayed = [e for e in events.events if e.kind == "JournalReplayed"]
-        assert len(replayed) == 1 and replayed[0].replayed == 2
-        assert not journal.path.exists()
+        assert [row["state"] for row in _rows(root)] == ["cached", "done", "cached"]
+        # The completed plan retires its private results.
+        assert private.entries() == []
 
-    def test_flipped_journal_byte_recomputes(self, tmp_path, plain_docs):
-        root = tmp_path / "journal"
-        plan_fp = plan_fingerprint(PLAN)
-        journal = RunJournal(journal_path(root, plan_fp))
-        journal.task_done(0, PLAN[0].fingerprint(), plain_docs[0])
-        data = bytearray(journal.path.read_bytes())
+    def test_flipped_private_entry_byte_recomputes(self, tmp_path, plain_docs):
+        root = tmp_path / "run"
+        private = ResultStore(root / "results")
+        _interrupted(private, plain_docs, indices=(0,))
+        path = private.path_for(PLAN[0].fingerprint())
+        data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0x01
-        journal.path.write_bytes(bytes(data))
-        bus, events = _bus()
-        policy = DurabilityPolicy(
-            journal_root=root, resume=True, supervisor=FAST, bus=bus,
-        )
+        path.write_bytes(bytes(data))
+        policy = DurabilityPolicy(run_root=root, supervisor=FAST)
         results = execute_plan_supervised(PLAN, jobs=2, policy=policy)
         assert _docs(results) == plain_docs
-        replayed = [e for e in events.events if e.kind == "JournalReplayed"]
-        assert len(replayed) == 1
-        assert replayed[0].corrupt == 1 and replayed[0].replayed == 0
-
-    def test_resume_without_journal_is_fresh_run(self, tmp_path, plain_docs):
-        policy = DurabilityPolicy(
-            journal_root=tmp_path / "journal", resume=True, supervisor=FAST,
-        )
-        assert _docs(execute_plan_supervised(PLAN, jobs=2, policy=policy)) == plain_docs
+        assert [row["state"] for row in _rows(root)] == ["done", "done", "done"]
+        assert private.entries() == []
 
 
 class TestDurableRunner:
@@ -190,32 +187,32 @@ class TestDurableRunner:
         assert result.to_dict() == plain_docs[0]
 
     def test_execute_plan_durability_param_routes(self, tmp_path, plain_docs):
-        policy = DurabilityPolicy(journal_root=tmp_path / "journal", supervisor=FAST)
+        policy = DurabilityPolicy(run_root=tmp_path / "run", supervisor=FAST)
         results = execute_plan(PLAN, jobs=2, durability=policy)
         assert _docs(results) == plain_docs
 
 
 class TestStatusAndStallDistinction:
     def test_status_file_tracks_the_run_to_done(self, tmp_path, plain_docs):
-        from repro.obs.status import read_status
-
-        root = tmp_path / "journal"
-        policy = DurabilityPolicy(journal_root=root, supervisor=FAST)
+        root = tmp_path / "run"
+        policy = DurabilityPolicy(run_root=root, supervisor=FAST)
         execute_plan_supervised(PLAN, jobs=2, policy=policy)
         doc = read_status(root)
         assert doc["done"] is True
-        assert doc["plan"] == plan_fingerprint(PLAN)
+        assert doc["plan"] == PLAN.fingerprint()
         states = [task["state"] for task in doc["tasks"]]
         assert len(states) == len(PLAN) and set(states) <= {"done", "cached"}
         assert all(task["icount"] > 0 for task in doc["tasks"])
+        assert all(task["failures"] == [] and task["slow"] == 0 for task in doc["tasks"])
 
     def test_slow_but_progressing_worker_is_spared(self, tmp_path, plain_docs):
         """Missed heartbeats with advancing slice stamps must not kill the
         worker: huge heartbeat_every makes every worker look quiet, but the
-        simulation progresses, so the supervisor logs WorkerSlow and waits."""
-        bus, events = _bus()
+        simulation progresses, so the supervisor counts a slow spell and
+        waits."""
+        root = tmp_path / "run"
         policy = DurabilityPolicy(
-            journal_root=tmp_path / "journal",
+            run_root=root,
             checkpoint_every=2000,
             supervisor=SupervisorConfig(
                 task_timeout=120.0,
@@ -223,11 +220,9 @@ class TestStatusAndStallDistinction:
                 heartbeat_every=60.0,
                 backoff_base=0.05,
             ),
-            bus=bus,
         )
         supervised = execute_plan_supervised(PLAN, jobs=2, policy=policy)
         assert _docs(supervised) == plain_docs
-        counts = events.counts()
-        assert counts.get("WorkerSlow", 0) >= 1
-        assert counts.get("WorkerTimedOut", 0) == 0
-        assert counts.get("WorkerCrashed", 0) == 0
+        rows = _rows(root)
+        assert sum(row["slow"] for row in rows) >= 1
+        assert all(row["failures"] == [] for row in rows)

@@ -8,11 +8,14 @@ cache and ``--jobs`` freely without changing any rendered output.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import OptimizerConfig
 from repro.engine import (
@@ -89,6 +92,18 @@ def test_runplan_is_ordered_and_indexable():
     assert plan[1].level == "dyn"
 
 
+def test_runplan_fingerprint_is_deterministic_and_order_sensitive():
+    a = RunPlan.of(RunSpec("vpr", "orig"), RunSpec("vpr", "dyn"))
+    b = RunPlan.of(RunSpec("vpr", "orig"), RunSpec("vpr", "dyn"))
+    swapped = RunPlan.of(RunSpec("vpr", "dyn"), RunSpec("vpr", "orig"))
+    assert a.fingerprint() == b.fingerprint()
+    assert a.fingerprint() != swapped.fingerprint()
+    # sha256 over the spec fingerprints, each NUL-terminated (the status
+    # document's ``plan`` value).
+    joined = b"".join(spec.fingerprint().encode() + b"\0" for spec in a)
+    assert a.fingerprint() == hashlib.sha256(joined).hexdigest()
+
+
 # ------------------------------------------------------------ level registry
 
 
@@ -144,6 +159,39 @@ def test_cache_corrupt_entry_degrades_to_miss(tmp_path):
     doc["format"] = 99
     path.write_text(json.dumps(doc))
     assert store.load(spec) is None
+
+
+@pytest.fixture(scope="module")
+def orig_result():
+    return run_spec(_spec("orig"))
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(offset_frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_cache_any_flipped_byte_is_detected_and_repaired(
+    tmp_path_factory, orig_result, offset_frac
+):
+    """Property: flip ANY single byte of a stored entry — ``load`` returns
+    None (never a different result), the entry counts as corrupt in the
+    session and in ``scan()``, and a rerun repairs it."""
+    store = ResultStore(tmp_path_factory.mktemp("cache"))
+    spec = _spec("orig")
+    path = store.store(spec, orig_result)
+    data = bytearray(path.read_bytes())
+    data[int(offset_frac * len(data))] ^= 0x01
+    path.write_bytes(bytes(data))
+    assert store.load(spec) is None
+    assert store.corrupt == 1
+    assert store.scan()["corrupt"] == 1
+    rerun = run_spec(spec, store=store)
+    assert not rerun.from_cache
+    assert rerun.to_dict() == orig_result.to_dict()
+    assert store.scan()["corrupt"] == 0
+    assert store.load(spec).to_dict() == orig_result.to_dict()
 
 
 def test_cache_stats_and_clear(tmp_path):

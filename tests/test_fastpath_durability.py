@@ -91,7 +91,7 @@ class TestCheckpointBytes:
 class TestSupervisedFastpath:
     def test_supervised_plan_with_fastpath_env(self, tmp_path, plain_docs):
         """Supervised workers execute the default compiled kernel."""
-        policy = DurabilityPolicy(journal_root=tmp_path / "journal", supervisor=FAST_SUPERVISOR)
+        policy = DurabilityPolicy(run_root=tmp_path / "run", supervisor=FAST_SUPERVISOR)
         supervised = execute_plan_supervised(PLAN, jobs=2, policy=policy)
         assert [r.to_dict() for r in supervised] == plain_docs
 
@@ -100,7 +100,7 @@ class TestSupervisedFastpath:
         default compiled kernel: results still match the plain serial
         reference."""
         policy = DurabilityPolicy(
-            journal_root=tmp_path / "journal",
+            run_root=tmp_path / "run",
             checkpoint_every=250_000,  # vortex/dyn writes one checkpoint to hit
             supervisor=FAST_SUPERVISOR,
             chaos=ChaosPlan(seed=1, kinds=("kill_worker", "truncate_checkpoint")),

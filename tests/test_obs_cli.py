@@ -48,8 +48,8 @@ class TestStatus:
         assert cli_main(["status", str(tmp_path)]) == 1
         assert "not a supervised run" in capsys.readouterr().err
 
-    def test_status_defaults_to_cache_journal_root(self, tmp_path, capsys):
-        StatusWriter(tmp_path / "journal").write(
+    def test_status_defaults_to_cache_run_dir(self, tmp_path, capsys):
+        StatusWriter(tmp_path / "run").write(
             {"plan": "cafe", "done": True, "eta_s": None, "tasks": []}, force=True
         )
         assert cli_main(["status", "--cache-dir", str(tmp_path)]) == 0
@@ -57,7 +57,7 @@ class TestStatus:
 
     def test_supervised_run_leaves_readable_status(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert cli_main(["figures", *_FAST, "--resume"]) == 0
+        assert cli_main(["figures", *_FAST, "--task-timeout", "30"]) == 0
         capsys.readouterr()
         assert cli_main(["status", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out

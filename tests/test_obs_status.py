@@ -94,6 +94,18 @@ class TestRender:
         text = render_status(doc, now=doc["updated_at"] + STALE_AFTER_S + 5)
         assert "likely dead" in text
 
+    def test_recoveries_render_on_their_row(self, tmp_path):
+        doc = _doc(state="done", done=True)
+        slow = dict(doc["tasks"][0], index=1, workload="mcf", failures=[], slow=2)
+        doc["tasks"][0].update(failures=["crash", "stall"], slow=0)
+        doc["tasks"].append(slow)
+        StatusWriter(tmp_path).write(doc, force=True)
+        lines = render_status(read_status(tmp_path)).splitlines()
+        vpr = next(line for line in lines if " vpr " in line)
+        mcf = next(line for line in lines if " mcf " in line)
+        assert vpr.endswith("(crash, stall)")
+        assert mcf.endswith("(slow x2)")
+
     def test_finished_beats_staleness(self, tmp_path):
         StatusWriter(tmp_path).write(_doc(state="done", done=True), force=True)
         doc = read_status(tmp_path)

@@ -119,3 +119,19 @@ class TestRelabelInvariance:
                 found_difference = True
                 break
         assert found_difference, "half-block shifts never changed anything; invariant vacuous?"
+
+
+class TestCheckpointResume:
+    def test_detects_a_runner_that_never_loads_checkpoints(self, monkeypatch):
+        """A recompute-from-start resume is bit-identical too, so only the
+        first progress sample can tell it from a real resume."""
+        from repro.durability import runner
+        from repro.durability.checkpoint import CheckpointError
+        from repro.oracle.invariants import check_checkpoint_resume_identity
+
+        def never_loads(path, fingerprint=None):
+            raise CheckpointError("digest", f"{path}: refused")
+
+        monkeypatch.setattr(runner, "load_checkpoint", never_loads)
+        with pytest.raises(OracleError, match="first slice ended at icount"):
+            check_checkpoint_resume_identity()

@@ -64,38 +64,6 @@ SAMPLE_EVENTS = {
     "RecordSkipped": lambda: EVENT_TYPES["RecordSkipped"](0, 7, "invalid JSON", "{trunc"),
     "SpanBegin": lambda: EVENT_TYPES["SpanBegin"](5, 1, 0, "run:vpr/dyn", "run", ""),
     "SpanEnd": lambda: EVENT_TYPES["SpanEnd"](95, 1),
-    "ResultCacheHit": lambda: EVENT_TYPES["ResultCacheHit"](0, "vpr", "dyn", "ab" * 32),
-    "ResultCacheMiss": lambda: EVENT_TYPES["ResultCacheMiss"](0, "vpr", "dyn", "ab" * 32),
-    "ResultCacheStored": lambda: EVENT_TYPES["ResultCacheStored"](
-        0, "vpr", "dyn", "ab" * 32, 4096
-    ),
-    "ResultCacheEvicted": lambda: EVENT_TYPES["ResultCacheEvicted"](
-        0, "ab" * 32, "age", 4096
-    ),
-    "CheckpointSaved": lambda: EVENT_TYPES["CheckpointSaved"](
-        0, "vpr", "dyn", "/tmp/run.ckpt", 250000, 4096
-    ),
-    "CheckpointLoaded": lambda: EVENT_TYPES["CheckpointLoaded"](
-        0, "vpr", "dyn", "/tmp/run.ckpt", 250000
-    ),
-    "CheckpointRejected": lambda: EVENT_TYPES["CheckpointRejected"](
-        0, "/tmp/run.ckpt", "digest"
-    ),
-    "CheckpointSkipped": lambda: EVENT_TYPES["CheckpointSkipped"](
-        0, "vpr", "dyn", "unpicklable state"
-    ),
-    "WorkerCrashed": lambda: EVENT_TYPES["WorkerCrashed"](0, "vpr", "dyn", 1),
-    "WorkerTimedOut": lambda: EVENT_TYPES["WorkerTimedOut"](
-        0, "vpr", "dyn", 1, 10.5, "stall"
-    ),
-    "WorkerSlow": lambda: EVENT_TYPES["WorkerSlow"](0, "vpr", "dyn", 1, 10.5, 250000),
-    "TaskRetried": lambda: EVENT_TYPES["TaskRetried"](0, "vpr", "dyn", 2, 0.5),
-    "JournalReplayed": lambda: EVENT_TYPES["JournalReplayed"](
-        0, "/tmp/plan.jsonl", 3, 1
-    ),
-    "ChaosInjected": lambda: EVENT_TYPES["ChaosInjected"](
-        0, "kill_worker", "vpr/dyn"
-    ),
 }
 
 

@@ -3,8 +3,13 @@
 import hashlib
 import json
 
-from repro.digestlines import encode_tagged_line
-from repro.obs.chunks import CHUNK_FORMAT, MANIFEST_NAME, chunk_name, load_chunk_events
+from repro.obs.chunks import (
+    CHUNK_FORMAT,
+    MANIFEST_NAME,
+    chunk_name,
+    encode_tagged_line,
+    load_chunk_events,
+)
 from repro.obs.stream import StreamingTraceSink
 from repro.telemetry import (
     BurstBegin,
