@@ -54,8 +54,9 @@ way, so a live trace and a merged one are equal by construction.
 scorecard built from the lifecycle ledger; ``--stream s3`` (with a single
 ``--workloads`` entry) zooms into one stream's fate histogram, timeliness
 distribution and watchdog verdicts.  ``--against orig`` diffs the
-attribution tables of two levels instead — both sides replay from the result
-cache when warm.  ``--by-proc`` adds the per-procedure split of the same
+attribution tables of two levels instead — both sides run as one plan, so
+they replay from the result cache when warm and take ``--jobs`` and the
+durability flags.  ``--by-proc`` adds the per-procedure split of the same
 seven categories (sums are conservation-checked against the totals).
 ``explain --from PATH`` renders the run summaries embedded in a chunk
 directory or trace JSON offline.  ``repro-bench status [run-dir]`` renders a
@@ -89,9 +90,13 @@ every finished run before moving on: in the result cache, or under
 SIGKILLed command again therefore replays its finished runs and resumes the
 rest from their checkpoints, with output byte-identical to a straight-through
 run.  Checkpoints, ``status.json`` and private results live under
-``<cache root>/run/``.  Runs recorded through ``--telemetry``/``--metrics``
-execute live and in-process, outside that executor, so those flags refuse
-any durability flag.
+``<cache root>/run/`` (``--cache-dir`` moves it, with or without
+``--no-cache``); ``figures`` and ``all`` run the Figure 11/12 and Table 2
+grid as one plan, so ``status`` lists all of it.  The supervised executor
+runs plans of single runs only: runs recorded through
+``--telemetry``/``--metrics`` execute live and in-process, so those flags
+refuse any durability flag, and ``trace``, ``explain`` (without
+``--against``), ``tenancy`` and ``ablation-tenancy`` refuse them outright.
 
 Tenancy (:mod:`repro.tenancy`): ``repro-bench tenancy --tenants
 vpr:dyn,phaseshift:dyn`` interleaves several workloads on one shared
@@ -99,9 +104,11 @@ hierarchy (``--quantum`` instructions per round-robin slice, ``--sharing
 shared|private-l1``) and prints the per-tenant scorecard plus the
 cross-tenant pollution matrix, exact and reconciled.  ``repro-bench
 ablation-tenancy`` runs the shared-L2 ablation: vpr at nopref/dyn/
-dyn+watchdog against the phaseshift thrasher.  ``--watchdog`` and
-``--fault-seed`` apply to every tenant; co-run results memoize in the same
-result cache under the plan fingerprint.
+dyn+watchdog against the phaseshift thrasher, its co-runs and their solo
+baselines in one plan.  ``--watchdog`` and ``--fault-seed`` apply to every
+tenant.  A co-run is a job like a single run: it memoizes in the same result
+cache and fans out over ``--jobs``.  Co-runs record no telemetry, so both
+artifacts refuse ``--telemetry`` and ``--metrics``.
 """
 
 from __future__ import annotations
@@ -117,7 +124,7 @@ from repro.bench.figures import ResultCache
 from repro.bench.reporting import Ratio, format_table
 from repro.core.config import OptimizerConfig
 from repro.durability.runner import DEFAULT_CHECKPOINT_EVERY
-from repro.engine.cache import ResultStore
+from repro.engine.cache import ResultStore, default_cache_root
 from repro.resilience import FaultPlan, WatchdogConfig
 from repro.telemetry.session import TelemetryRecorder
 from repro.workloads import presets
@@ -442,6 +449,8 @@ def _run_explain(args, names: Sequence[str], cache: ResultCache, parser) -> int:
                 opt=cache.opt,
                 passes=cache.passes_for(name),
                 store=cache.store,
+                jobs=cache.jobs,
+                durability=cache.durability,
             )
             print(render_level_diff(diff))
             print()
@@ -462,17 +471,35 @@ def _run_explain(args, names: Sequence[str], cache: ResultCache, parser) -> int:
     return status
 
 
-def _durability_flags(args) -> list[str]:
-    """The durability flags given on the command line."""
-    return [
-        flag
-        for flag, given in (
-            ("--chaos-seed", args.chaos_seed is not None),
-            ("--task-timeout", args.task_timeout is not None),
-            ("--checkpoint-every", args.checkpoint_every is not None),
-        )
-        if given
-    ]
+#: The flags that engage the supervised executor.
+DURABILITY_FLAGS = ("--chaos-seed", "--task-timeout", "--checkpoint-every")
+
+
+def _given(args, flags: Sequence[str]) -> list[str]:
+    """Those of ``flags`` given on the command line."""
+    return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+
+
+def _ignored_flags(args) -> list[str]:
+    """The given flags that ``args.artifact`` would not honour.
+
+    Only plans of single runs go through the supervised executor: ``trace``
+    and ``explain`` (unless ``--against``) run live or offline, and the
+    tenancy artifacts run co-runs, which neither checkpoint nor record.
+    """
+    tenancy = args.artifact in ("tenancy", "ablation-tenancy")
+    live = args.artifact == "trace" or (args.artifact == "explain" and args.against is None)
+    flags = DURABILITY_FLAGS if tenancy or live else ()
+    if tenancy:
+        flags += ("--telemetry", "--metrics")
+    return _given(args, flags)
+
+
+def _cache_root(args) -> Path:
+    """The cache root: ``--cache-dir``, else ``$REPRO_CACHE_DIR`` or the
+    default.  Supervised runs keep their run directory under it, with or
+    without ``--no-cache``."""
+    return Path(args.cache_dir) if args.cache_dir is not None else default_cache_root()
 
 
 def _durability_policy(args):
@@ -483,12 +510,13 @@ def _durability_policy(args):
     tracks the task timeout but never exceeds 10s — a live worker heartbeats
     every quarter second, so silence is a stall long before it is a timeout.
     """
-    if not _durability_flags(args):
+    if not _given(args, DURABILITY_FLAGS):
         return None
     from repro.durability import ChaosPlan, DurabilityPolicy, SupervisorConfig
 
     task_timeout = args.task_timeout if args.task_timeout is not None else 600.0
     return DurabilityPolicy(
+        run_root=_cache_root(args) / "run",
         checkpoint_every=(
             args.checkpoint_every
             if args.checkpoint_every is not None
@@ -535,14 +563,10 @@ def _run_status(args, parser) -> int:
     Works identically on a run that is still executing, one that finished,
     and one whose process died — the file's age distinguishes them.
     """
-    from repro.engine.cache import default_cache_root
     from repro.errors import ConfigError
     from repro.obs.status import read_status, render_status
 
-    run_dir = args.subcommand
-    if run_dir is None:
-        root = Path(args.cache_dir) if args.cache_dir else default_cache_root()
-        run_dir = Path(root) / "run"
+    run_dir = args.subcommand if args.subcommand is not None else _cache_root(args) / "run"
     try:
         doc = read_status(run_dir)
     except ConfigError as exc:
@@ -554,7 +578,7 @@ def _run_status(args, parser) -> int:
 
 def _run_cache(args, parser) -> int:
     """``repro-bench cache``: inspect, clear or garbage-collect the store."""
-    store = ResultStore(args.cache_dir)
+    store = ResultStore(_cache_root(args))
     if args.subcommand == "gc":
         if args.max_age_days is None and args.max_size_mb is None:
             parser.error("cache gc needs --max-age-days and/or --max-size-mb")
@@ -617,7 +641,8 @@ def _parse_tenants(args, parser, opt: OptimizerConfig, scale: float):
 
 def _run_tenancy(args, parser, opt: OptimizerConfig, store: Optional[ResultStore]) -> int:
     """``repro-bench tenancy``: one co-run, scorecard + pollution matrix."""
-    from repro.tenancy import TenantPlan, run_tenant_plan_cached
+    from repro.engine.executor import run_spec
+    from repro.tenancy import TenantPlan
     from repro.tenancy.ablation import check_result
     from repro.tenancy.scorecard import render_scorecard
 
@@ -626,7 +651,7 @@ def _run_tenancy(args, parser, opt: OptimizerConfig, store: Optional[ResultStore
         quantum=args.quantum,
         sharing=args.sharing,
     )
-    result = run_tenant_plan_cached(plan, store)
+    result = run_spec(plan, store=store)
     print(render_scorecard(result))
     problems = check_result(result)
     if problems:
@@ -893,11 +918,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.stream is not None and args.artifact != "explain":
         parser.error("--stream names a stream id for explain; "
                      "log events with --telemetry DIR instead")
+    ignored = _ignored_flags(args)
+    if ignored:
+        parser.error(f"{args.artifact} does not take {', '.join(ignored)}")
     if args.artifact == "cache":
         return _run_cache(args, parser)
     if args.artifact == "status":
         return _run_status(args, parser)
-    store = None if args.no_cache else ResultStore(args.cache_dir)
+    store = None if args.no_cache else ResultStore(_cache_root(args))
     durability = _durability_policy(args)
 
     if args.artifact == "verify":
@@ -915,7 +943,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A recorded run executes live and in-process, never through the
         # supervised executor, so these flags would be silently ignored.
         parser.error(
-            f"{', '.join(_durability_flags(args))} cannot combine with "
+            f"{', '.join(_given(args, DURABILITY_FLAGS))} cannot combine with "
             f"{'--telemetry' if args.telemetry else '--metrics'}: recorded runs "
             "execute live, outside the supervised executor"
         )
@@ -982,6 +1010,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _print_table1()
     if args.artifact in ("figure8", "all"):
         _print_figure8()
+    if args.artifact in ("figures", "all"):
+        # One plan for the whole grid, so a supervised run's status.json
+        # lists every task of it.
+        cache.warm([(n, level) for n in names for level in figures.FIGURE_LEVELS])
     if args.artifact in ("figure11", "figures", "all"):
         _print_figure11(cache, names)
     if args.artifact in ("figure12", "figures", "all"):

@@ -46,6 +46,9 @@ from repro.telemetry.session import TelemetryRecorder
 from repro.workloads import presets
 from repro.workloads.phaseshift import PhaseShiftParams
 
+#: The levels Figures 11 and 12 and Table 2 read, in ladder order.
+FIGURE_LEVELS = ("orig", "base", "prof", "hds", "nopref", "seq", "dyn")
+
 #: The paper's worked-example string (Figure 4/6, Table 1).
 EXAMPLE_STRING = "abaabcabcabcabc"
 #: The paper's example streams for the DFSM figure (Figure 8).

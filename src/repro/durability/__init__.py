@@ -24,8 +24,8 @@ trading correctness for availability.  This package supplies the pieces
     its checkpoints.
 
 :mod:`repro.durability.chaos`
-    A seeded, deterministic :class:`~repro.durability.chaos.ChaosPlan` (in
-    the spirit of :mod:`repro.resilience.faults`) that injects engine-level
+    A seeded, deterministic :class:`~repro.durability.chaos.ChaosPlan` (on
+    the seeded core of :mod:`repro.resilience.faults`) that injects engine-level
     faults — SIGKILL a worker mid-task, stall past the heartbeat deadline,
     truncate a checkpoint, corrupt a result entry — to prove every recovery
     path under test and in CI.

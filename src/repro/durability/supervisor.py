@@ -2,8 +2,9 @@
 
 :func:`execute_plan_supervised` is the crash-safe sibling of
 :func:`~repro.engine.executor.execute_plan`, engaged through its
-``durability`` parameter.  Same contract — results in plan order,
-bit-identical to serial execution — plus a production posture:
+``durability`` parameter, for plans of run specs (the one job kind that
+checkpoints).  Same contract — results in plan order, bit-identical to
+serial execution — plus a production posture:
 
 * every task runs in its own killable ``multiprocessing.Process``, with a
   heartbeat thread stamping a shared monotonic clock so the supervisor can
@@ -45,9 +46,8 @@ from repro.durability.runner import DEFAULT_CHECKPOINT_EVERY, run_spec_durable
 from repro.engine.cache import ResultStore, default_cache_root
 from repro.engine.result import RunResult
 from repro.engine.spec import RunPlan, RunSpec
+from repro.errors import ConfigError
 from repro.obs.status import StatusWriter
-
-ProgressHook = Callable[[RunSpec, RunResult], None]
 
 #: Slots in the per-task shared progress array (doubles), in order.
 _PROGRESS_FIELDS = ("icount", "cycles", "epoch", "hit_ewma", "acc_ewma")
@@ -269,7 +269,6 @@ def execute_plan_supervised(
     plan: RunPlan,
     jobs: int = 1,
     store: Optional[ResultStore] = None,
-    progress: Optional[ProgressHook] = None,
     policy: Optional[DurabilityPolicy] = None,
 ) -> list[RunResult]:
     """Execute ``plan`` under supervision; results in plan order, always.
@@ -280,7 +279,12 @@ def execute_plan_supervised(
     in a private store under the run root, so any interruption — including
     SIGKILL of this very process — is resumed by executing the same plan
     again.  A completed plan retires its checkpoints and private results.
+
+    Only run specs checkpoint, so a plan holding any other job (a tenancy
+    co-run) raises :class:`~repro.errors.ConfigError` before anything runs.
     """
+    if not all(isinstance(job, RunSpec) for job in plan):
+        raise ConfigError("the supervised executor runs plans of run specs only")
     policy = policy if policy is not None else DurabilityPolicy()
     cfg = policy.supervisor
     chaos = ChaosInjector(policy.chaos) if policy.chaos is not None else None
@@ -296,8 +300,6 @@ def execute_plan_supervised(
             chaos.corrupt_file(results_store.path_for(fingerprints[index]), "corrupt_cache_entry")
         results[index] = result
         board.mark(index, "done")
-        if progress is not None:
-            progress(plan[index], result)
 
     # Phase 1: replay finished tasks (hits are exact replays; corrupt
     # entries already degrade to misses inside the store).
@@ -306,8 +308,6 @@ def execute_plan_supervised(
         if cached is not None:
             results[index] = cached
             board.mark(index, "cached")
-            if progress is not None:
-                progress(spec, cached)
 
     pending = [
         _Task(i, plan[i], root / "checkpoints" / f"{fingerprints[i]}.ckpt")

@@ -7,7 +7,9 @@ package turns that grid into data:
 - :mod:`repro.engine.spec` — :class:`RunSpec` freezes *everything* that
   determines a run's outcome (workload, level, pass count, machine model,
   optimizer config) into one serializable value with a deterministic
-  content fingerprint; :class:`RunPlan` is an ordered batch of specs.
+  content fingerprint.  It is one kind of job; a tenancy co-run
+  (:class:`~repro.tenancy.plan.TenantPlan`) is the other, fingerprinted by
+  the same recipe.  :class:`RunPlan` is an ordered batch of jobs.
 - :mod:`repro.engine.levels` — the declarative measurement-level registry.
   Each :class:`LevelSpec` describes its instrumentation, optimizer wiring
   and configuration derivation, replacing the old if/elif ladder in
@@ -15,12 +17,14 @@ package turns that grid into data:
 - :mod:`repro.engine.result` — :class:`RunResult` with a bit-identical
   ``to_dict``/``from_dict`` round trip.
 - :mod:`repro.engine.cache` — :class:`ResultStore`, a content-addressed
-  on-disk result cache under ``.repro-cache/`` keyed by spec fingerprint
+  on-disk result cache under ``.repro-cache/`` keyed by job fingerprint
   (plus a code-version salt, so editing the simulator invalidates
-  everything it could have influenced).
-- :mod:`repro.engine.executor` — :func:`run_spec` (one spec, cache-aware)
-  and :func:`execute_plan` (a whole plan, optionally across a process
-  pool, with per-run crash retry and deterministic result ordering).
+  everything it could have influenced); ``load(job)``/``store(job,
+  result)`` serve both kinds.
+- :mod:`repro.engine.executor` — :func:`execute_plan` (a whole plan of
+  either kind of job, optionally across a process pool, with per-run crash
+  retry and deterministic result ordering) and :func:`run_spec`, its
+  one-job case.
 
 The bench layer (:mod:`repro.bench`) and the golden-corpus oracle
 (:mod:`repro.oracle.golden`) are thin consumers of this package;

@@ -1,10 +1,13 @@
 """Content-addressed on-disk result cache.
 
-:class:`ResultStore` memoizes :class:`~repro.engine.result.RunResult`s under
-a cache root (default ``.repro-cache/``, overridable via the
-``REPRO_CACHE_DIR`` environment variable), keyed by the spec fingerprint —
-so the key already covers the workload, level, machine, optimizer config
-*and* the simulator's own source code (:func:`repro.engine.spec.code_version`).
+:class:`ResultStore` memoizes job results — single runs and tenancy co-runs
+alike — under a cache root (default ``.repro-cache/``, overridable via the
+``REPRO_CACHE_DIR`` environment variable), keyed by the job fingerprint, so
+the key already covers the job's whole description *and* the simulator's
+own source code (:func:`repro.engine.spec.code_version`).  One API serves
+every kind of job: ``load(job)`` and ``store(job, result)``.  An entry
+records its job's ``kind`` and ``load`` checks it, so an entry never
+satisfies a job of another kind.
 
 Entries are plain JSON documents laid out git-style
 (``objects/<fp[:2]>/<fp>.json``) and written atomically (tmp file + fsync +
@@ -31,8 +34,7 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.engine.result import RunResult
-from repro.engine.spec import RunSpec
+from repro.engine.spec import Job
 from repro.errors import ConfigError
 
 #: Format version stamped into cache entries; bump on layout changes.
@@ -47,6 +49,18 @@ def _entry_digest(doc: dict) -> str:
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
+
+def _read_entry(path: Path, fingerprint: str) -> dict:
+    """The entry at ``path``; raises unless it is in the current format,
+    names ``fingerprint`` and matches its digest."""
+    doc = json.loads(path.read_text())
+    if doc.get("format") != CACHE_FORMAT or doc.get("fingerprint") != fingerprint:
+        raise ValueError("stale cache entry")
+    if doc.get("sha256") != _entry_digest(doc):
+        raise ValueError("cache entry digest mismatch")
+    return doc
+
+
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
@@ -60,7 +74,7 @@ def default_cache_root() -> Path:
 
 
 class ResultStore:
-    """Content-addressed store of serialized run results."""
+    """Content-addressed store of serialized job results."""
 
     def __init__(self, root: Union[str, os.PathLike, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
@@ -82,21 +96,18 @@ class ResultStore:
 
     # ------------------------------------------------------------ load/store
 
-    def load(self, spec: RunSpec) -> Optional[RunResult]:
-        """Replay a cached result for ``spec``, or None on a miss.
+    def load(self, job: Job):
+        """Replay a cached result for ``job``, or None on a miss.
 
-        Corrupt, foreign-format or fingerprint-mismatched entries count as
-        misses; the cache never raises on bad on-disk state.
+        Corrupt, foreign-format, fingerprint- or kind-mismatched entries
+        count as misses; the cache never raises on bad on-disk state.
         """
-        fingerprint = spec.fingerprint()
-        path = self.path_for(fingerprint)
+        fingerprint = job.fingerprint()
         try:
-            doc = json.loads(path.read_text())
-            if doc.get("format") != CACHE_FORMAT or doc.get("fingerprint") != fingerprint:
-                raise ValueError("stale cache entry")
-            if doc.get("sha256") != _entry_digest(doc):
-                raise ValueError("cache entry digest mismatch")
-            result = RunResult.from_dict(doc["result"])
+            doc = _read_entry(self.path_for(fingerprint), fingerprint)
+            if doc.get("kind") != job.kind:
+                raise ValueError("cache entry of another kind")
+            result = job.decode(doc["result"])
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -108,68 +119,20 @@ class ResultStore:
         self.hits += 1
         return result
 
-    def store(self, spec: RunSpec, result: RunResult) -> Path:
-        """Write ``result`` under ``spec``'s fingerprint (atomic, durable)."""
-        fingerprint = spec.fingerprint()
+    def store(self, job: Job, result) -> Path:
+        """Write ``result`` under ``job``'s fingerprint (atomic, durable)."""
+        fingerprint = job.fingerprint()
         path = self.path_for(fingerprint)
         doc = {
             "format": CACHE_FORMAT,
             "fingerprint": fingerprint,
-            "spec": spec.cache_key_dict(),
+            "kind": job.kind,
+            "spec": job.cache_key_dict(),
             "result": result.to_dict(),
         }
         doc["sha256"] = _entry_digest(doc)
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         self._write_entry(path, payload)
-        self.stored += 1
-        return path
-
-    # ------------------------------------------------- generic payloads
-    # The same content-addressed layout for result documents that are not
-    # single RunResults (tenancy co-runs today).  ``kind`` is stored in the
-    # envelope and checked on load, so a tenancy fingerprint can never be
-    # satisfied by a single-run entry or vice versa.
-
-    def load_payload(self, fingerprint: str, kind: str) -> Optional[dict]:
-        """Replay an arbitrary cached document, or None on a miss.
-
-        Same degradation contract as :meth:`load`: anything unreadable or
-        mismatched is a miss, never an error.
-        """
-        path = self.path_for(fingerprint)
-        try:
-            doc = json.loads(path.read_text())
-            if (
-                doc.get("format") != CACHE_FORMAT
-                or doc.get("fingerprint") != fingerprint
-                or doc.get("kind") != kind
-            ):
-                raise ValueError("stale cache entry")
-            if doc.get("sha256") != _entry_digest(doc):
-                raise ValueError("cache entry digest mismatch")
-            payload = doc["payload"]
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            self.corrupt += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def store_payload(self, fingerprint: str, kind: str, payload: dict) -> Path:
-        """Write an arbitrary document under ``fingerprint`` (atomic, durable)."""
-        path = self.path_for(fingerprint)
-        doc = {
-            "format": CACHE_FORMAT,
-            "fingerprint": fingerprint,
-            "kind": kind,
-            "payload": payload,
-        }
-        doc["sha256"] = _entry_digest(doc)
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        self._write_entry(path, text)
         self.stored += 1
         return path
 
@@ -208,11 +171,7 @@ class ResultStore:
         entries = self.entries()
         for path in entries:
             try:
-                doc = json.loads(path.read_text())
-                if doc.get("format") != CACHE_FORMAT or doc.get("fingerprint") != path.stem:
-                    raise ValueError("invalid cache entry")
-                if doc.get("sha256") != _entry_digest(doc):
-                    raise ValueError("cache entry digest mismatch")
+                _read_entry(path, path.stem)
             except (OSError, ValueError, KeyError, TypeError):
                 corrupt.append(str(path))
         return {
@@ -313,21 +272,15 @@ class ResultStore:
                 index += 1
             survivors = survivors[index:]
         if dry_run:
-            remaining_bytes = sum(size for _mtime, size, _path in survivors)
-            return {
-                "evicted": evicted,
-                "bytes_freed": bytes_freed,
-                "entries": len(survivors),
-                "bytes": remaining_bytes,
-                "dry_run": True,
-            }
-        remaining = self.entries()
+            sizes = [size for _mtime, size, _path in survivors]
+        else:
+            sizes = [path.stat().st_size for path in self.entries()]
         return {
             "evicted": evicted,
             "bytes_freed": bytes_freed,
-            "entries": len(remaining),
-            "bytes": sum(p.stat().st_size for p in remaining),
-            "dry_run": False,
+            "entries": len(sizes),
+            "bytes": sum(sizes),
+            "dry_run": dry_run,
         }
 
     def summary_line(self) -> str:

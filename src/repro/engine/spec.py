@@ -1,4 +1,4 @@
-"""Frozen, serializable run specifications with content fingerprints.
+"""Frozen, serializable jobs with content fingerprints.
 
 A :class:`RunSpec` captures *everything* that determines a simulated run's
 outcome: the workload name, the pass-count override, the measurement level,
@@ -6,14 +6,16 @@ the machine model and the optimizer configuration.  Two specs with equal
 fingerprints are guaranteed (by the simulator's determinism, which the
 oracle subsystem continuously verifies) to produce bit-identical results —
 which is exactly the license the result cache needs to replay one instead of
-simulating.
+simulating.  A run spec is one kind of :class:`Job`; a tenancy co-run
+(:class:`~repro.tenancy.plan.TenantPlan`) is the other.
 
-The fingerprint is a sha256 over three ingredients:
+Every job's fingerprint (:func:`job_fingerprint`) is a sha256 over the job's
+``kind`` and three ingredients:
 
-1. the spec's canonical JSON form — with the optimizer config *normalized to
-   the default* for levels that never read it (``orig``, ``base``,
-   ``stride``, ``markov``), so e.g. the ``orig`` baseline is shared across
-   ablations that sweep optimizer configs;
+1. the job's canonical JSON form — with each optimizer config *normalized
+   to the default* (:func:`opt_key`) for levels that never read it
+   (``orig``, ``base``, ``stride``, ``markov``), so e.g. the ``orig``
+   baseline is shared across ablations that sweep optimizer configs;
 2. :func:`code_version`, a digest of every ``repro`` source file — editing
    the simulator invalidates every cached result it could have influenced
    (coarse, but correct, and the corpus is cheap to rebuild);
@@ -29,10 +31,11 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional, Protocol
 
 import repro
 from repro.core.config import OptimizerConfig
+from repro.engine.result import RunResult
 from repro.errors import ConfigError
 from repro.machine.config import MachineConfig, PAPER_MACHINE
 from repro.workloads.base import BuiltWorkload
@@ -62,6 +65,39 @@ def code_version() -> str:
     return digest.hexdigest()
 
 
+def job_fingerprint(kind: str, key: dict[str, object]) -> str:
+    """The one fingerprint recipe: kind + canonical ``key`` + code version + salt."""
+    canonical = json.dumps(key, sort_keys=True, separators=(",", ":"))
+    parts = (kind, canonical, code_version(), os.environ.get(CACHE_SALT_ENV, ""))
+    return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+
+
+def opt_key(level: str, opt: OptimizerConfig) -> dict[str, object]:
+    """``opt`` as a fingerprint sees it: the default for levels that never
+    read it."""
+    from repro.engine.levels import get_level
+
+    return (opt if get_level(level).uses_opt else OptimizerConfig()).to_dict()
+
+
+class Job(Protocol):
+    """What the result store and the executor need of a unit of work.
+
+    ``kind`` tags the fingerprint and the store entry; ``run`` simulates
+    the job and ``decode`` rebuilds its result from ``result.to_dict()``.
+    """
+
+    kind: ClassVar[str]
+
+    def cache_key_dict(self) -> dict[str, object]: ...
+
+    def fingerprint(self) -> str: ...
+
+    def run(self): ...
+
+    def decode(self, doc: dict): ...
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Everything that determines one run's outcome, frozen.
@@ -76,6 +112,8 @@ class RunSpec:
     passes: Optional[int] = None
     machine: MachineConfig = PAPER_MACHINE
     opt: OptimizerConfig = field(default_factory=OptimizerConfig)
+
+    kind: ClassVar[str] = "run"
 
     @property
     def label(self) -> str:
@@ -108,24 +146,22 @@ class RunSpec:
     def cache_key_dict(self) -> dict[str, object]:
         """The dict the fingerprint hashes: ``to_dict`` with the optimizer
         config normalized away for levels that never consume it."""
-        from repro.engine.levels import get_level
-
         doc = self.to_dict()
-        if not get_level(self.level).uses_opt:
-            doc["opt"] = OptimizerConfig().to_dict()
+        doc["opt"] = opt_key(self.level, self.opt)
         return doc
 
     def fingerprint(self) -> str:
-        """Deterministic content address: spec + code version + salt."""
-        canonical = json.dumps(
-            self.cache_key_dict(), sort_keys=True, separators=(",", ":")
-        )
-        digest = hashlib.sha256(canonical.encode())
-        digest.update(b"\0")
-        digest.update(code_version().encode())
-        digest.update(b"\0")
-        digest.update(os.environ.get(CACHE_SALT_ENV, "").encode())
-        return digest.hexdigest()
+        """Deterministic content address (:func:`job_fingerprint`)."""
+        return job_fingerprint(self.kind, self.cache_key_dict())
+
+    def run(self, telemetry=None) -> RunResult:
+        """Simulate the spec; ``telemetry`` attaches an event session."""
+        from repro.engine.levels import execute_workload
+
+        return execute_workload(self.build(), self.level, self.machine, self.opt, telemetry)
+
+    def decode(self, doc: dict) -> RunResult:
+        return RunResult.from_dict(doc)
 
     def build(self) -> BuiltWorkload:
         """Materialize the spec's workload (runs mutate simulated memory, so
@@ -137,25 +173,25 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class RunPlan:
-    """An ordered batch of run specs (the unit the executor consumes)."""
+    """An ordered batch of jobs (the unit the executor consumes)."""
 
-    specs: tuple[RunSpec, ...] = ()
+    specs: tuple[Job, ...] = ()
 
     @classmethod
-    def of(cls, *specs: RunSpec) -> "RunPlan":
+    def of(cls, *specs: Job) -> "RunPlan":
         return cls(specs=tuple(specs))
 
     def __len__(self) -> int:
         return len(self.specs)
 
-    def __iter__(self) -> Iterator[RunSpec]:
+    def __iter__(self) -> Iterator[Job]:
         return iter(self.specs)
 
-    def __getitem__(self, index: int) -> RunSpec:
+    def __getitem__(self, index: int) -> Job:
         return self.specs[index]
 
     def fingerprint(self) -> str:
-        """Content address of the whole plan: sha256 over its spec
+        """Content address of the whole plan: sha256 over its job
         fingerprints, in order."""
         digest = hashlib.sha256()
         for spec in self.specs:

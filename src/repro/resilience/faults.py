@@ -25,6 +25,11 @@ Injection sites live in :class:`~repro.core.optimizer.DynamicPrefetcher`:
 
 Every fired fault is recorded on :attr:`FaultInjector.fired` and (by the
 optimizer) emitted as a ``FaultInjected`` telemetry event.
+
+:class:`InjectionPlan` and :class:`SeededInjector` are the seeded core this
+module shares with the engine-level chaos harness
+(:mod:`repro.durability.chaos`): the plan checks, the per-kind streams and
+the one ``fire``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from repro.errors import AnalysisError, ConfigError
 from repro.ir.instructions import Pc
@@ -73,23 +79,83 @@ class InjectedFault(AnalysisError):
 
 
 @dataclass(frozen=True)
-class FaultPlan:
-    """What to inject, how often, bounded and fully determined by ``seed``.
+class InjectionPlan:
+    """What to break, how often, bounded and fully determined by ``seed``.
 
     Attributes:
         seed: PRNG seed; two injectors built from equal plans behave
             identically.
         rate: per-opportunity firing probability of each enabled kind.
-        kinds: the enabled fault kinds (subset of :data:`FAULT_KINDS`).
-        max_per_kind: cap on firings per kind over a run (keeps adversarial
-            runs bounded).
+        kinds: the enabled kinds (a subset of the class's :attr:`KINDS`).
+        max_per_kind: cap on firings per kind, so an adversarial run stays
+            bounded.
+    """
+
+    #: Every kind an injector of this plan knows; the index of a kind here
+    #: seeds its stream.
+    KINDS: ClassVar[tuple[str, ...]] = ()
+
+    seed: int = 0
+    rate: float = 1.0
+    kinds: tuple[str, ...] = ()
+    max_per_kind: int = 1
+
+    def __post_init__(self) -> None:
+        unknown = set(self.kinds) - set(self.KINDS)
+        if unknown:
+            raise ConfigError(f"unknown kinds {sorted(unknown)}; known: {self.KINDS}")
+        if not 0.0 <= self.rate <= 1.0:
+            raise ConfigError("rate must be in [0, 1]")
+        if self.max_per_kind < 1:
+            raise ConfigError("max_per_kind must be >= 1")
+
+
+class SeededInjector:
+    """Executes an :class:`InjectionPlan` with per-kind deterministic PRNG
+    streams (``(seed << 8) ^ (index + 1)``)."""
+
+    def __init__(self, plan: InjectionPlan) -> None:
+        self.plan = plan
+        self._rngs = {
+            kind: random.Random((plan.seed << 8) ^ (index + 1))
+            for index, kind in enumerate(plan.KINDS)
+        }
+        self.counts: dict[str, int] = {kind: 0 for kind in plan.KINDS}
+        #: (kind, detail) of every fault fired, in order
+        self.fired: list[tuple[str, object]] = []
+
+    def fire(self, kind: str, detail: object = None) -> bool:
+        """One injection opportunity for ``kind``; True if the fault fires.
+
+        Draws are consumed even when the kind is disabled or capped, so the
+        decision sequence for a kind depends only on its opportunity index —
+        never on how other kinds are configured.
+        """
+        draw = self._rngs[kind].random()
+        if kind not in self.plan.kinds:
+            return False
+        if self.counts[kind] >= self.plan.max_per_kind:
+            return False
+        if draw >= self.plan.rate:
+            return False
+        self.counts[kind] += 1
+        self.fired.append((kind, detail))
+        return True
+
+
+@dataclass(frozen=True)
+class FaultPlan(InjectionPlan):
+    """An :class:`InjectionPlan` over :data:`FAULT_KINDS`, plus:
+
+    Attributes:
         record_corrupt_rate: probability that any single traced reference is
             mutated while a ``corrupt_record`` burst is active.
         patch_delay_bursts: burst-periods a ``delayed_patch`` holds the
             handlers back.
     """
 
-    seed: int = 0
+    KINDS: ClassVar[tuple[str, ...]] = FAULT_KINDS
+
     rate: float = 0.25
     kinds: tuple[str, ...] = FAULT_KINDS
     max_per_kind: int = 4
@@ -97,15 +163,9 @@ class FaultPlan:
     patch_delay_bursts: int = 3
 
     def __post_init__(self) -> None:
-        unknown = set(self.kinds) - set(FAULT_KINDS)
-        if unknown:
-            raise ConfigError(f"unknown fault kinds {sorted(unknown)}; known: {FAULT_KINDS}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError("rate must be in [0, 1]")
+        super().__post_init__()
         if not 0.0 <= self.record_corrupt_rate <= 1.0:
             raise ConfigError("record_corrupt_rate must be in [0, 1]")
-        if self.max_per_kind < 1:
-            raise ConfigError("max_per_kind must be >= 1")
         if self.patch_delay_bursts < 1:
             raise ConfigError("patch_delay_bursts must be >= 1")
 
@@ -138,37 +198,12 @@ class FaultPlan:
         return replace(self, seed=derive_tenant_seed(self.seed, tenant_id))
 
 
-class FaultInjector:
-    """Executes a :class:`FaultPlan` with per-kind deterministic PRNG streams."""
+class FaultInjector(SeededInjector):
+    """Executes a :class:`FaultPlan`; ``fired`` records (kind, simulated cycle)."""
 
     def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self._rngs = {
-            kind: random.Random((plan.seed << 8) ^ (index + 1))
-            for index, kind in enumerate(FAULT_KINDS)
-        }
+        super().__init__(plan)
         self._record_rng = random.Random((plan.seed << 8) ^ 0x7F)
-        self.counts: dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
-        #: (kind, simulated cycle) of every fault fired, in order
-        self.fired: list[tuple[str, int]] = []
-
-    def fire(self, kind: str, now: int = 0) -> bool:
-        """One injection opportunity for ``kind``; True if the fault fires.
-
-        Draws are consumed even when the per-kind cap has been reached, so
-        the decision sequence for a kind depends only on its opportunity
-        index — never on how other kinds are configured.
-        """
-        draw = self._rngs[kind].random()
-        if kind not in self.plan.kinds:
-            return False
-        if self.counts[kind] >= self.plan.max_per_kind:
-            return False
-        if draw >= self.plan.rate:
-            return False
-        self.counts[kind] += 1
-        self.fired.append((kind, now))
-        return True
 
     def maybe_raise(self, kind: str, now: int = 0) -> None:
         """Raise :class:`InjectedFault` if ``kind`` fires at this opportunity."""

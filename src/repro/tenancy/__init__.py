@@ -9,13 +9,14 @@ Tenants run on the one memory hierarchy,
 tenant; this package schedules them and reports on them.
 
 * :mod:`repro.tenancy.plan` — :class:`TenantPlan`/:class:`TenantSpec`:
-  frozen, fingerprintable co-run descriptions.
+  frozen, fingerprintable co-run descriptions; a plan is an engine job, so
+  :func:`~repro.engine.executor.execute_plan` and the result store serve
+  co-runs exactly as they serve single runs.
 * :mod:`repro.tenancy.hierarchy` — :class:`TenantHierarchy`: the shared
   hierarchy the scheduler builds; its tenant lanes, tenant-scoped
   attribution and cross-tenant pollution matrix are
   :class:`~repro.machine.hierarchy.MemoryHierarchy`'s own.
-* :mod:`repro.tenancy.scheduler` — deterministic round-robin interleaving,
-  result-store memoization, multi-process plan execution.
+* :mod:`repro.tenancy.scheduler` — deterministic round-robin interleaving.
 * :mod:`repro.tenancy.stats` — :class:`TenantStats`/:class:`TenancyResult`/
   :class:`PollutionMatrix`, all JSON-round-trippable.
 * :mod:`repro.tenancy.scorecard` — the ``repro-bench tenancy`` per-tenant
@@ -26,11 +27,7 @@ tenant; this package schedules them and reports on them.
 
 from repro.tenancy.hierarchy import TenantHierarchy
 from repro.tenancy.plan import SHARING_MODES, TenantPlan, TenantSpec
-from repro.tenancy.scheduler import (
-    execute_tenant_plans,
-    run_tenant_plan,
-    run_tenant_plan_cached,
-)
+from repro.tenancy.scheduler import run_tenant_plan
 from repro.tenancy.stats import PollutionMatrix, TenancyResult, TenantStats
 
 __all__ = [
@@ -41,7 +38,5 @@ __all__ = [
     "TenantPlan",
     "TenantSpec",
     "TenantStats",
-    "execute_tenant_plans",
     "run_tenant_plan",
-    "run_tenant_plan_cached",
 ]

@@ -32,11 +32,10 @@ from repro.bench.figures import (
     ABLATION_WATCHDOG_OPT,
 )
 from repro.engine.cache import ResultStore
-from repro.engine.levels import execute_workload
+from repro.engine.executor import execute_plan
+from repro.engine.spec import RunPlan, RunSpec
 from repro.tenancy.plan import TenantPlan, TenantSpec
-from repro.tenancy.scheduler import execute_tenant_plans
 from repro.tenancy.stats import TenancyResult
-from repro.workloads import build_named
 
 #: Round-robin quantum for the ablation co-runs (instructions).
 ABLATION_QUANTUM = 2048
@@ -76,6 +75,12 @@ def tenancy_ablation_plans(passes: Optional[int] = None) -> list[tuple[str, Tena
     ]
 
 
+def _solo(plan: TenantPlan) -> RunSpec:
+    """Tenant A of ``plan`` alone on the plan's machine."""
+    a = plan.tenants[0]
+    return RunSpec(a.workload, a.level, passes=a.passes, machine=plan.machine, opt=a.opt)
+
+
 def ablation_tenancy(
     passes: Optional[int] = None,
     store: Optional[ResultStore] = None,
@@ -87,19 +92,15 @@ def ablation_tenancy(
     same configuration run *alone* on the same machine (cache to itself);
     ``vs_nopref_pct`` normalizes against the nopref variant *under the same
     thrasher* — the in-contention analogue of Figure 12's overhead axis.
+    The three co-runs and the three solo baselines run as one plan.
     """
     labelled = tenancy_ablation_plans(passes)
-    results = execute_tenant_plans([plan for _, plan in labelled], jobs=jobs, store=store)
+    plans = [plan for _, plan in labelled]
+    results = execute_plan(RunPlan.of(*plans, *map(_solo, plans)), jobs=jobs, store=store)
+    coruns, solos = results[: len(plans)], results[len(plans):]
     rows: list[dict] = []
-    baseline_a = results[0].tenants[0]
-    for (label, plan), result in zip(labelled, results):
-        spec_a = plan.tenants[0]
-        solo = execute_workload(
-            build_named(spec_a.workload, passes=spec_a.passes),
-            spec_a.level,
-            machine=plan.machine,
-            opt=spec_a.opt,
-        )
+    baseline_a = coruns[0].tenants[0]
+    for (label, _plan), result, solo in zip(labelled, coruns, solos):
         a, b = result.tenants
         rows.append(
             {

@@ -4,11 +4,13 @@ A :class:`TenantPlan` is the tenancy analogue of
 :class:`~repro.engine.spec.RunSpec`: a frozen, serializable description of
 one deterministic co-run — the tenant mix (each an existing workload at an
 existing measurement level, with its own optimizer configuration), the
-round-robin quantum and the hierarchy sharing mode — plus a content
-fingerprint built from the same three ingredients as a run spec (canonical
-JSON + :func:`~repro.engine.spec.code_version` + the cache salt), so
-tenancy results memoize in the same :class:`~repro.engine.cache.ResultStore`
-without ever colliding with single-run entries.
+round-robin quantum and the hierarchy sharing mode.  It is a job of kind
+``tenancy`` (:class:`~repro.engine.spec.Job`): its fingerprint comes from
+the run spec's recipe (:func:`~repro.engine.spec.job_fingerprint`), and it
+knows how to run itself and decode its result, so co-runs memoize in the
+same :class:`~repro.engine.cache.ResultStore` and run through the same
+:func:`~repro.engine.executor.execute_plan` as single runs, without ever
+colliding with single-run entries.
 
 Sharing modes:
 
@@ -19,14 +21,11 @@ Sharing modes:
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.core.config import OptimizerConfig
-from repro.engine.spec import CACHE_SALT_ENV, code_version
+from repro.engine.spec import job_fingerprint, opt_key
 from repro.errors import ConfigError
 from repro.machine.config import MachineConfig, PAPER_MACHINE
 from repro.machine.hierarchy import SHARING_MODES
@@ -78,11 +77,8 @@ class TenantSpec:
     def cache_key_dict(self) -> dict[str, object]:
         """``to_dict`` with the optimizer normalized away for levels that
         never read it (the same equivalence :class:`RunSpec` applies)."""
-        from repro.engine.levels import get_level
-
         doc = self.to_dict()
-        if not get_level(self.level).uses_opt:
-            doc["opt"] = OptimizerConfig().to_dict()
+        doc["opt"] = opt_key(self.level, self.opt)
         return doc
 
 
@@ -94,6 +90,8 @@ class TenantPlan:
     quantum: int = 4096
     sharing: str = "private-l1"
     machine: MachineConfig = PAPER_MACHINE
+
+    kind: ClassVar[str] = "tenancy"
 
     def __post_init__(self) -> None:
         if not self.tenants:
@@ -145,15 +143,17 @@ class TenantPlan:
         return doc
 
     def fingerprint(self) -> str:
-        """Content address: plan + code version + salt, tagged ``tenancy``
-        so it can never alias a :class:`RunSpec` fingerprint."""
-        canonical = json.dumps(
-            self.cache_key_dict(), sort_keys=True, separators=(",", ":")
-        )
-        digest = hashlib.sha256(b"tenancy-plan\0")
-        digest.update(canonical.encode())
-        digest.update(b"\0")
-        digest.update(code_version().encode())
-        digest.update(b"\0")
-        digest.update(os.environ.get(CACHE_SALT_ENV, "").encode())
-        return digest.hexdigest()
+        """Deterministic content address (:func:`~repro.engine.spec.job_fingerprint`)."""
+        return job_fingerprint(self.kind, self.cache_key_dict())
+
+    def run(self):
+        """Interleave the tenants to completion
+        (:func:`~repro.tenancy.scheduler.run_tenant_plan`)."""
+        from repro.tenancy import scheduler
+
+        return scheduler.run_tenant_plan(self)
+
+    def decode(self, doc: dict):
+        from repro.tenancy.stats import TenancyResult
+
+        return TenancyResult.from_dict(doc)

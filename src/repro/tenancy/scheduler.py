@@ -17,19 +17,18 @@ A tenant's reported ``stats.cycles`` is its *occupancy* (cycles of machine
 time it consumed), which for N=1 equals the global clock — that is the
 pinned N=1 equivalence.
 
-Results memoize in the engine's :class:`~repro.engine.cache.ResultStore`
-under the plan fingerprint (:func:`run_tenant_plan_cached`), and
-:func:`execute_tenant_plans` fans independent plans out over processes the
-same way :func:`repro.engine.executor.execute_plan` does for single runs.
+A plan is a job like a single run (``TenantPlan.run`` calls
+:func:`run_tenant_plan`), so caching and process fan-out are the engine's:
+:func:`repro.engine.executor.execute_plan` replays co-runs from the
+:class:`~repro.engine.cache.ResultStore` and runs the misses, in one plan
+with single runs if need be.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.engine.cache import ResultStore
 from repro.engine.levels import LevelWiring, get_level
 from repro.errors import ConfigError
 from repro.interp.interpreter import Interpreter
@@ -39,9 +38,6 @@ from repro.tenancy.plan import TenantPlan
 from repro.tenancy.stats import PollutionMatrix, TenancyResult, TenantStats
 from repro.vulcan.static_edit import instrument_program
 from repro.workloads import build_named
-
-#: ``ResultStore`` payload kind for memoized tenancy results.
-TENANCY_PAYLOAD_KIND = "tenancy"
 
 
 def run_tenant_plan(
@@ -160,71 +156,3 @@ def run_tenant_plan(
         shared_cache_evictions=hier.shared_eviction_total(),
     )
 
-
-def run_tenant_plan_cached(
-    plan: TenantPlan, store: Optional[ResultStore] = None
-) -> TenancyResult:
-    """Memoizing wrapper: replay from the result store when possible."""
-    if store is None:
-        return run_tenant_plan(plan)
-    fingerprint = plan.fingerprint()
-    cached = store.load_payload(fingerprint, TENANCY_PAYLOAD_KIND)
-    if cached is not None:
-        result = TenancyResult.from_dict(cached)
-        result.from_cache = True
-        return result
-    result = run_tenant_plan(plan)
-    store.store_payload(fingerprint, TENANCY_PAYLOAD_KIND, result.to_dict())
-    return result
-
-
-def _worker_run_plan(plan_doc: dict) -> dict:
-    """Process-pool entry point: plans/results cross as plain dicts."""
-    return run_tenant_plan(TenantPlan.from_dict(plan_doc)).to_dict()
-
-
-def execute_tenant_plans(
-    plans: Sequence[TenantPlan],
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-) -> list[TenancyResult]:
-    """Run several independent co-run plans, optionally across processes.
-
-    Mirrors :func:`repro.engine.executor.execute_plan`: cache hits replay
-    first, misses fan out over a process pool (``jobs > 1``), and any worker
-    failure falls back to a serial in-process run so one bad pickle never
-    loses the batch.
-    """
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    results: dict[int, TenancyResult] = {}
-    misses: list[int] = []
-    for idx, plan in enumerate(plans):
-        if store is not None:
-            cached = store.load_payload(plan.fingerprint(), TENANCY_PAYLOAD_KIND)
-            if cached is not None:
-                result = TenancyResult.from_dict(cached)
-                result.from_cache = True
-                results[idx] = result
-                continue
-        misses.append(idx)
-    if misses and jobs > 1:
-        docs = {idx: plans[idx].to_dict() for idx in misses}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {idx: pool.submit(_worker_run_plan, docs[idx]) for idx in misses}
-            still_missing: list[int] = []
-            for idx in misses:
-                try:
-                    results[idx] = TenancyResult.from_dict(futures[idx].result())
-                except Exception:
-                    still_missing.append(idx)
-            misses = still_missing
-    for idx in misses:
-        results[idx] = run_tenant_plan(plans[idx])
-    if store is not None:
-        for idx, result in results.items():
-            if not result.from_cache:
-                store.store_payload(
-                    plans[idx].fingerprint(), TENANCY_PAYLOAD_KIND, result.to_dict()
-                )
-    return [results[idx] for idx in range(len(plans))]

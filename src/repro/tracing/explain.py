@@ -257,23 +257,26 @@ def diff_levels(
     opt: Optional[OptimizerConfig] = None,
     passes: Optional[int] = None,
     store=None,
+    jobs: int = 1,
+    durability=None,
 ) -> LevelDiff:
     """Compare ``level`` against ``against`` for one workload.
 
-    Both runs go through the engine (:func:`repro.engine.run_spec`), so with
-    a :class:`~repro.engine.cache.ResultStore` attached either side replays
-    from the content-addressed cache instead of simulating.
+    Both runs go through the engine as one plan
+    (:func:`repro.engine.execute_plan`, with its ``jobs``, ``store`` and
+    ``durability``), so with a :class:`~repro.engine.cache.ResultStore`
+    attached either side replays from the content-addressed cache instead of
+    simulating.
     """
-    from repro.engine.executor import run_spec
-    from repro.engine.spec import RunSpec
+    from repro.engine.executor import execute_plan
+    from repro.engine.spec import RunPlan, RunSpec
 
     opt = opt if opt is not None else OptimizerConfig()
-    result_a = run_spec(
-        RunSpec(name, against, passes=passes, machine=machine, opt=opt), store=store
+    plan = RunPlan.of(
+        RunSpec(name, against, passes=passes, machine=machine, opt=opt),
+        RunSpec(name, level, passes=passes, machine=machine, opt=opt),
     )
-    result_b = run_spec(
-        RunSpec(name, level, passes=passes, machine=machine, opt=opt), store=store
-    )
+    result_a, result_b = execute_plan(plan, jobs=jobs, store=store, durability=durability)
     return LevelDiff(
         workload=name,
         level_a=against,

@@ -12,8 +12,22 @@ from pathlib import Path
 import pytest
 
 from repro.bench.cli import main as cli_main
+from repro.obs.status import read_status
 
 TINY = ["--workloads", "vortex", "--scale", "0.05"]
+
+#: Flags that engage the supervised executor.
+DURABILITY = [["--chaos-seed", "1"], ["--task-timeout", "30"], ["--checkpoint-every", "1000"]]
+#: Flags that record telemetry; ``{tmp}`` is the test's temporary directory.
+RECORDING = [["--telemetry", "{tmp}/log"], ["--metrics", "{tmp}/m.json"]]
+#: Every (command, flag) pair where the artifact would ignore the flag.
+IGNORED = [
+    *((["trace", *TINY, "--out", "{tmp}/t.json"], flag) for flag in DURABILITY),
+    *((["explain", *TINY], flag) for flag in DURABILITY),
+    *((["tenancy", "--tenants", "vortex:orig", "--scale", "0.05"], flag)
+      for flag in DURABILITY + RECORDING),
+    *((["ablation-tenancy", "--scale", "0.05"], flag) for flag in DURABILITY + RECORDING),
+]
 
 
 def _cache_dir():
@@ -99,6 +113,41 @@ class TestTelemetryRefusesDurability:
         assert excinfo.value.code == 2
         assert "--metrics" in capsys.readouterr().err
         assert not metrics.exists()
+
+
+class TestIgnoredFlagsRefused:
+    """A flag the artifact would not honour is a usage error, raised before
+    any run and before any file or directory exists."""
+
+    @pytest.mark.parametrize(
+        "command,flag", IGNORED, ids=[f"{cmd[0]}{flag[0]}" for cmd, flag in IGNORED]
+    )
+    def test_refused_before_any_run(self, command, flag, tmp_path, capsys):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in [*command, *flag]]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert command[0] in err and flag[0] in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_explain_against_runs_supervised(self, capsys):
+        assert cli_main(["explain", *TINY, "--against", "orig", "--task-timeout", "30"]) == 0
+        assert "vortex: orig" in capsys.readouterr().out
+        rows = read_status(_cache_dir() / "run")["tasks"]
+        assert [(row["level"], row["state"]) for row in rows] == [("orig", "done"), ("dyn", "done")]
+
+
+class TestRunRoot:
+    @pytest.mark.parametrize("no_cache", [False, True], ids=["store", "no-cache"])
+    def test_run_dir_follows_cache_dir(self, no_cache, tmp_path, capsys):
+        root = tmp_path / "elsewhere"
+        flags = ["--cache-dir", str(root), *(["--no-cache"] if no_cache else [])]
+        assert cli_main(["figure11", *TINY, *flags, "--task-timeout", "30"]) == 0
+        assert not (_cache_dir() / "run").exists()
+        capsys.readouterr()
+        assert cli_main(["status", "--cache-dir", str(root)]) == 0
+        assert "vortex" in capsys.readouterr().out
 
 
 class TestCacheDryRun:

@@ -14,6 +14,7 @@ from repro.engine.cache import ResultStore
 from repro.engine.executor import execute_plan
 from repro.engine.result import RunResult
 from repro.engine.spec import RunPlan, RunSpec
+from repro.errors import ConfigError
 from repro.obs.status import read_status
 
 #: Small but real plan: two levels of one workload plus a second workload.
@@ -64,21 +65,29 @@ class TestIdentity:
         assert not list((root / "checkpoints").glob("*.ckpt"))
         assert ResultStore(root / "results").entries() == []
 
-    def test_results_store_and_progress(self, tmp_path, plain_docs):
+    def test_results_reach_the_store(self, tmp_path, plain_docs):
         store = ResultStore(tmp_path / "cache")
         policy = DurabilityPolicy(run_root=tmp_path / "run", supervisor=FAST)
-        seen = []
-        results = execute_plan_supervised(
-            PLAN, jobs=2, store=store,
-            progress=lambda spec, result: seen.append(spec.label),
-            policy=policy,
-        )
+        results = execute_plan_supervised(PLAN, jobs=2, store=store, policy=policy)
         assert _docs(results) == plain_docs
-        assert sorted(seen) == sorted(spec.label for spec in PLAN)
+        assert store.stored == len(PLAN)
         # A second supervised execution resolves everything from the store.
         again = execute_plan_supervised(PLAN, jobs=2, store=store, policy=policy)
         assert all(r.from_cache for r in again)
         assert _docs(again) == plain_docs
+
+
+    def test_refuses_jobs_other_than_run_specs(self, tmp_path):
+        from repro.tenancy import TenantPlan, TenantSpec
+
+        corun = TenantPlan(tenants=(TenantSpec("vortex", "orig", passes=1),))
+        root = tmp_path / "run"
+        policy = DurabilityPolicy(run_root=root, supervisor=FAST)
+        with pytest.raises(ConfigError, match="run specs only"):
+            execute_plan_supervised(RunPlan.of(PLAN[0], corun), policy=policy)
+        with pytest.raises(ConfigError, match="run specs only"):
+            execute_plan(RunPlan.of(corun), durability=policy)
+        assert not root.exists()
 
 
 class TestChaosRecovery:

@@ -268,12 +268,32 @@ def test_pool_creation_failure_degrades_to_serial():
     assert [r.to_dict() for r in results] == expected
 
 
-def test_progress_hook_fires_in_plan_order(tmp_path):
+def _mixed_plan() -> RunPlan:
+    """Run specs around a two-tenant co-run: both job kinds in one plan."""
+    from repro.tenancy import TenantPlan, TenantSpec
+
+    corun = TenantPlan(
+        tenants=(TenantSpec(_WORKLOAD, "dyn", passes=1), TenantSpec("vpr", "orig", passes=1)),
+        quantum=2048,
+    )
+    return RunPlan.of(_spec("orig"), corun, _spec("dyn"))
+
+
+def test_execute_plan_serves_runs_and_coruns_alike(tmp_path):
+    from repro.engine.result import RunResult
+    from repro.tenancy import TenancyResult
+
+    serial = execute_plan(_mixed_plan())
+    assert [type(r) for r in serial] == [RunResult, TenancyResult, RunResult]
+    assert [serial[0].level, serial[2].level] == ["orig", "dyn"]
+    docs = [r.to_dict() for r in serial]
+    assert [r.to_dict() for r in execute_plan(_mixed_plan(), jobs=2)] == docs
+    execute_plan(_mixed_plan(), store=ResultStore(tmp_path / "cache"))
     store = ResultStore(tmp_path / "cache")
-    execute_plan(_plan(), store=store)
-    seen = []
-    execute_plan(_plan(), store=store, progress=lambda spec, result: seen.append(spec.level))
-    assert seen == ["orig", "base", "dyn"]
+    warm = execute_plan(_mixed_plan(), jobs=2, store=store)
+    assert (store.hits, store.misses, store.stored) == (3, 0, 0)
+    assert all(r.from_cache for r in warm)
+    assert [r.to_dict() for r in warm] == docs
 
 
 # ------------------------------------------------------------------- results

@@ -14,7 +14,7 @@ import pytest
 from repro.bench.cli import main as cli_main
 from repro.obs.chunks import load_chunk_events, load_chunks
 from repro.obs.perfetto import parse_packet_count
-from repro.obs.status import StatusWriter
+from repro.obs.status import StatusWriter, read_status
 
 _FAST = ["--workloads", "vortex", "--scale", "0.05"]
 
@@ -62,6 +62,11 @@ class TestStatus:
         assert cli_main(["status", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "finished" in out and "vortex" in out and "done" in out
+        # The whole Figure 11/12 and Table 2 grid is one plan: all 7 tasks.
+        rows = read_status(tmp_path / "run")["tasks"]
+        levels = ["base", "dyn", "hds", "nopref", "orig", "prof", "seq"]
+        assert sorted(row["level"] for row in rows) == levels
+        assert all(row["state"] == "done" for row in rows)
 
 
 class TestTraceStream:
