@@ -43,16 +43,21 @@ Bit-identity ground rules (see DESIGN.md §5h):
 * the inline paths are the only other copies of ``MemoryHierarchy.access``
   and ``issue_prefetch``, and serve the active tenant's lane.  A load or
   store stays inline for an L1 hit, a *useful* first use of an L1-resident
-  prefetched block (its data has arrived, and the lane's telemetry, ledger
-  and every stream attribution are off), and an L1 miss on a block with no
-  prefetch state whose L2 victim, if any, holds none either (telemetry
-  off).  A prefetch stays inline when it is *redundant* (the block is in
-  L1 or in flight) or fills a private L1 from L2, while the lane's
-  telemetry, ledger and stream map are off.  Each inline case tests its
-  whole guard before it mutates anything, emits no event, reaches no
-  ledger hook, and makes exactly the lane, cache and ``PrefetchStats``
-  updates the method makes; every other case calls the real method with
-  the state untouched (DESIGN.md §5h lists both sides);
+  prefetched block (its data has arrived), and an L1 miss on a block with
+  no prefetch state whose L2 victim, if any, holds none either.  A
+  prefetch stays inline when it is *redundant* (the block is in L1 or in
+  flight) or fills a private L1 from L2.  Each inline case tests its whole
+  guard before it mutates anything and makes exactly the lane, cache and
+  ``PrefetchStats`` updates the method makes; every other case calls the
+  real method with the state untouched (DESIGN.md §5h lists both sides);
+* while the lane is observed (its telemetry bus, prefetch ledger or stream
+  attribution is on), the inline cases also make the method's
+  observation steps — the ledger hook, called through the instance, the
+  per-stream bookkeeping and the sampling countdown step — in
+  ``_sampled_miss``, ``_sampled_use`` and ``_prefetch_observed``, and
+  call the method instead for the one occurrence the countdown samples,
+  which emits the event; so the kernel emits no event itself, and slow
+  calls see the countdowns exactly where the method left them;
 * anything the compiler cannot prove equivalent is not compiled — the
   trampoline falls back to the reference dispatch loop instruction by
   instruction.
@@ -87,7 +92,7 @@ from repro.interp.lowering import (
     lower_procedure,
 )
 from repro.errors import MemoryFault
-from repro.machine.hierarchy import TENANT_SHIFT
+from repro.machine.hierarchy import TENANT_SHIFT, StreamPrefetchStats
 
 #: Signals a compiled kernel returns to the trampoline.
 SIG_PARK = 0    #: limit proximity or unknown leader; state flushed, not done
@@ -127,12 +132,16 @@ _CMP_SYM = {
 
 #: The inline demand path, emitted once per load/store on ``addr``.  Three
 #: cases stay inline on the active lane: an L1 hit; the useful first use of
-#: an L1-resident prefetched block whose data has arrived, while
-#: ``use_call`` (the lane's telemetry or ledger) is off and no prefetch is
-#: attributed to a stream (``stream_of``); and an L1 miss on a block with no
-#: prefetch state, while the lane's telemetry is off and the L2 victim, if
-#: the block misses a full L2 set, is no unused prefetch.  Every other case
-#: calls ``access`` before anything has changed.
+#: an L1-resident prefetched block whose data has arrived; and an L1 miss on
+#: a block with no prefetch state, unless the L2 victim, if the block misses
+#: a full L2 set, is an unused prefetch.  Every other case calls ``access``
+#: before anything has changed.  Observation rides on flags the plain path
+#: already tests: while ``use_call`` (the lane's telemetry or ledger) is on
+#: or a prefetch is attributed to a stream (``stream_of``), a useful first
+#: use first goes through ``_sampled_use``, and while ``bus_on`` a clean
+#: miss first goes through ``_sampled_miss``; each takes the observation
+#: steps and answers False, or answers True, changing nothing, for the
+#: sampled occurrence, which ``access`` then handles.
 #:
 #: ``_inflight`` and ``_prefetched_unused`` always hold the same blocks, and
 #: every block in them is L2-resident (an L2 eviction wastes it), which the
@@ -159,7 +168,7 @@ if block == lblk:
     hits1 += 1
 else:
     way = l1_sets[block & l1_mask]
-    if block in pf_unused and (use_call or stream_of or block not in way or inflight[block] > cycles):
+    if block in pf_unused and (block not in way or inflight[block] > cycles or (use_call or stream_of) and _sampled_use(lane, bus_on, stream_of, block, cycles, pf_unused[block])):
         stall = access(addr, cycles)
         cycles += stall
         mem_stall += stall
@@ -177,7 +186,7 @@ else:
         lblk = block
     else:
         way2 = l2_sets[block & l2_mask]
-        if bus_on or pf_unused and len(way2) >= l2_assoc and way2[0] in pf_unused and block not in way2:
+        if pf_unused and len(way2) >= l2_assoc and way2[0] in pf_unused and block not in way2 or bus_on and _sampled_miss(lane):
             stall = access(addr, cycles)
             cycles += stall
             mem_stall += stall
@@ -211,17 +220,18 @@ else:
 """.splitlines()
 
 #: The inline issue path, emitted once per prefetch site on ``a`` with the
-#: source tag expression ``{src}``.  While ``issue_call`` (the lane's
-#: telemetry, ledger or stream map) is off, two outcomes stay inline: a
-#: redundant prefetch (the block is in L1 or in flight), which counts and
-#: moves nothing, so the ``lblk`` memo survives it; and a fill of a private
-#: L1 from L2, which is ``issue_prefetch`` plus ``_install_l1`` in the same
+#: source tag expression ``{src}``.  Two outcomes stay inline: a redundant
+#: prefetch (the block is in L1 or in flight), which counts and moves
+#: nothing, so the ``lblk`` memo survives it; and a fill of a private L1
+#: from L2, which is ``issue_prefetch`` plus ``_install_l1`` in the same
 #: order.  Fills from memory (an L2 install that can waste another lane's
 #: block and feeds the pollution matrix) and fills of a shared L1 call the
-#: method.
+#: method.  While ``issue_call`` (the lane's telemetry, ledger or stream
+#: map) is on, ``_prefetch_observed`` decides instead: it is the observing
+#: copy of this template, defined once rather than emitted at every site.
 _PREFETCH_PATH = """\
 if issue_call:
-    issue_prefetch(a, cycles, {src})
+    _prefetch_observed(ctx, a, cycles, {src})
     lblk = -1
 else:
     pblk = (a >> bshift) + boff
@@ -250,6 +260,99 @@ else:
 def _prefetch_path(src: str) -> list[str]:
     """``_PREFETCH_PATH`` for one source tag expression."""
     return _PREFETCH_PATH.format(src=src).splitlines()
+
+
+# ---- observation steps of the inline cases --------------------------------
+# The templates call these only while the lane is observed.  Each makes the
+# steps the hierarchy method makes besides the cache and PrefetchStats work
+# (the ledger hook through the instance, the per-stream counters, the
+# countdown step), after testing whether the countdown samples this
+# occurrence; the sampled one is left untouched to the method, which emits.
+
+
+def _stream_stats(lane, key) -> StreamPrefetchStats:
+    """The lane's counters for stream ``key``, created on first use."""
+    stats = lane.stream_stats.get(key)
+    if stats is None:
+        stats = lane.stream_stats[key] = StreamPrefetchStats()
+    return stats
+
+
+def _sampled_miss(lane) -> bool:
+    """A clean L1 miss on an observed lane: True if the ``CacheMiss``
+    countdown samples it, else the countdown step ``access`` takes."""
+    n = lane.misses_since + 1
+    if n >= lane.miss_sample_every:
+        return True
+    lane.misses_since = n
+    return False
+
+
+def _sampled_use(lane, bus_on: bool, stream_of: dict, block: int, now: int, issued_at: int) -> bool:
+    """A useful first use on an observed lane: True if the ``PrefetchUsed``
+    countdown samples it, else what ``_classify_use`` adds to the count."""
+    if bus_on:
+        n = lane.used_since + 1
+        if n >= lane.prefetch_sample_every:
+            return True
+        lane.used_since = n
+    if stream_of:
+        key = stream_of.pop(block, None)
+        if key is not None:
+            _stream_stats(lane, key).useful += 1
+    ledger = lane.ledger
+    if ledger is not None:
+        ledger.on_use(block, now, False, now - issued_at, 0)
+    return False
+
+
+def _prefetch_observed(ctx, addr: int, now: int, source: str) -> None:
+    """``_PREFETCH_PATH`` on an observed lane: ``issue_prefetch`` for a fill
+    from memory, a fill of a shared L1 and the occurrence the
+    ``PrefetchIssued`` countdown samples; the two inline outcomes, with their
+    observation steps, otherwise."""
+    lane = ctx.lane
+    raw = addr >> ctx.bshift
+    block = raw + ctx.boff
+    way = ctx.l1_sets[block & ctx.l1_mask]
+    inflight = ctx.inflight
+    redundant = block in way or block in inflight
+    if not redundant and (ctx.l1_shared or block not in ctx.l2_sets[block & ctx.l2_mask]):
+        ctx.issue_prefetch(addr, now, source)
+        return
+    if ctx.bus_on:
+        n = lane.issued_since + 1
+        if n >= lane.prefetch_sample_every:
+            ctx.issue_prefetch(addr, now, source)
+            return
+        lane.issued_since = n
+    prefetch = ctx.pfs
+    prefetch.issued += 1
+    by_source = prefetch.by_source
+    by_source[source] = by_source.get(source, 0) + 1
+    smap = lane.stream_map
+    skey = smap.get(raw) if smap is not None else None
+    if skey is not None:
+        sstats = _stream_stats(lane, skey)
+        sstats.issued += 1
+    if redundant:
+        prefetch.redundant += 1
+        if skey is not None:
+            sstats.redundant += 1
+    ledger = lane.ledger
+    if ledger is not None:
+        ledger.on_issue(block, now, source, skey, redundant)
+    if redundant:
+        return
+    inflight[block] = now + ctx.l2_lat
+    if len(way) >= ctx.l1_assoc:
+        way.pop(0)
+        ctx.l1.evictions += 1
+        ctx.l1s.evictions += 1
+    way.append(block)
+    ctx.pf_unused[block] = now
+    if skey is not None:
+        ctx.stream_of[block] = skey
 
 
 #: The :class:`~repro.fastpath.kernel.FastCtx` fields every kernel binds to
@@ -787,7 +890,13 @@ def _compile_mode(
     # those recompiles into a dict hit plus a _make(consts) call.
     make = _MAKERS.get(source)
     if make is None:
-        namespace: dict[str, object] = {"MemoryFault": MemoryFault, "_MK_RANK": _MK_RANK}
+        namespace: dict[str, object] = {
+            "MemoryFault": MemoryFault,
+            "_MK_RANK": _MK_RANK,
+            "_sampled_miss": _sampled_miss,
+            "_sampled_use": _sampled_use,
+            "_prefetch_observed": _prefetch_observed,
+        }
         exec(compile(source, f"<fastpath:{counter_attr}>", "exec"), namespace)
         make = namespace["_make"]
         _MAKERS[source] = make

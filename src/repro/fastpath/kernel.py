@@ -75,9 +75,13 @@ class FastCtx:
     nothing switches lanes, attaches telemetry or a ledger inside one call.
     The lane's stream map is the exception: the optimizer installs it in
     listener callbacks between kernel entries, so kernels read it from the
-    lane at each entry.  Nothing here is part of the architectural state: a
-    checkpoint restore builds a fresh context (and recompiles procedures)
-    transparently.
+    lane at each entry.  What only an observed lane needs — its ledger,
+    stream map and per-stream counters, and the sampling countdowns — is
+    read from the lane inside the observing branches, never at entry, and
+    the countdowns are written back there, so a slow call sees them where
+    the method would have left them.  Nothing here is part of the
+    architectural state: a checkpoint restore builds a fresh context (and
+    recompiles procedures) transparently.
     """
 
     __slots__ = (
@@ -128,10 +132,11 @@ class FastCtx:
         self.pfs = lane.prefetch
         self.bshift = hier._block_shift
         self.boff = hier._offset
-        # A miss with the lane's telemetry on may be sampled as a CacheMiss.
+        # With the lane's telemetry on, an inline case steps a sampling
+        # countdown, and its sampled occurrence goes to the method.
         self.bus_on = lane.bus.enabled
         # A prefetch outcome also reaches the lane's sampled events and
-        # ledger hooks, so with either on it is classified by the methods.
+        # ledger hooks, so with either on it takes the observation steps.
         self.use_call = self.bus_on or lane.ledger is not None
         self.call = None
         self.ret_value = 0

@@ -24,9 +24,13 @@ to :attr:`MemoryHierarchy.telemetry`.  The high-rate kinds (misses and the
 prefetch life cycle) are *sampled* — one event per ``miss_sample_every`` /
 ``prefetch_sample_every`` occurrences, deterministic counters, so a run's
 event log is reproducible and ``emitted == occurrences // period`` exactly;
-set the periods to 1 for exhaustive logs.  Exact totals always come from the
-:class:`PrefetchStats`/cache counters, which the telemetry session renders
-into the run's metrics snapshot.  Emission never changes stall accounting — runs
+set the periods to 1 for exhaustive logs.  The countdowns live on the
+tenant's lane (``misses_since``/``used_since``/``issued_since``), where the
+compiled kernel (:mod:`repro.fastpath`) also steps them for the misses, uses
+and prefetches it decides inline, calling these methods only for the
+sampled occurrence; a change to the sampling rule changes both.  Exact
+totals always come from the :class:`PrefetchStats`/cache counters, which
+the telemetry session renders into the run's metrics snapshot.  Emission never changes stall accounting — runs
 are cycle-identical with telemetry on or off.
 
 Tenant lanes: ``MemoryHierarchy(config, tenants=N, sharing=...)`` serves N
@@ -539,7 +543,9 @@ class MemoryHierarchy:
         telem = lane.bus
         if telem.enabled:
             # Sampling countdowns are inlined at the hot sites: a helper call
-            # per occurrence alone costs measurable wall-clock.
+            # per occurrence alone costs measurable wall-clock.  The compiled
+            # kernel takes the same step for the misses it decides inline
+            # and calls this method only for the sampled one.
             n = lane.misses_since + 1
             if n >= lane.miss_sample_every:
                 n = 0

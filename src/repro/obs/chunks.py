@@ -58,6 +58,11 @@ MANIFEST_NAME = "MANIFEST.jsonl"
 DEFAULT_MAX_BYTES = 1 << 20
 
 
+#: One compact record line, as ``json.dumps(record, separators=(",", ":"))``
+#: writes it, without building an encoder per record.
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def chunk_name(seq: int) -> str:
     return f"chunk-{seq:08d}.jsonl"
 
@@ -139,7 +144,7 @@ class StreamingTraceSink:
 
     def append(self, record: dict) -> None:
         """Buffer one record; seals a chunk when the buffer fills."""
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        line = _encode_record(record) + "\n"
         self._buffer.append(line)
         self._buffered_bytes += len(line)
         self.records_total += 1

@@ -15,7 +15,8 @@ always produces the same inputs, failures and minimal reproducers.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from dataclasses import astuple
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.exact import enumerate_hot_substrings
 from repro.analysis.hotstreams import AnalysisConfig, find_hot_streams
@@ -31,6 +32,9 @@ from repro.oracle.refmodel import RefHierarchy
 from repro.oracle.refsequitur import RefSequitur
 from repro.oracle.refstreams import check_hot_streams, ref_hot_substrings
 from repro.sequitur.sequitur import Sequitur
+from repro.telemetry.events import EventBus
+from repro.telemetry.sinks import ListSink
+from repro.tracing.ledger import PrefetchLedger
 
 #: One replayable operation: (op name, operand).
 Op = tuple[str, int]
@@ -219,10 +223,12 @@ def _check_prefetch_state(prod: MemoryHierarchy, where: str) -> None:
 
 
 #: The cases :func:`kernel_case` tells apart that the compiled kernel
-#: decides inline, and those it leaves to ``access``/``issue_prefetch``,
-#: while the lane's telemetry, ledger and stream attribution are off.
+#: decides inline, those it leaves to ``access``/``issue_prefetch``, and the
+#: occurrences of inline cases that the lane's sampling countdown picks for
+#: an event, which the kernel also leaves to the method (the method emits).
 KERNEL_INLINE = ("hit", "useful", "miss", "redundant", "l2 fill")
 KERNEL_FALLBACK = ("late", "in-flight miss", "unused l2 victim", "memory fill", "shared l1 fill")
+KERNEL_SAMPLED = ("sampled miss", "sampled use", "sampled issue")
 
 
 def kernel_case(hier: MemoryHierarchy, kind: str, addr: int, now: int) -> str:
@@ -232,21 +238,41 @@ def kernel_case(hier: MemoryHierarchy, kind: str, addr: int, now: int) -> str:
     way = hier._l1_sets[block & hier._l1_mask]
     way2 = hier._l2_sets[block & hier._l2_mask]
     unused = hier._prefetched_unused
+    lane = hier._lane
+    bus_on = lane.bus.enabled
     if kind == "access":
         if block in unused:
             if block not in way:
                 return "in-flight miss"
-            return "late" if hier._inflight[block] > now else "useful"
+            if hier._inflight[block] > now:
+                return "late"
+            if bus_on and lane.used_since + 1 >= lane.prefetch_sample_every:
+                return "sampled use"
+            return "useful"
         if block in way:
             return "hit"
         if block not in way2 and len(way2) >= hier._l2_assoc and way2[0] in unused:
             return "unused l2 victim"
+        if bus_on and lane.misses_since + 1 >= lane.miss_sample_every:
+            return "sampled miss"
         return "miss"
     if block in way or block in hier._inflight:
-        return "redundant"
-    if block not in way2:
+        case = "redundant"
+    elif block not in way2:
         return "memory fill"
-    return "shared l1 fill" if hier._l1_shared else "l2 fill"
+    elif hier._l1_shared:
+        return "shared l1 fill"
+    else:
+        case = "l2 fill"
+    if bus_on and lane.issued_since + 1 >= lane.prefetch_sample_every:
+        return "sampled issue"
+    return case
+
+
+#: The observed lane's ``CacheMiss`` and prefetch-event sampling periods in
+#: :func:`diff_kernel`: small, so short sequences cross sample points of
+#: every kind, and co-prime, so the countdowns do not fire together.
+OBSERVED_SAMPLING = (3, 5)
 
 
 def diff_kernel(machine: MachineConfig, ops: Sequence[Op], tenant: int = 0) -> None:
@@ -260,7 +286,12 @@ def diff_kernel(machine: MachineConfig, ops: Sequence[Op], tenant: int = 0) -> N
     ``ExecStats``, every lane's counters, the caches' own counters and
     contents, the prefetch outcomes (``by_source`` and its order included),
     the in-flight state, the shared-eviction split and the pollution matrix
-    must all match.  ``tenant`` selects the lane as for
+    must all match.  Each pair runs twice: on a plain lane, and on an
+    observed one, whose telemetry bus samples at :data:`OBSERVED_SAMPLING`
+    into a list, whose ledger records every prefetch and whose stream map
+    attributes every other prefetch target; there the events, the ledger
+    records, the per-stream counters, the in-flight attribution and the
+    sampling countdowns must match too.  ``tenant`` selects the lane as for
     :func:`diff_hierarchy`: a non-zero one runs as that lane of a
     ``tenant + 1``-tenant hierarchy, in both sharing modes.
     """
@@ -272,33 +303,53 @@ def diff_kernel(machine: MachineConfig, ops: Sequence[Op], tenant: int = 0) -> N
             body.append(Prefetch((addr,)))
     body.append(Ret())
     program = Program([Procedure("fuzz", 0, 2, body, {})], "fuzz")
+    shift = machine.block_bytes.bit_length() - 1
+    targets = sorted({addr >> shift for kind, addr in ops if kind == "prefetch"})
+    streams = {block: f"s{i % 3}" for i, block in enumerate(targets) if i % 2 == 0}
     for sharing in SHARING_MODES if tenant else ("private-l1",):
-        reference, compiled = (
-            _kernel_run(program, machine, tenant, sharing, fast) for fast in (False, True)
-        )
-        for key, want in reference.items():
-            if compiled.get(key) != want:
-                raise OracleError(
-                    f"tenant {tenant} of {tenant + 1} ({sharing}): compiled kernel and "
-                    f"reference loop differ in {key}: compiled {compiled.get(key)}, "
-                    f"reference {want}"
-                )
+        for observe in (None, streams):
+            reference, compiled = (
+                _kernel_run(program, machine, tenant, sharing, fast, observe)
+                for fast in (False, True)
+            )
+            lane = "observed" if observe is not None else "plain"
+            for key, want in reference.items():
+                if compiled.get(key) != want:
+                    raise OracleError(
+                        f"tenant {tenant} of {tenant + 1} ({sharing}, {lane} lane): compiled "
+                        f"kernel and reference loop differ in {key}: compiled "
+                        f"{compiled.get(key)}, reference {want}"
+                    )
 
 
 def _kernel_run(
-    program: Program, machine: MachineConfig, tenant: int, sharing: str, fast: bool
+    program: Program,
+    machine: MachineConfig,
+    tenant: int,
+    sharing: str,
+    fast: bool,
+    streams: Optional[dict] = None,
 ) -> dict:
     """Run ``program`` on a fresh hierarchy; everything the run can leave
-    behind in it, as plain data."""
+    behind in it, as plain data.  With ``streams`` (a block -> stream-key
+    map) the lane is observed, as :func:`diff_kernel` describes."""
     hier = MemoryHierarchy(machine, tenant + 1, sharing)
     hier.activate(tenant)
+    if streams is not None:
+        sink = ListSink()
+        bus = EventBus()
+        bus.attach(sink)
+        hier.telemetry = bus
+        hier.ledger = PrefetchLedger()
+        hier.miss_sample_every, hier.prefetch_sample_every = OBSERVED_SAMPLING
+        hier.set_stream_attribution(streams)
     try:
         stats = Interpreter(program, Memory(), machine, hier).run(fast=fast)
     except Exception as exc:  # a crash is an outcome to compare, like a counter
         return {"outcome": repr(exc)}
     caches = [*hier._l1_caches, hier.l2]
     prefetch = hier.prefetch
-    return {
+    run = {
         "outcome": "finished",
         "ExecStats": stats.to_dict(),
         "lane views": [hier.view(t).to_dict() for t in range(hier.num_tenants)],
@@ -310,6 +361,18 @@ def _kernel_run(
         "shared-eviction split": (hier.demand_shared_evictions, hier.prefetch_shared_evictions),
         "pollution counts": sorted(hier.pollution_counts.items()),
     }
+    if streams is not None:
+        lane = hier._lane
+        run.update({
+            "sampling countdowns": (
+                lane.misses_since, lane.used_since, lane.issued_since, lane.evicted_since
+            ),
+            "events": [event.to_record() for event in sink.events],
+            "ledger records": [astuple(record) for record in hier.ledger.records],
+            "stream stats": [(key, s.to_dict()) for key, s in lane.stream_stats.items()],
+            "in-flight attribution": list(hier._stream_of.items()),
+        })
+    return run
 
 
 def grammar_state_diff(got: dict, want: dict) -> str:

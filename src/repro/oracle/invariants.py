@@ -630,15 +630,21 @@ def check_proc_attribution(spec=None, machine: MachineConfig = PAPER_MACHINE) ->
     """Per-procedure attribution must sum exactly to the 7-category totals.
 
     Runs ``spec`` (default: vortex/dyn, one pass) with per-procedure
-    recording on, through the reference interpreter and the compiled
-    fastpath kernel, and requires:
+    recording, span tracing and the prefetch ledger on, through the
+    reference interpreter and the compiled fastpath kernel, and requires:
 
     * per-procedure category columns sum exactly to the run's
       :class:`~repro.tracing.attribution.CycleAttribution` categories (the
       conservation-checked Figure 11 split gains a procedure dimension
       without losing a cycle);
-    * reference and compiled execution produce identical per-procedure rows.
+    * reference and compiled execution produce identical per-procedure
+      rows, event records and ledger records — the kernel takes the
+      observation steps of the cases it decides inline itself;
+    * each run's ledger reconciles with its prefetch counters, per stream
+      too.
     """
+    from dataclasses import astuple
+
     from repro.engine.levels import execute_workload
     from repro.engine.spec import RunSpec
     from repro.telemetry.sinks import ListSink
@@ -648,7 +654,9 @@ def check_proc_attribution(spec=None, machine: MachineConfig = PAPER_MACHINE) ->
     context = f"proc attribution ({spec.label})"
 
     def run(fast: bool):
-        session = TelemetrySession(sinks=[ListSink()], proc_attribution=True)
+        session = TelemetrySession(
+            sinks=[ListSink()], tracing=True, track_prefetches=True, proc_attribution=True
+        )
         result = execute_workload(
             spec.build(), spec.level, spec.machine, spec.opt, telemetry=session, fast=fast
         )
@@ -656,11 +664,23 @@ def check_proc_attribution(spec=None, machine: MachineConfig = PAPER_MACHINE) ->
             session.proc_attr is not None,
             f"{context}: session recorded no per-procedure attribution",
         )
-        return result, ProcAttribution.from_recorder(session.proc_attr, spec.machine)
+        hier = result.hierarchy
+        mismatches = session.ledger.reconcile(hier.prefetch, hier.stream_stats)
+        _require(
+            not mismatches,
+            f"{context}: ledger out of balance ({'compiled' if fast else 'reference'} kernel): "
+            + "; ".join(mismatches),
+        )
+        return (
+            ProcAttribution.from_recorder(session.proc_attr, spec.machine),
+            [event.to_record() for event in session.events],
+            [astuple(record) for record in session.ledger.records],
+            result.stats,
+        )
 
-    reference, ref_rows = run(fast=False)
-    _compiled, fast_rows = run(fast=True)
-    totals = CycleAttribution.from_run(reference.stats, spec.machine).to_dict()
+    ref_rows, ref_events, ref_records, ref_stats = run(fast=False)
+    fast_rows, fast_events, fast_records, _ = run(fast=True)
+    totals = CycleAttribution.from_run(ref_stats, spec.machine).to_dict()
     summed = ref_rows.totals()
     _require(
         summed == totals,
@@ -670,4 +690,12 @@ def check_proc_attribution(spec=None, machine: MachineConfig = PAPER_MACHINE) ->
     _require(
         ref_rows.to_dict() == fast_rows.to_dict(),
         f"{context}: reference and fastpath per-procedure rows differ",
+    )
+    _require(
+        ref_events == fast_events,
+        f"{context}: reference and fastpath event records differ",
+    )
+    _require(
+        ref_records == fast_records,
+        f"{context}: reference and fastpath ledger records differ",
     )

@@ -238,8 +238,10 @@ def _verify_obs() -> SectionResult:
     Every golden (workload, level) cell runs with the chunk-log writer
     attached; the Chrome render of the loaded log is byte-compared against
     the render of the live events (and the run against a plain one, zero
-    observer effect), then re-runs with per-procedure recording through both
-    execution engines to hold the by-proc split to the category totals.
+    observer effect), then re-runs with per-procedure recording, span
+    tracing and the prefetch ledger through both execution engines to hold
+    the by-proc split to the category totals and the two kernels' event and
+    ledger records to each other.
     All legs execute fresh builds directly, never through the result store.
     """
     from repro.engine.spec import RunSpec

@@ -218,8 +218,11 @@ def chrome_trace_document(
 
 def write_trace_document(document: dict, path: PathLike) -> None:
     """Write a Chrome trace document as compact JSON plus a newline."""
+    # ``json.dumps`` encodes in C; ``json.dump`` streams the same bytes
+    # through the pure-Python encoder, several times slower on a big trace.
+    text = json.dumps(document, separators=(",", ":"))
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        json.dump(document, fh, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 

@@ -25,8 +25,9 @@ from repro.fastpath import kernel
 from repro.fastpath.compiler import clear_cache
 from repro.interp.interpreter import Interpreter
 from repro.machine.config import CacheGeometry, MachineConfig
-from repro.oracle.fuzz import KERNEL_FALLBACK, kernel_case
+from repro.oracle.fuzz import KERNEL_FALLBACK, KERNEL_SAMPLED, kernel_case
 from repro.resilience import FaultPlan, WatchdogConfig
+from repro.telemetry.events import CacheMiss, PrefetchIssued, PrefetchUsed
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.sinks import ListSink
 from repro.tenancy import TenantPlan, TenantSpec, run_tenant_plan
@@ -238,16 +239,44 @@ class TestInlineCoverage:
         _issued, useful, _late, _wasted, redundant, _by_source = snapshot["prefetch"]
         assert useful and redundant
 
+    def test_observed_dyn_run(self, monkeypatch):
+        """With every observer on, the kernel still decides the inline cases
+        itself and calls the hierarchy only for a fallback case or for the
+        occurrence a sampling countdown picks, which emits its event."""
+        cases = self.slow_call_cases(monkeypatch)
+        session = TelemetrySession(
+            sinks=[ListSink()], tracing=True, track_prefetches=True, proc_attribution=True
+        )
+        result = execute_workload(
+            build_named("vpr", passes=1), "dyn", telemetry=session, fast=True
+        )
+        assert cases and set(cases) <= set(KERNEL_FALLBACK) | set(KERNEL_SAMPLED), cases
+        sampled = sum(cases[case] for case in KERNEL_SAMPLED)
+        emitted = sum(
+            isinstance(event, (CacheMiss, PrefetchIssued, PrefetchUsed))
+            for event in session.events
+        )
+        assert 0 < sampled <= emitted
+        prefetch = result.hierarchy.prefetch
+        assert prefetch.useful and prefetch.redundant and session.ledger.records
+
 
 class TestObservedRunEquivalence:
-    def test_dyn_run_with_every_observer(self):
+    # One twolf pass ends before the optimizer installs a prefetch.
+    @pytest.mark.parametrize("workload, passes", (("vpr", 1), ("twolf", 2)))
+    @pytest.mark.parametrize("miss_every, prefetch_every", ((1, 1), (3, 5), (64, 32)))
+    def test_dyn_run_with_every_observer(self, workload, passes, miss_every, prefetch_every):
         """Telemetry, span tracing, the ledger and attribution observe the
-        compiled kernel's run exactly as they observe the reference one."""
-        spec = RunSpec("vpr", "dyn", passes=1)
+        compiled kernel's run exactly as they observe the reference one, at
+        every sampling period: the kernel steps the countdowns of the cases
+        it decides inline."""
+        spec = RunSpec(workload, "dyn", passes=passes)
         runs = {}
         for fast in (False, True):
             session = TelemetrySession(
                 sinks=[ListSink()],
+                miss_sample_every=miss_every,
+                prefetch_sample_every=prefetch_every,
                 tracing=True,
                 track_prefetches=True,
                 proc_attribution=True,

@@ -16,6 +16,7 @@ from repro.oracle import RefCache, check_with_shrinking, gen_hierarchy_ops, shri
 from repro.oracle.fuzz import (
     KERNEL_FALLBACK,
     KERNEL_INLINE,
+    KERNEL_SAMPLED,
     diff_kernel,
     diff_sequitur,
     gen_periodic_trace,
@@ -168,17 +169,10 @@ class TestKernelDifferential:
         yield
         compiler.clear_cache()
 
-    def test_removed_l2_victim_guard_is_caught_and_shrunk(self, monkeypatch):
-        """A demand miss that evicts an unused prefetch from L2 inline skips
-        its wasted classification; the differential must flag the kernel
-        and shrink the input to a replayable reproducer."""
-        guard = (
-            "if bus_on or pf_unused and len(way2) >= l2_assoc"
-            " and way2[0] in pf_unused and block not in way2:"
-        )
-        path = [line.replace(guard, "if bus_on:") for line in compiler._MEMORY_PATH]
-        assert path != compiler._MEMORY_PATH
-        monkeypatch.setattr(compiler, "_MEMORY_PATH", path)
+    @staticmethod
+    def caught_and_shrunk() -> list:
+        """The 1-minimal reproducer the differential shrinks the first
+        failing seed-0 input to, on the kernel as currently patched."""
         rng = random.Random(0)
         for _ in range(25):
             ops = gen_hierarchy_ops(rng, 300, STRESS_MACHINE)
@@ -187,15 +181,56 @@ class TestKernelDifferential:
             except OracleError:
                 break
         else:
-            pytest.fail("the unguarded kernel passed every seed-0 input")
+            pytest.fail("the mutated kernel passed every seed-0 input")
         with pytest.raises(OracleError, match="minimal reproducer") as exc_info:
             check_with_shrinking(
                 ops, lambda seq: diff_kernel(STRESS_MACHINE, seq), "kernel differential"
             )
         message = str(exc_info.value)
         assert "compiled kernel and reference loop differ" in message
-        minimal = ast.literal_eval(message.split("ops = ", 1)[1])
+        return ast.literal_eval(message.split("ops = ", 1)[1])
+
+    def test_removed_l2_victim_guard_is_caught_and_shrunk(self, monkeypatch):
+        """A demand miss that evicts an unused prefetch from L2 inline skips
+        its wasted classification; the differential must flag the kernel
+        and shrink the input to a replayable reproducer."""
+        guard = (
+            "if pf_unused and len(way2) >= l2_assoc and way2[0] in pf_unused"
+            " and block not in way2 or bus_on and _sampled_miss(lane):"
+        )
+        path = [
+            line.replace(guard, "if bus_on and _sampled_miss(lane):")
+            for line in compiler._MEMORY_PATH
+        ]
+        assert path != compiler._MEMORY_PATH
+        monkeypatch.setattr(compiler, "_MEMORY_PATH", path)
+        minimal = self.caught_and_shrunk()
         assert len(minimal) < 10 and minimal[-1][0] == "access"
+
+    @pytest.mark.parametrize("step", ("miss countdown", "use ledger hook", "issue countdown"))
+    def test_skipped_observation_step_is_caught_and_shrunk(self, step, monkeypatch):
+        """An inline case that skips one observation step on an observed
+        lane leaves the reference loop's event log, ledger or countdowns
+        behind; the observed-lane differential must catch it."""
+        if step == "miss countdown":
+            def sampled_miss(lane):
+                return lane.misses_since + 1 >= lane.miss_sample_every
+
+            monkeypatch.setattr(compiler, "_sampled_miss", sampled_miss)
+        elif step == "use ledger hook":
+            monkeypatch.setattr(compiler, "_sampled_use", _without_ledger(compiler._sampled_use))
+        else:
+            prefetch_observed = compiler._prefetch_observed
+
+            def without_countdown_step(ctx, addr, now, source):
+                since = ctx.lane.issued_since
+                prefetch_observed(ctx, addr, now, source)
+                if ctx.lane.issued_since == since + 1:  # stepped, not sampled
+                    ctx.lane.issued_since = since
+
+            monkeypatch.setattr(compiler, "_prefetch_observed", without_countdown_step)
+        minimal = self.caught_and_shrunk()
+        assert len(minimal) < 10
 
     def test_seed_zero_inputs_reach_every_case(self, monkeypatch):
         """Every case the inline paths decide, and every case they leave to
@@ -233,5 +268,18 @@ class TestKernelDifferential:
         ops = gen_hierarchy_ops(random.Random(0), 300, STRESS_MACHINE)
         for tenant in (0, 1):
             diff_kernel(STRESS_MACHINE, ops, tenant)
-        assert set(cases) == set(KERNEL_INLINE) | set(KERNEL_FALLBACK)
+        assert set(cases) == set(KERNEL_INLINE) | set(KERNEL_FALLBACK) | set(KERNEL_SAMPLED)
         assert wasted
+
+
+def _without_ledger(sampled_use):
+    """``_sampled_use`` as if its lane had no ledger attached."""
+    @functools.wraps(sampled_use)
+    def wrapper(lane, *args):
+        ledger, lane.ledger = lane.ledger, None
+        try:
+            return sampled_use(lane, *args)
+        finally:
+            lane.ledger = ledger
+
+    return wrapper
