@@ -50,9 +50,11 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_fastpath.json"
 #: Hard floors fail the run; targets are aspirational and only warn.
 #: The micro floors are the real regression gates (the kernel controls that
 #: time).  The figures floors only assert "no material end-to-end regression"
-#: (0.9 absorbs timer noise): at small pass counts the dyn cells spend most
-#: of their time in sequitur/stream analysis plus per-reinjection codegen,
-#: so whole-grid speedup is structurally ~1.1-1.2x, not 5x.
+#: (0.85 absorbs timer noise): at small pass counts the dyn cells spend
+#: much of their time in Sequitur and hot-stream analysis, which the kernel
+#: does not run, so whole-grid speedup is structurally ~1.3-1.7x, not 5x.
+#: Recompiles are not part of that bound: a reinjected copy, or a procedure
+#: of a rebuilt workload, reuses the kernel built for its shape.
 GATES = {
     "dispatch_micro": {"fail_below": 2.5, "target": 10.0},
     "cache_micro": {"fail_below": 1.8, "target": 5.0},

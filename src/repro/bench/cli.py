@@ -480,17 +480,24 @@ def _given(args, flags: Sequence[str]) -> list[str]:
     return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
 
 
+#: The worked examples of Figures 4 and 8 and Table 1: they simulate nothing.
+WORKED_EXAMPLES = ("tables", "figure4", "table1", "figure8")
+
+
 def _ignored_flags(args) -> list[str]:
     """The given flags that ``args.artifact`` would not honour.
 
     Only plans of single runs go through the supervised executor: ``trace``
-    and ``explain`` (unless ``--against``) run live or offline, and the
-    tenancy artifacts run co-runs, which neither checkpoint nor record.
+    and ``explain`` (unless ``--against``) run live or offline, the tenancy
+    artifacts run co-runs, which neither checkpoint nor record, and the
+    worked examples run nothing.  ``explain`` records nothing either: it
+    explains one run live, from the store or from a log.
     """
     tenancy = args.artifact in ("tenancy", "ablation-tenancy")
+    examples = args.artifact in WORKED_EXAMPLES
     live = args.artifact == "trace" or (args.artifact == "explain" and args.against is None)
-    flags = DURABILITY_FLAGS if tenancy or live else ()
-    if tenancy:
+    flags = DURABILITY_FLAGS if tenancy or examples or live else ()
+    if tenancy or examples or args.artifact == "explain":
         flags += ("--telemetry", "--metrics")
     return _given(args, flags)
 
@@ -935,10 +942,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     unknown = set(names) - set(presets.names())
     if unknown:
         parser.error(f"unknown workloads: {sorted(unknown)}")
-    # trace logs its own events and explain replays none; every other
-    # artifact records through the shared recorder, whose sink refuses a
-    # used --telemetry directory before any run starts.
-    recording = bool(args.telemetry or args.metrics) and args.artifact not in ("trace", "explain")
+    # trace logs its own events; every other artifact that takes the flags
+    # records through the shared recorder, whose sink refuses a used
+    # --telemetry directory before any run starts.
+    recording = bool(args.telemetry or args.metrics) and args.artifact != "trace"
     if recording and durability is not None:
         # A recorded run executes live and in-process, never through the
         # supervised executor, so these flags would be silently ignored.

@@ -35,6 +35,15 @@ Instructions that leave the procedure or mutate interpreter-global state
 return a signal; the trampoline in :mod:`repro.fastpath.kernel` replays the
 exact reference semantics for those rare events.
 
+A kernel is built once per code shape.  :func:`_shape` makes one pass over
+the lowered code and replaces every operand the kernel reads from its
+constant table ``K`` (pcs, detect handlers, prefetch targets, call triples,
+non-operator functions, large or non-``int`` literals) with the name of its
+slot; :func:`_emit` reads nothing but ``(shape, num_regs, mode, hwkind)``,
+and :data:`_MAKERS` keeps what it builds under that key.  So each procedure
+copy the dynamic editor injects, and every procedure of a rebuilt workload,
+costs one shape pass and one ``make(K)`` call once its shape is built.
+
 Bit-identity ground rules (see DESIGN.md §5h):
 
 * every counter update, cost charge, telemetry emission and callback happens
@@ -388,11 +397,101 @@ class _Emitter:
         self.lines.append("    " * self.indent + line)
 
 
-def _compile_mode(
-    code: list[tuple], num_regs: int, mode: int, hwkind: str
-) -> CompiledMode:
-    """Compile one lowered code list; raises on anything unrecognised."""
-    n = len(code)
+#: The shape of a CHECK, HALT or NOP: the emitter reads only the opcode.
+_BARE = {OP_CHECK: (OP_CHECK,), OP_HALT: (OP_HALT,), OP_NOP: (OP_NOP,)}
+
+#: Opcodes whose operands are all registers or branch targets.
+_INT_OPERANDS = frozenset((OP_BZ, OP_BNZ, OP_JMP, OP_MOV, OP_ALLOC))
+
+#: Infix symbols of the operator functions; every other string in a shape
+#: names a ``K`` slot.
+_INFIX = frozenset(_ALU_SYM.values()) | frozenset(_CMP_SYM.values())
+
+
+def _shape(code: list[tuple]) -> tuple[tuple, list]:
+    """One pass over lowered code: its shape and its ``K`` table.
+
+    The shape is the code with every operand the kernel reads from ``K``
+    replaced by the name of its slot, ``"K<n>"``, numbered in code order:
+    pcs, detect handlers, prefetch target tuples, call triples, ALU and
+    compare functions that are not operators (an operator becomes its infix
+    symbol), and every literal that is not an exact ``int``, or for a
+    ``Const`` exceeds 0xFFFF.  So ``True`` and ``1.0``, equal to ``1`` as
+    keys, never share its kernel, and injected heap addresses never split
+    one.  What the emitter only tests is kept as the outcome of that test:
+    whether a reference is traced, whether it has a detect handler, and how
+    many addresses a prefetch names; a CHECK keeps only its opcode.
+    Registers and branch targets are printed, so they must be exact ints;
+    anything else raises.
+    """
+    consts: list = []
+
+    def K(obj: object) -> str:
+        consts.append(obj)
+        return f"K{len(consts) - 1}"
+
+    shape: list[tuple] = []
+    append = shape.append
+    for t in code:
+        op = t[0]
+        if op == OP_LOAD or op == OP_STORE:
+            # (op, dst/src, base, offset, pc, traced, detect)
+            _op, reg, base, off, pc, traced, det = t
+            if type(reg) is not int or type(base) is not int:
+                raise ValueError(f"fastpath: register operand in {t!r}")
+            append((
+                op, reg, base, off if type(off) is int else K(off), K(pc),
+                bool(traced), None if det is None else K(det),
+            ))
+        elif op == OP_ALU or op == OP_ALUI or op == OP_CMP:
+            # (op, func, dst, a, b) or (op, func, dst, a, imm)
+            _op, func, dst, a, b = t
+            if type(dst) is not int or type(a) is not int:
+                raise ValueError(f"fastpath: register operand in {t!r}")
+            if op == OP_ALUI:
+                if type(b) is not int:
+                    b = K(b)
+            elif type(b) is not int:
+                raise ValueError(f"fastpath: register operand in {t!r}")
+            sym = (_CMP_SYM if op == OP_CMP else _ALU_SYM).get(func)
+            append((op, sym if sym is not None else K(func), dst, a, b))
+        elif op in _INT_OPERANDS:
+            for x in t:
+                if type(x) is not int:
+                    raise ValueError(f"fastpath: non-int operand in {t!r}")
+            append(t)
+        elif op == OP_CONST:
+            _op, dst, value = t
+            if type(dst) is not int:
+                raise ValueError(f"fastpath: register operand in {t!r}")
+            # Injected prefetch targets are heap addresses that change every
+            # reinjection; through K they leave the shape alone.
+            if type(value) is not int or not -0xFFFF <= value <= 0xFFFF:
+                value = K(value)
+            append((op, dst, value))
+        elif op in _BARE:
+            append(_BARE[op])
+        elif op == OP_CALL:
+            # (op, dst, name, args): the trampoline performs the call
+            append((op, K(t[1:])))
+        elif op == OP_RET:
+            if t[1] is not None and type(t[1]) is not int:
+                raise ValueError(f"fastpath: register operand in {t!r}")
+            append(t)
+        elif op == OP_PREFETCH:
+            append((op, K(t[1]), len(t[1])))
+        else:
+            raise ValueError(f"fastpath: unknown opcode {op}")
+    return tuple(shape), consts
+
+
+def _emit(shape: tuple, num_regs: int, mode: int, hwkind: str) -> tuple:
+    """Build the kernel for one shape: ``(make, leaders, max_trace)``.
+
+    ``make(K)`` closes the generated function over one ``K`` table.  These
+    four arguments are all the emitter reads, so every procedure version of
+    this shape runs the same source."""
+    n = len(shape)
     counter_attr = "n_check" if mode == 0 else "n_instr"
 
     # ---- leaders: every ip the generated dispatcher must accept ----------
@@ -406,10 +505,10 @@ def _compile_mode(
     # Loop heads (targets of backward branches): a trace that falls into one
     # ends there, so each loop body is emitted once, in the head's own trace.
     heads: set[int] = set()
-    for i, t in enumerate(code):
-        op = t[0]
+    for i, s in enumerate(shape):
+        op = s[0]
         if op in (OP_BZ, OP_BNZ, OP_JMP):
-            target = t[1] if op == OP_JMP else t[2]
+            target = s[1] if op == OP_JMP else s[2]
             _lead(target)
             if target <= i:
                 heads.add(target)
@@ -420,17 +519,6 @@ def _compile_mode(
     # loop, which raises the exact IndexError/ExecutionError the program earns.
     leaders = {L for L in leaders if 0 <= L < n}
     heads &= leaders
-
-    consts: list[object] = []
-    const_ix: dict[int, int] = {}
-
-    def K(obj: object) -> str:
-        ix = const_ix.get(id(obj))
-        if ix is None:
-            ix = len(consts)
-            consts.append(obj)
-            const_ix[id(obj)] = ix
-        return f"K{ix}"
 
     uses: set[str] = set()
 
@@ -490,35 +578,35 @@ def _compile_mode(
                 em.w("continue")
                 extra.append(i)
                 break
-            t = code[i]
-            op = t[0]
+            s = shape[i]
+            op = s[0]
             pend_ic += 1
             pend_cy += 1
             count += 1
 
             if op in (OP_LOAD, OP_STORE):
                 # (op, dst/src, base, offset, pc, traced, detect)
+                _op, reg, base, off, pc, traced, det = s
                 word = "load" if op == OP_LOAD else "store"
-                off = t[3]
-                if off:
-                    em.w(f"addr = _r{t[2]} + {off}" if off > 0 else f"addr = _r{t[2]} - {-off}")
+                if type(off) is int and off < 0:
+                    em.w(f"addr = _r{base} - {-off}")
+                elif off:  # a positive literal or a K slot
+                    em.w(f"addr = _r{base} + {off}")
                 else:
-                    em.w(f"addr = _r{t[2]}")
+                    em.w(f"addr = _r{base}")
                 em.w("if addr & 3 or addr < 0:")
                 em.indent += 1
-                em.w(
-                    f'raise MemoryFault(f"bad {word} address {{addr:#x}} at {{{K(t[4])}}}")'
-                )
+                em.w(f'raise MemoryFault(f"bad {word} address {{addr:#x}} at {{{pc}}}")')
                 em.indent -= 1
                 flush_cy()
                 for line in _MEMORY_PATH:
                     em.w(line)
                 em.w("mem_refs += 1")
                 if op == OP_LOAD:
-                    em.w(f"_r{t[1]} = mget(addr, 0)")
+                    em.w(f"_r{reg} = mget(addr, 0)")
                 else:
-                    em.w(f"mem[addr] = _r{t[1]}")
-                if t[5]:
+                    em.w(f"mem[addr] = _r{reg}")
+                if traced:
                     uses.add("trace")
                     em.w("cycles += trace_cost")
                     em.w("trace_chg += 1")
@@ -527,17 +615,16 @@ def _compile_mode(
                     em.w("traced += 1")
                     em.w("if rpush is not None:")
                     em.indent += 1
-                    em.w(f"rpush(({K(t[4])}, addr))")
+                    em.w(f"rpush(({pc}, addr))")
                     em.indent -= 1
                     em.w("else:")
                     em.indent += 1
-                    em.w(f"sink({K(t[4])}, addr)")
+                    em.w(f"sink({pc}, addr)")
                     em.indent -= 1
                     em.indent -= 1
-                det = t[6]
                 if det is not None:
                     uses.add("detect")
-                    em.w(f"dstate, prefetches, cases = {K(det)}.step(dstate, addr)")
+                    em.w(f"dstate, prefetches, cases = {det}.step(dstate, addr)")
                     em.w("detects += 1")
                     em.w("extra = detect_base + detect_per_case * cases")
                     em.w("cycles += extra")
@@ -558,14 +645,14 @@ def _compile_mode(
                     # lives on the prefetcher object, so state carries across
                     # kernel exits exactly as with the method call.
                     uses.add("hwstride")
-                    em.w(f"entry = st_get({K(t[4])})")
+                    em.w(f"entry = st_get({pc})")
                     em.w("if entry is None:")
                     em.indent += 1
                     em.w("if len(st_table) >= st_size:")
                     em.indent += 1
                     em.w("st_pop(last=False)")
                     em.indent -= 1
-                    em.w(f"st_table[{K(t[4])}] = [addr, 0, 0]")
+                    em.w(f"st_table[{pc}] = [addr, 0, 0]")
                     em.indent -= 1
                     em.w("else:")
                     em.indent += 1
@@ -639,59 +726,50 @@ def _compile_mode(
                 elif hwkind:
                     # Unknown prefetcher implementation: keep the method call.
                     uses.add("hwpref")
-                    em.w(f"hwpref.observe({K(t[4])}, addr, cycles, hier)")
+                    em.w(f"hwpref.observe({pc}, addr, cycles, hier)")
                     em.w("lblk = -1")
 
             elif op == OP_ALUI:
-                # (op, func, dst, a, imm)
-                sym = _ALU_SYM.get(t[1])
-                if sym is not None:
-                    em.w(f"_r{t[2]} = _r{t[3]} {sym} ({t[4]})")
+                # (op, symbol or K slot, dst, a, imm)
+                _op, fn, dst, a, imm = s
+                if fn in _INFIX:
+                    em.w(f"_r{dst} = _r{a} {fn} ({imm})")
                 else:
-                    em.w(f"_r{t[2]} = {K(t[1])}(_r{t[3]}, {t[4]})")
+                    em.w(f"_r{dst} = {fn}(_r{a}, {imm})")
             elif op == OP_ALU:
-                sym = _ALU_SYM.get(t[1])
-                if sym is not None:
-                    em.w(f"_r{t[2]} = _r{t[3]} {sym} _r{t[4]}")
+                _op, fn, dst, a, b = s
+                if fn in _INFIX:
+                    em.w(f"_r{dst} = _r{a} {fn} _r{b}")
                 else:
-                    em.w(f"_r{t[2]} = {K(t[1])}(_r{t[3]}, _r{t[4]})")
+                    em.w(f"_r{dst} = {fn}(_r{a}, _r{b})")
             elif op == OP_CMP:
-                sym = _CMP_SYM.get(t[1])
-                if sym is not None:
-                    em.w(f"_r{t[2]} = 1 if _r{t[3]} {sym} _r{t[4]} else 0")
+                _op, fn, dst, a, b = s
+                if fn in _INFIX:
+                    em.w(f"_r{dst} = 1 if _r{a} {fn} _r{b} else 0")
                 else:
-                    em.w(f"_r{t[2]} = 1 if {K(t[1])}(_r{t[3]}, _r{t[4]}) else 0")
+                    em.w(f"_r{dst} = 1 if {fn}(_r{a}, _r{b}) else 0")
             elif op in (OP_BZ, OP_BNZ):
                 cmp = "==" if op == OP_BZ else "!="
-                em.w(f"if _r{t[1]} {cmp} 0:")
+                em.w(f"if _r{s[1]} {cmp} 0:")
                 em.indent += 1
                 if pend_ic:
                     em.w(f"icount += {pend_ic}")
                 if pend_cy:
                     em.w(f"cycles += {pend_cy}")
-                em.w(f"ip = {t[2]}")
+                em.w(f"ip = {s[2]}")
                 em.w("continue")
                 em.indent -= 1
                 # fallthrough continues the trace with the same pending costs
             elif op == OP_JMP:
                 flush_ic()
                 flush_cy()
-                em.w(f"ip = {t[1]}")
+                em.w(f"ip = {s[1]}")
                 em.w("continue")
                 break
             elif op == OP_MOV:
-                em.w(f"_r{t[1]} = _r{t[2]}")
+                em.w(f"_r{s[1]} = _r{s[2]}")
             elif op == OP_CONST:
-                # Large constants go through the K table instead of the
-                # source text: the dynamic editor's injected prefetch
-                # targets are heap addresses that change every reinjection,
-                # and keeping them out of the source lets all injected
-                # copies share one exec'd maker (see _MAKERS).
-                value = t[2]
-                if isinstance(value, int) and abs(value) > 0xFFFF:
-                    em.w(f"_r{t[1]} = {K(value)}")
-                else:
-                    em.w(f"_r{t[1]} = {value}")
+                em.w(f"_r{s[1]} = {s[2]}")
             elif op == OP_CHECK:
                 uses.add("check")
                 flush_cy()
@@ -703,31 +781,31 @@ def _compile_mode(
                 emit_exit(SIG_TRANS, i + 1, conditional=True)
                 em.indent -= 1
             elif op == OP_CALL:
-                # (op, dst, name, args) — trampoline performs the call
-                em.w(f"ctx.call = {K((t[1], t[2], t[3]))}")
+                em.w(f"ctx.call = {s[1]}")
                 emit_exit(SIG_CALL, i + 1)
                 break
             elif op == OP_RET:
-                if t[1] is not None:
-                    em.w(f"ctx.ret_value = _r{t[1]}")
+                if s[1] is not None:
+                    em.w(f"ctx.ret_value = _r{s[1]}")
                 else:
                     em.w("ctx.ret_value = 0")
                 emit_exit(SIG_RET, i + 1)
                 break
             elif op == OP_ALLOC:
                 uses.add("alloc")
-                em.w(f"_r{t[1]} = allocate(_r{t[2]})")
+                em.w(f"_r{s[1]} = allocate(_r{s[2]})")
             elif op == OP_PREFETCH:
+                # (op, K slot of the targets, how many there are)
                 uses.add("prefetch")
                 flush_cy()
-                if t[1]:
-                    em.w(f"for a in {K(t[1])}:")
+                if s[2]:
+                    em.w(f"for a in {s[1]}:")
                     em.indent += 1
                     for line in _prefetch_path("pf_source"):
                         em.w(line)
                     em.w("cycles += pf_cost")
                     em.indent -= 1
-                    em.w(f"pf_issued += {len(t[1])}")
+                    em.w(f"pf_issued += {s[2]}")
             elif op == OP_HALT:
                 emit_exit(SIG_DONE, i + 1)
                 break
@@ -760,7 +838,8 @@ def _compile_mode(
     out = _Emitter()
     out.w("def _make(K):")
     out.indent += 1
-    for ix in range(len(consts)):
+    slots = sum(type(x) is str and x not in _INFIX for s in shape for x in s)
+    for ix in range(slots):
         out.w(f"K{ix} = K[{ix}]")
     out.w("def _fp(ctx, state, limit):")
     out.indent += 1
@@ -883,28 +962,21 @@ def _compile_mode(
     out.w("return _fp")
 
     source = "\n".join(out.lines) + "\n"
-    # The dynamic editor re-injects detection by patching in fresh Procedure
-    # copies every awake transition; their lowered code differs only in the
-    # identity of baked-in constants (DetectHandler objects), never in the
-    # generated source.  Memoising the exec'd maker on the source text turns
-    # those recompiles into a dict hit plus a _make(consts) call.
-    make = _MAKERS.get(source)
-    if make is None:
-        namespace: dict[str, object] = {
-            "MemoryFault": MemoryFault,
-            "_MK_RANK": _MK_RANK,
-            "_sampled_miss": _sampled_miss,
-            "_sampled_use": _sampled_use,
-            "_prefetch_observed": _prefetch_observed,
-        }
-        exec(compile(source, f"<fastpath:{counter_attr}>", "exec"), namespace)
-        make = namespace["_make"]
-        _MAKERS[source] = make
-    fn = make(consts)
-    return CompiledMode(fn, frozenset(leaders), max_trace)
+    namespace: dict[str, object] = {
+        "MemoryFault": MemoryFault,
+        "_MK_RANK": _MK_RANK,
+        "_sampled_miss": _sampled_miss,
+        "_sampled_use": _sampled_use,
+        "_prefetch_observed": _prefetch_observed,
+    }
+    exec(compile(source, f"<fastpath:{counter_attr}>", "exec"), namespace)
+    return namespace["_make"], frozenset(leaders), max_trace
 
 
-#: source text -> exec'd ``_make`` closure factory (see _compile_mode).
+#: ``(shape, num_regs, mode, hwkind)`` -> ``(make, leaders, max_trace)``:
+#: each kernel is emitted and exec'd once per key (see :func:`_emit`), and
+#: every procedure version of that shape, such as each copy the dynamic
+#: editor injects, only closes ``make`` over its own ``K`` table.
 _MAKERS: dict = {}
 
 
@@ -957,8 +1029,13 @@ def compiled_entry(proc, mode: int, hwkind: str) -> Optional[CompiledMode]:
     entry = per.get(key, _MISSING)
     if entry is _MISSING:
         try:
-            code = lower_procedure(proc)[mode]
-            entry = _compile_mode(code, proc.num_regs, mode, hwkind)
+            shape, consts = _shape(lower_procedure(proc)[mode])
+            shape_key = (shape, proc.num_regs, mode, hwkind)
+            built = _MAKERS.get(shape_key)
+            if built is None:
+                built = _MAKERS[shape_key] = _emit(*shape_key)
+            make, leaders, max_trace = built
+            entry = CompiledMode(make(consts), leaders, max_trace)
         except Exception:
             # Anything unrecognised falls back to the reference interpreter.
             entry = None

@@ -142,6 +142,19 @@ class FastCtx:
         self.ret_value = 0
 
 
+def prefetcher_kind(hwpref) -> str:
+    """The ``hwkind`` the kernels of an interpreter with ``hwpref`` specialize
+    on.  Exact-type match: a subclass may override ``observe()``, so only the
+    two known implementations get their observers compiled inline."""
+    if hwpref is None:
+        return ""
+    if type(hwpref) is StridePrefetcher:
+        return "stride"
+    if type(hwpref) is MarkovPrefetcher:
+        return "markov"
+    return "other"
+
+
 def _final_stats(state):
     """Assemble ExecStats from a finished parked state (reference layout)."""
     from repro.interp.interpreter import ExecStats
@@ -212,17 +225,7 @@ def run_fast(interp, state, limit: int, raise_on_limit: bool):
         return interp._dispatch(state, limit, raise_on_limit)
     ctx = FastCtx(interp)
     program = interp.program
-    hwpref = interp.hw_prefetcher
-    # Exact-type match: a subclass may override observe(), so only the two
-    # known implementations get their observers compiled inline.
-    if hwpref is None:
-        hwkind = ""
-    elif type(hwpref) is StridePrefetcher:
-        hwkind = "stride"
-    elif type(hwpref) is MarkovPrefetcher:
-        hwkind = "markov"
-    else:
-        hwkind = "other"
+    hwkind = prefetcher_kind(interp.hw_prefetcher)
     # Per-procedure attribution: compiled kernels flush every counter back
     # into `state` before returning a signal, so charging the parked state at
     # each procedure boundary is exact — the same charge points the reference

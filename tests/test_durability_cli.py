@@ -23,11 +23,22 @@ RECORDING = [["--telemetry", "{tmp}/log"], ["--metrics", "{tmp}/m.json"]]
 #: Every (command, flag) pair where the artifact would ignore the flag.
 IGNORED = [
     *((["trace", *TINY, "--out", "{tmp}/t.json"], flag) for flag in DURABILITY),
-    *((["explain", *TINY], flag) for flag in DURABILITY),
+    *((["explain", *TINY], flag) for flag in DURABILITY + RECORDING),
+    *((["explain", "--against", "orig", *TINY], flag) for flag in RECORDING),
+    *((["explain", "--from", "{tmp}/log"], flag) for flag in RECORDING),
+    *(([example], flag) for example in ("tables", "figure4", "table1", "figure8")
+      for flag in DURABILITY + RECORDING),
     *((["tenancy", "--tenants", "vortex:orig", "--scale", "0.05"], flag)
       for flag in DURABILITY + RECORDING),
     *((["ablation-tenancy", "--scale", "0.05"], flag) for flag in DURABILITY + RECORDING),
 ]
+
+
+def _case_id(command, flag) -> str:
+    """``explain-against--metrics``: the artifact, its mode option if one
+    follows it, and the refused flag."""
+    mode = command[1][1:] if command[1:2] in (["--against"], ["--from"]) else ""
+    return f"{command[0]}{mode}{flag[0]}"
 
 
 def _cache_dir():
@@ -120,7 +131,7 @@ class TestIgnoredFlagsRefused:
     any run and before any file or directory exists."""
 
     @pytest.mark.parametrize(
-        "command,flag", IGNORED, ids=[f"{cmd[0]}{flag[0]}" for cmd, flag in IGNORED]
+        "command,flag", IGNORED, ids=[_case_id(cmd, flag) for cmd, flag in IGNORED]
     )
     def test_refused_before_any_run(self, command, flag, tmp_path, capsys):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in [*command, *flag]]

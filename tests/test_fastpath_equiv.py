@@ -11,6 +11,8 @@ runs (telemetry, ledger, attribution), error paths, and a hypothesis
 property over arbitrary slice partitions.
 """
 
+import json
+import operator
 from collections import Counter
 from dataclasses import replace
 
@@ -18,13 +20,30 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.levels import execute_workload
+from repro.core.hwpref import MarkovPrefetcher, StridePrefetcher
+from repro.engine.levels import execute_workload, level_names, prepare_workload
 from repro.engine.spec import RunSpec
 from repro.errors import MemoryFault
-from repro.fastpath import kernel
-from repro.fastpath.compiler import clear_cache
+from repro.fastpath import compiler, kernel
+from repro.fastpath.compiler import clear_cache, compiled_entry
+from repro.interp import lowering
 from repro.interp.interpreter import Interpreter
+from repro.ir.instructions import (
+    Alu,
+    AluImm,
+    Bnz,
+    Check,
+    Cmp,
+    Const,
+    Load,
+    Pc,
+    Prefetch,
+    Ret,
+    Store,
+)
+from repro.ir.program import Procedure, Program
 from repro.machine.config import CacheGeometry, MachineConfig
+from repro.machine.memory import Memory
 from repro.oracle.fuzz import KERNEL_FALLBACK, KERNEL_SAMPLED, kernel_case
 from repro.resilience import FaultPlan, WatchdogConfig
 from repro.telemetry.events import CacheMiss, PrefetchIssued, PrefetchUsed
@@ -335,6 +354,255 @@ class TestCompiledCodeMemo:
         monkeypatch.setattr("repro.fastpath.kernel.id", lambda o: 0, raising=False)
         reference, compiled = both_ways("vortex", "dyn")
         assert compiled == reference
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Every ``(proc, kernel)`` the trampoline compiles, and every key
+        the emitter builds a kernel for."""
+        compiled, emitted = [], []
+        real_entry, real_emit = kernel.compiled_entry, compiler._emit
+
+        def entry(proc, mode, hwkind):
+            result = real_entry(proc, mode, hwkind)
+            compiled.append((proc, result))
+            return result
+
+        def emit(*key):
+            emitted.append(key)
+            return real_emit(*key)
+
+        monkeypatch.setattr(kernel, "compiled_entry", entry)
+        monkeypatch.setattr(compiler, "_emit", emit)
+        return compiled, emitted
+
+    def test_each_shape_is_emitted_once(self, monkeypatch):
+        """Each copy the dynamic editor injects after its shape's first
+        build, and every procedure of a second build of the workload, only
+        closes a built kernel over its own constants.  Every copy gets a
+        kernel: none falls back to the reference loop."""
+        clear_cache()
+        compiled, emitted = self.spy(monkeypatch)
+        execute_workload(build_named("vpr", passes=1), "dyn", fast=True)
+        assert compiled and all(result is not None for _proc, result in compiled)
+        copies = Counter(proc.name for proc in {proc for proc, _ in compiled})
+        assert max(copies.values()) > 1, "the run injected no procedure copy"
+        assert len(set(emitted)) == len(emitted) == len(compiler._MAKERS)
+        assert len(emitted) < len(compiled)
+        built = len(compiler._MAKERS)
+        compiled.clear()
+        emitted.clear()
+        execute_workload(build_named("vpr", passes=1), "dyn", fast=True)
+        assert compiled and all(result is not None for _proc, result in compiled)
+        assert emitted == []
+        assert len(compiler._MAKERS) == built
+
+    @pytest.mark.parametrize("workload", ALL_WORKLOADS)
+    def test_every_procedure_version_gets_a_kernel(self, workload):
+        """An exception in the shape pass or the emitter would silently send
+        a procedure to the reference loop; no procedure of any workload, at
+        any level, in either version, may take that exit."""
+        for level in level_names():
+            interp = prepare_workload(build_named(workload, passes=1), level).interp
+            hwkind = kernel.prefetcher_kind(interp.hw_prefetcher)
+            for proc in interp.program.procedures.values():
+                for mode in (0, 1):
+                    assert compiled_entry(proc, mode, hwkind) is not None, (level, proc.name, mode)
+
+
+class _Handler:
+    """A detect handler that prefetches the next block at every step."""
+
+    def step(self, state, addr):
+        return state + 1, (addr + 64,), 1
+
+
+def _avg(a, b):
+    return (a + b) // 2
+
+
+def _never(a, b):
+    return False
+
+
+PC = Pc("p", 0)
+LOOP = {"loop": 2}
+#: Pairs whose runs agree: ``num_regs`` only decides which registers a
+#: kernel binds, and one kernel for more registers than the procedure has
+#: fails at entry; register ``True`` is register 1 to the reference loop,
+#: but a kernel printed from it names a local nothing binds.
+SAME_RESULT = {"num-regs", "bool-register"}
+
+
+def _walk(load):
+    """``p(base)``: eight trips of ``load``, each one stride further, with
+    a check at the loop head."""
+    return [
+        Const(1, 8),
+        Const(3, 64),
+        Check(backedge=True),
+        load,
+        Alu("add", 0, 0, 3),
+        AluImm("sub", 1, 1, 1),
+        Bnz(1, "loop"),
+        Ret(2),
+    ]
+
+
+class _Variant:
+    """A one-procedure program ``p(base)`` and how to run it.
+
+    ``base`` points into the middle of a buffer whose words hold 1000 plus
+    their offset from ``base``.  ``lower`` maps ALU and compare kinds to
+    other functions in the lowered code; ``bursts`` alternates the checking
+    and instrumented versions every few checks; ``hwpref`` attaches a
+    hardware prefetcher."""
+
+    def __init__(self, body, num_regs=4, lower=None, bursts=False, hwpref=None):
+        self.body = body
+        self.num_regs = num_regs
+        self.lower = lower or {}
+        self.bursts = bursts
+        self.hwpref = hwpref
+
+    def run(self, fast: bool):
+        """``json.dumps`` of the run's stats and its hierarchy snapshot."""
+        proc = Procedure("p", 1, self.num_regs, list(self.body), dict(LOOP))
+        if self.bursts:
+            proc.instrumented_body = list(self.body)
+        checking = lowering.lower_body(proc.body, proc.labels, proc.name)
+        for i, t in enumerate(checking):
+            if t[0] in (lowering.OP_ALU, lowering.OP_ALUI, lowering.OP_CMP) and t[1] in self.lower:
+                checking[i] = (t[0], self.lower[t[1]], *t[2:])
+        proc._lowered = (checking, list(checking) if self.bursts else checking)
+        memory = Memory()
+        base = memory.allocate(1024) + 512
+        for off in range(-512, 512, 4):
+            memory.store(base + off, 1000 + off)
+        interp = Interpreter(Program([proc], "p"), memory, MACHINE)
+        if self.bursts:
+            interp.n_check0, interp.n_instr0 = 2, 1
+        if self.hwpref is not None:
+            interp.hw_prefetcher = self.hwpref()
+        stats = interp.run((base,), fast=fast)
+        return json.dumps(stats.to_dict()), hierarchy_snapshot(interp.hierarchy)
+
+
+class _Quiet(StridePrefetcher):
+    """A prefetcher the kernel does not inline (``hwkind == "other"``): it
+    overrides ``observe`` and never prefetches."""
+
+    def observe(self, pc, addr, now, hierarchy):
+        pass
+
+
+#: Pairs of programs that differ in exactly one thing the emitter prints or
+#: branches on.  If the shape key left it out, whichever ran second would
+#: run the first one's kernel.
+SHAPE_PAIRS = {
+    "alui-immediate": (
+        _Variant([AluImm("add", 1, 0, 3), Ret(1)]),
+        _Variant([AluImm("add", 1, 0, 4), Ret(1)]),
+    ),
+    "load-offset-sign": (
+        _Variant([Load(1, 0, 8, PC), Ret(1)]),
+        _Variant([Load(1, 0, -8, PC), Ret(1)]),
+    ),
+    "store-offset-sign": (
+        _Variant([Store(0, 0, 8, PC), Load(1, 0, 8, Pc("p", 1)), Ret(1)]),
+        _Variant([Store(0, 0, -8, PC), Load(1, 0, 8, Pc("p", 1)), Ret(1)]),
+    ),
+    "const-0xffff-0x10000": (
+        _Variant([Const(1, 0xFFFF), Ret(1)]),
+        _Variant([Const(1, 0x10000), Ret(1)]),
+    ),
+    "const-through-k": (
+        _Variant([Const(1, 0x10000), Ret(1)]),
+        _Variant([Const(1, -0x10001), Ret(1)]),
+    ),
+    "const-1-true": (
+        _Variant([Const(1, 1), Ret(1)]),
+        _Variant([Const(1, True), Ret(1)]),
+    ),
+    "const-1-1.0": (
+        _Variant([Const(1, 1), Ret(1)]),
+        _Variant([Const(1, 1.0), Ret(1)]),
+    ),
+    "traced": (
+        _Variant([Load(1, 0, 0, PC), Ret(1)]),
+        _Variant([Load(1, 0, 0, PC, traced=True), Ret(1)]),
+    ),
+    "detect-handler": (
+        _Variant([Load(1, 0, 0, PC), Ret(1)]),
+        _Variant([Load(1, 0, 0, PC, detect=_Handler()), Ret(1)]),
+    ),
+    "prefetch-0-1": (
+        _Variant([Prefetch(()), Load(1, 0, 64, PC), Ret(1)]),
+        _Variant([Prefetch((0x10000,)), Load(1, 0, 64, PC), Ret(1)]),
+    ),
+    "prefetch-1-2": (
+        _Variant([Prefetch((0x10000,)), Load(1, 0, 64, PC), Ret(1)]),
+        _Variant([Prefetch((0x10000, 0x10040)), Load(1, 0, 64, PC), Ret(1)]),
+    ),
+    "alu-operator": (
+        _Variant([Alu("add", 1, 0, 0), Ret(1)]),
+        _Variant([Alu("add", 1, 0, 0), Ret(1)], lower={operator.add: _avg}),
+    ),
+    "alui-operator": (
+        _Variant([AluImm("add", 1, 0, 6), Ret(1)]),
+        _Variant([AluImm("add", 1, 0, 6), Ret(1)], lower={operator.add: _avg}),
+    ),
+    "cmp-operator": (
+        _Variant([Cmp("eq", 1, 0, 0), Ret(1)]),
+        _Variant([Cmp("eq", 1, 0, 0), Ret(1)], lower={operator.eq: _never}),
+    ),
+    "register": (
+        _Variant([AluImm("add", 1, 0, 5), Ret(1)]),
+        _Variant([AluImm("add", 2, 0, 5), Ret(1)]),
+    ),
+    "bool-register": (
+        _Variant([AluImm("add", 1, 0, 5), Ret(1)]),
+        _Variant([AluImm("add", True, 0, 5), Ret(1)]),
+    ),
+    "num-regs": (
+        _Variant([AluImm("add", 1, 0, 5), Ret(1)], num_regs=2),
+        _Variant([AluImm("add", 1, 0, 5), Ret(1)], num_regs=4),
+    ),
+    "mode": (
+        _Variant(_walk(Load(2, 0, 0, PC)), bursts=True),
+        _Variant(_walk(Load(2, 0, 0, PC))),
+    ),
+    "hwkind-none-stride": (
+        _Variant(_walk(Load(2, 0, 0, PC))),
+        _Variant(_walk(Load(2, 0, 0, PC)), hwpref=StridePrefetcher),
+    ),
+    "hwkind-stride-markov": (
+        _Variant(_walk(Load(2, 0, 0, PC)), hwpref=StridePrefetcher),
+        _Variant(_walk(Load(2, 0, 0, PC)), hwpref=MarkovPrefetcher),
+    ),
+    "hwkind-stride-other": (
+        _Variant(_walk(Load(2, 0, 0, PC)), hwpref=StridePrefetcher),
+        _Variant(_walk(Load(2, 0, 0, PC)), hwpref=_Quiet),
+    ),
+}
+
+
+class TestShapeKey:
+    """A kernel is built once per ``(shape, num_regs, mode, hwkind)`` and
+    reused by every procedure version with that key, so the key must hold
+    everything the emitter reads.  Each pair compiles back to back in one
+    process, in both orders, and every run must equal the reference loop
+    byte for byte."""
+
+    @pytest.mark.parametrize("name", SHAPE_PAIRS)
+    def test_pair_runs_its_own_kernel(self, name):
+        pair = SHAPE_PAIRS[name]
+        reference = [variant.run(fast=False) for variant in pair]
+        assert (reference[0] == reference[1]) == (name in SAME_RESULT)
+        for order in (pair, pair[::-1]):
+            clear_cache()
+            compiled = [variant.run(fast=True) for variant in order]
+            expected = reference if order is pair else reference[::-1]
+            assert compiled == expected
 
 
 class TestSliceComposition:

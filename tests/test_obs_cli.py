@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.bench.cli import main as cli_main
-from repro.obs.chunks import load_chunk_events, load_chunks
+from repro.obs.chunks import StreamingTraceSink, load_chunk_events, load_chunks
 from repro.obs.perfetto import parse_packet_count
 from repro.obs.status import StatusWriter, read_status
 
@@ -181,7 +181,7 @@ class TestFiguresStreaming:
 
     def test_used_telemetry_directory_rejected_before_any_run(self, tmp_path, capsys):
         chunks = tmp_path / "chunks"
-        assert cli_main(["figure4", "--telemetry", str(chunks)]) == 0
+        StreamingTraceSink(chunks).close()
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["figures", *_FAST, "--telemetry", str(chunks)])
         assert excinfo.value.code == 2
