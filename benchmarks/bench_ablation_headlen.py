@@ -12,33 +12,18 @@ The sweep runs on two contrasting benchmarks to keep the suite fast.
 
 from __future__ import annotations
 
-from repro.bench.figures import ablation_headlen
-from repro.bench.reporting import format_table
+from repro.bench.figures import HEADLEN, ablation_headlen
 
 ABLATION_WORKLOADS = ("mcf", "twolf")
 
 
-def _passes_for(cache, name):
-    return cache.passes_for(name)
-
-
 def test_headlen_sweep(benchmark, cache):
-    all_rows = {}
-
     def sweep():
-        return {
-            name: ablation_headlen(name, head_lens=(1, 2, 3), passes=_passes_for(cache, name))
-            for name in ABLATION_WORKLOADS
-        }
+        return {name: ablation_headlen(cache, name) for name in ABLATION_WORKLOADS}
 
     all_rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     for name, rows in all_rows.items():
-        print("\n" + format_table(
-            ["headLen", "Dyn-pref %", "accuracy", "issued"],
-            [[r["head_len"], r["dynpref_pct"], r["prefetch_accuracy"], r["prefetches_issued"]]
-             for r in rows],
-            title=f"Section 4.3 ablation: prefix length, {name}",
-        ))
+        print("\n" + HEADLEN.render(rows, name=name))
         by_len = {r["head_len"]: r for r in rows}
         # headLen=2 is a net win (the paper's operating point).
         assert by_len[2]["dynpref_pct"] < 0, f"{name}: headLen=2 must win"

@@ -11,27 +11,18 @@ cannot cover shuffled pointer chains.
 
 from __future__ import annotations
 
-from repro.bench.figures import ablation_hwpref
-from repro.bench.reporting import format_table
+from repro.bench.figures import HWPREF, ablation_hwpref
 
 ABLATION_WORKLOADS = ("vpr", "mcf")
 
 
 def test_hw_prefetcher_comparison(benchmark, cache):
     def sweep():
-        return {
-            name: ablation_hwpref(name, passes=cache.passes_for(name))
-            for name in ABLATION_WORKLOADS
-        }
+        return {name: ablation_hwpref(cache, name) for name in ABLATION_WORKLOADS}
 
     all_rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     for name, rows in all_rows.items():
-        print("\n" + format_table(
-            ["scheme", "overhead %", "accuracy", "useful", "wasted"],
-            [[r["scheme"], r["overhead_pct"], r["prefetch_accuracy"], r["useful"], r["wasted"]]
-             for r in rows],
-            title=f"Hardware baseline ablation, {name}",
-        ))
+        print("\n" + HWPREF.render(rows, name=name))
         by_scheme = {r["scheme"]: r for r in rows}
         # Stride prefetching barely covers shuffled pointer chains: its
         # useful-prefetch count is far below dyn's.

@@ -25,34 +25,19 @@ from __future__ import annotations
 
 import os
 
-from repro.bench import figures
-from repro.bench.reporting import format_table
-from repro.workloads.phaseshift import PhaseShiftParams
+from repro.bench.figures import WATCHDOG, ablation_watchdog
 
 
-def test_watchdog_phase_shift_ablation(benchmark):
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    passes = None if scale == 1.0 else max(2, int(PhaseShiftParams().passes * scale))
+def test_watchdog_phase_shift_ablation(benchmark, cache):
     fault_seed = int(os.environ.get("REPRO_FAULT_SEED", "0")) or None
-
-    def measure():
-        return figures.ablation_watchdog(passes=passes, fault_seed=fault_seed)
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print("\n" + format_table(
-        ["variant", "cycles", "vs no-pref %", "#opt", "deopts", "wakes",
-         "errors", "faults", "issued", "useful", "wasted"],
-        [[r["variant"], r["cycles"], r["vs_nopref_pct"], r["opt_cycles"],
-          r["deopts"], r["early_wakes"], r["errors"], r["faults"],
-          r["issued"], r["useful"], r["wasted"]] for r in rows],
-        title="Ablation (extension): prefetch watchdog under phase shifts",
-    ))
+    rows = benchmark.pedantic(ablation_watchdog, args=(cache, fault_seed), rounds=1, iterations=1)
+    print("\n" + WATCHDOG.render(rows))
     by = {r["variant"]: r for r in rows}
     nopref, dyn, wd = by["nopref"], by["dyn"], by["dyn+watchdog"]
     # The watchdog noticed and rolled back stale streams.
     assert wd["deopts"] >= 1
     assert wd["deopt_events"] >= 1
-    if scale >= 1.0:
+    if cache.passes_scale >= 1.0:
         # The headline relations need the full-length run: at reduced scale
         # the phases rotate too few times for the costs to separate cleanly.
         assert wd["cycles"] < dyn["cycles"]

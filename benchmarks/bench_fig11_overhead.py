@@ -12,19 +12,14 @@ paper's qualitative claims:
 
 from __future__ import annotations
 
-from repro.bench.figures import figure11_rows
-from repro.bench.reporting import format_table
+from repro.bench.figures import FIGURE11, figure11_rows
 
 
 def test_figure11_overhead_bars(benchmark, cache, bench_workloads):
     rows = benchmark.pedantic(
         figure11_rows, args=(cache, bench_workloads), rounds=1, iterations=1
     )
-    print("\n" + format_table(
-        ["benchmark", "Base %", "Prof %", "Hds %"],
-        [[r["benchmark"], r["base_pct"], r["prof_pct"], r["hds_pct"]] for r in rows],
-        title="Figure 11 (reproduced): overhead of online profiling and analysis",
-    ))
+    print("\n" + FIGURE11.render(rows))
     for row in rows:
         name = row["benchmark"]
         # Base overhead: small and positive (paper: 2.5% - 6%).

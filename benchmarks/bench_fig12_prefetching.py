@@ -13,19 +13,14 @@ checks the paper's headline claims:
 
 from __future__ import annotations
 
-from repro.bench.figures import figure12_rows
-from repro.bench.reporting import format_table
+from repro.bench.figures import FIGURE12, figure12_rows
 
 
 def test_figure12_prefetching_bars(benchmark, cache, bench_workloads):
     rows = benchmark.pedantic(
         figure12_rows, args=(cache, bench_workloads), rounds=1, iterations=1
     )
-    print("\n" + format_table(
-        ["benchmark", "No-pref %", "Seq-pref %", "Dyn-pref %"],
-        [[r["benchmark"], r["nopref_pct"], r["seqpref_pct"], r["dynpref_pct"]] for r in rows],
-        title="Figure 12 (reproduced): performance impact (negative = speedup)",
-    ))
+    print("\n" + FIGURE12.render(rows))
     by_name = {r["benchmark"]: r for r in rows}
     for name, row in by_name.items():
         # No-pref: pure overhead, single digits (paper: ~4-8%).

@@ -9,8 +9,7 @@ from __future__ import annotations
 import random
 
 from repro.analysis import AnalysisConfig, find_hot_streams
-from repro.bench.figures import table1_rows
-from repro.bench.reporting import format_table
+from repro.bench.figures import TABLE1, table1_rows
 from repro.sequitur import Sequitur
 
 
@@ -30,12 +29,7 @@ def test_table1_values_match_paper(benchmark):
     a = by_word["ab"]
     assert (a["length"], a["index"], a["uses"], a["coldUses"], a["heat"], a["hot"]) == (
         2, 3, 5, 1, 2, False)
-    print("\n" + format_table(
-        ["rule", "word", "length", "index", "uses", "coldUses", "heat", "hot"],
-        [[r[k] for k in ("rule", "word", "length", "index", "uses", "coldUses", "heat", "hot")]
-         for r in rows],
-        title="Table 1 (reproduced)",
-    ))
+    print("\n" + TABLE1.render(rows))
 
 
 def test_analysis_speed_on_profiling_scale_grammar(benchmark):

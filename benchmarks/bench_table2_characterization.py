@@ -12,22 +12,14 @@ modified.  The paper's shape to reproduce:
 
 from __future__ import annotations
 
-from repro.bench.figures import table2_rows
-from repro.bench.reporting import format_table
+from repro.bench.figures import TABLE2, table2_rows
 
 
 def test_table2_characterization(benchmark, cache, bench_workloads):
     rows = benchmark.pedantic(
         table2_rows, args=(cache, bench_workloads), rounds=1, iterations=1
     )
-    print("\n" + format_table(
-        ["benchmark", "#opt cycles", "#traced refs", "#hds", "DFSM states",
-         "checks", "#procs modified"],
-        [[r["benchmark"], r["opt_cycles"], r["traced_refs_per_cycle"],
-          r["hds_per_cycle"], r["dfsm_states"], r["dfsm_checks"],
-          r["procs_modified"]] for r in rows],
-        title="Table 2 (reproduced): per-cycle averages",
-    ))
+    print("\n" + TABLE2.render(rows))
     by_name = {r["benchmark"]: r for r in rows}
     for name, row in by_name.items():
         assert row["opt_cycles"] >= 1, f"{name}: no optimization cycle completed"

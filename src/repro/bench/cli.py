@@ -1,19 +1,12 @@
-"""Command-line entry point: ``repro-bench <artifact>``.
+"""Command-line entry point: ``repro-bench <artifact> [flags]``.
 
-Regenerates the paper's figures and tables as text::
-
-    repro-bench figure4            # Sequitur grammar example
-    repro-bench table1             # analysis worked example
-    repro-bench figure8            # prefix-match DFSM example
-    repro-bench figure11           # profiling/analysis overheads
-    repro-bench figure12           # prefetching impact
-    repro-bench table2             # per-cycle characterization
-    repro-bench ablation-headlen   # prefix length 1/2/3
-    repro-bench ablation-hwpref    # stride/Markov baselines
-    repro-bench ablation-watchdog  # prefetch watchdog on a phase-shift workload
-    repro-bench tables             # the deterministic worked examples (figure4,
-                                   # table1, figure8) — the bench_tables.txt source
-    repro-bench all
+Regenerates the paper's figures and tables as text (Figures 4, 8, 11 and 12,
+Tables 1 and 2, the Section 4.3/5.1 ablations and the extensions), and runs
+the verification, tracing, tenancy and cache tools.  ``repro-bench
+<artifact> --help`` lists the flags an artifact reads; it refuses every
+other flag (exit 2, before anything runs or is created).  Each artifact
+declares its flags, the jobs it reads and its render in :data:`ARTIFACTS`,
+and every command resolves all of its jobs as one plan before it renders.
 
 Verification: ``repro-bench verify`` runs the :mod:`repro.oracle` suite —
 differential fuzzing of every production component against its reference
@@ -54,15 +47,13 @@ way, so a live trace and a merged one are equal by construction.
 scorecard built from the lifecycle ledger; ``--stream s3`` (with a single
 ``--workloads`` entry) zooms into one stream's fate histogram, timeliness
 distribution and watchdog verdicts.  ``--against orig`` diffs the
-attribution tables of two levels instead — both sides run as one plan, so
-they replay from the result cache when warm and take ``--jobs`` and the
-durability flags.  ``--by-proc`` adds the per-procedure split of the same
-seven categories (sums are conservation-checked against the totals).
-``explain --from PATH`` renders the run summaries embedded in a chunk
-directory or trace JSON offline.  ``repro-bench status [run-dir]`` renders a
-supervised run's live progress file (per-task state, instruction/cycle
-counters, hit/accuracy EWMAs, ETA) whether the run is alive, finished, or
-dead.
+attribution tables of two levels instead, read from the result cache.
+``--by-proc`` adds the per-procedure split of the same seven categories
+(sums are conservation-checked against the totals).  ``explain --from PATH``
+renders the run summaries embedded in a chunk directory or trace JSON
+offline.  ``repro-bench status [run-dir]`` renders a supervised run's live
+progress file (per-task state, instruction/cycle counters, hit/accuracy
+EWMAs, ETA) whether the run is alive, finished, or dead.
 
 Experiment engine (:mod:`repro.engine`): every simulated run is described by
 a content-fingerprinted :class:`~repro.engine.spec.RunSpec` and memoized in
@@ -84,70 +75,271 @@ backoff, resuming their own checkpoints); ``--checkpoint-every N`` sets the
 checkpoint cadence in simulated instructions; ``--chaos-seed SEED`` arms the
 deterministic chaos harness (worker kills, stalls, torn checkpoints, corrupt
 result entries) — the run must still produce byte-identical output.  Any of
-these flags routes execution through the supervised executor, which stores
-every finished run before moving on: in the result cache, or under
+these flags routes the command's plan through the supervised executor, which
+stores every finished run before moving on: in the result cache, or under
 ``--no-cache`` in a private store that retires with the run.  Running a
 SIGKILLed command again therefore replays its finished runs and resumes the
 rest from their checkpoints, with output byte-identical to a straight-through
 run.  Checkpoints, ``status.json`` and private results live under
 ``<cache root>/run/`` (``--cache-dir`` moves it, with or without
-``--no-cache``); ``figures`` and ``all`` run the Figure 11/12 and Table 2
-grid as one plan, so ``status`` lists all of it.  The supervised executor
-runs plans of single runs only: runs recorded through
-``--telemetry``/``--metrics`` execute live and in-process, so those flags
-refuse any durability flag, and ``trace``, ``explain`` (without
-``--against``), ``tenancy`` and ``ablation-tenancy`` refuse them outright.
+``--no-cache``), and ``status`` lists every job of the command.  Runs
+recorded through ``--telemetry``/``--metrics`` execute live and in-process,
+outside the supervised executor, so those flags refuse any durability flag.
 
 Tenancy (:mod:`repro.tenancy`): ``repro-bench tenancy --tenants
 vpr:dyn,phaseshift:dyn`` interleaves several workloads on one shared
 hierarchy (``--quantum`` instructions per round-robin slice, ``--sharing
 shared|private-l1``) and prints the per-tenant scorecard plus the
-cross-tenant pollution matrix, exact and reconciled.  ``repro-bench
-ablation-tenancy`` runs the shared-L2 ablation: vpr at nopref/dyn/
-dyn+watchdog against the phaseshift thrasher, its co-runs and their solo
-baselines in one plan.  ``--watchdog`` and ``--fault-seed`` apply to every
-tenant.  A co-run is a job like a single run: it memoizes in the same result
-cache and fans out over ``--jobs``.  Co-runs record no telemetry, so both
-artifacts refuse ``--telemetry`` and ``--metrics``.
+cross-tenant pollution matrix, exact and reconciled; ``--watchdog`` and
+``--fault-seed`` apply to every tenant.  ``repro-bench ablation-tenancy``
+runs the shared-L2 ablation: vpr at nopref/dyn/dyn+watchdog against the
+phaseshift thrasher, its co-runs and their solo baselines.  A co-run is a
+job like a single run: it memoizes in the same result cache and fans out
+over ``--jobs``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.bench import figures
-from repro.bench.figures import ResultCache
-from repro.bench.reporting import Ratio, format_table
 from repro.core.config import OptimizerConfig
 from repro.durability.runner import DEFAULT_CHECKPOINT_EVERY
 from repro.engine.cache import ResultStore, default_cache_root
+from repro.engine.levels import level_names
 from repro.resilience import FaultPlan, WatchdogConfig
 from repro.telemetry.session import TelemetryRecorder
+from repro.tenancy import ablation as tenancy_ablation
+from repro.tracing import explain
 from repro.workloads import presets
-from repro.workloads.phaseshift import PhaseShiftParams
 
 
-def _print_figure4() -> None:
+def _workloads(text: str) -> list[str]:
+    """``--workloads vpr,mcf`` -> the named presets (all when empty)."""
+    names = [n for n in text.split(",") if n] or presets.names()
+    unknown = set(names) - set(presets.names())
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown workloads: {sorted(unknown)}")
+    return names
+
+
+def _level(name: str) -> str:
+    if name not in level_names():
+        raise argparse.ArgumentTypeError(
+            f"unknown level {name!r}; known: {', '.join(level_names())}"
+        )
+    return name
+
+
+def _tenants(text: str) -> list[tuple[str, str]]:
+    """``--tenants vpr:dyn,phaseshift:dyn`` -> ``[(workload, level), ...]``."""
+    known = set(presets.names()) | {"phaseshift"}
+    tenants = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        name, sep, level = part.partition(":")
+        if not sep or not name or not level:
+            raise argparse.ArgumentTypeError(f"bad tenant {part!r}; expected workload:level")
+        if name not in known:
+            raise argparse.ArgumentTypeError(
+                f"unknown tenant workload {name!r}; known: {sorted(known)}"
+            )
+        tenants.append((name, _level(level)))
+    if not tenants:
+        raise argparse.ArgumentTypeError("--tenants needs at least one workload:level entry")
+    return tenants
+
+
+#: Every flag an artifact may declare, with its ``add_argument`` keywords.
+OPTIONS: dict[str, dict] = {
+    "subcommand": dict(nargs="?", help="optional subcommand (gc)"),
+    "run_dir": dict(
+        nargs="?", help="run directory (default: the result cache's run/ directory)"
+    ),
+    "--workloads": dict(
+        type=_workloads, default="", help="comma-separated subset of benchmarks"
+    ),
+    "--scale": dict(type=float, default=1.0, help="workload pass-count scale"),
+    "--jobs": dict(
+        type=int,
+        default=1,
+        metavar="N",
+        help="run uncached simulations across N worker processes (default 1)",
+    ),
+    "--cache-dir": dict(
+        metavar="DIR",
+        help="result cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
+    ),
+    "--no-cache": dict(
+        action="store_true", help="neither replay from nor write to the result cache"
+    ),
+    "--clear": dict(
+        action="store_true", help="delete every stored result instead of printing stats"
+    ),
+    "--max-age-days": dict(
+        type=float, metavar="D", help="gc: evict entries not written in the last D days"
+    ),
+    "--max-size-mb": dict(
+        type=float,
+        metavar="M",
+        help="gc: evict oldest entries until the store fits in M MiB",
+    ),
+    "--dry-run": dict(
+        action="store_true",
+        help="gc: report what would be evicted without deleting anything",
+    ),
+    "--task-timeout": dict(
+        type=float,
+        metavar="S",
+        help="supervised executor: SIGKILL and retry any task running/stalled "
+        "past S seconds (default 600 once engaged)",
+    ),
+    "--checkpoint-every": dict(
+        type=int,
+        metavar="N",
+        help="supervised executor: checkpoint each run every N simulated "
+        f"instructions (default {DEFAULT_CHECKPOINT_EVERY} once engaged)",
+    ),
+    "--chaos-seed": dict(
+        type=int,
+        metavar="SEED",
+        help="deterministically inject engine-level faults (worker kills, "
+        "stalls, torn checkpoints, corrupt result entries) from SEED; "
+        "output must stay byte-identical",
+    ),
+    "--tenants": dict(
+        type=_tenants,
+        default="vpr:dyn,phaseshift:dyn",
+        metavar="W:L,...",
+        help="comma-separated workload:level tenant mix (default vpr:dyn,phaseshift:dyn)",
+    ),
+    "--quantum": dict(
+        type=int,
+        default=4096,
+        metavar="N",
+        help="round-robin slice length in instructions (default 4096)",
+    ),
+    "--sharing": dict(
+        choices=["shared", "private-l1"],
+        default="private-l1",
+        help="cache sharing mode (default private-l1: per-tenant L1s, shared L2)",
+    ),
+    "--telemetry": dict(
+        metavar="DIR",
+        help="stream every run's telemetry events into this fresh directory as "
+        "sealed, digest-tagged JSONL chunks (the event log that trace --from "
+        "and explain --from read)",
+    ),
+    "--metrics": dict(
+        metavar="OUT.JSON",
+        help="write per-run metrics snapshots (keyed workload/level) to this JSON file",
+    ),
+    "--miss-sample": dict(
+        type=int,
+        default=64,
+        metavar="N",
+        help="emit one CacheMiss event per N demand misses (default 64)",
+    ),
+    "--prefetch-sample": dict(
+        type=int,
+        default=32,
+        metavar="N",
+        help="emit one prefetch life-cycle event per N occurrences (default 32; 1 = all)",
+    ),
+    "--watchdog": dict(
+        action="store_true",
+        help="arm the prefetch watchdog (per-stream deoptimization) for every optimized run",
+    ),
+    "--fault-seed": dict(
+        type=int,
+        metavar="SEED",
+        help="deterministically inject optimizer faults from SEED (runs must still complete)",
+    ),
+    "--out": dict(
+        metavar="TRACE.JSON|TRACE.PFTRACE",
+        default="trace.json",
+        help="output path of the rendered trace; Perfetto protobuf when it ends "
+        "in .pftrace, else Chrome trace-event JSON (default trace.json)",
+    ),
+    "--level": dict(type=_level, default="dyn", help="measurement level to run (default dyn)"),
+    "--stream": dict(
+        metavar="ID",
+        help="zoom into one stream's scorecard (id from the summary table)",
+    ),
+    "--from": dict(
+        dest="from_path",
+        metavar="PATH",
+        help="read an existing chunk directory or monolithic trace JSON instead "
+        "of simulating (trace: render to --out; explain: render the embedded "
+        "run summaries)",
+    ),
+    "--by-proc": dict(
+        action="store_true",
+        help="record per-procedure cycle attribution (explain renders the "
+        "per-proc table; trace embeds it in summaries)",
+    ),
+    "--against": dict(
+        type=_level,
+        metavar="LEVEL",
+        help="diff --level's attribution against this level (e.g. orig)",
+    ),
+    "--seed": dict(
+        type=int,
+        default=0,
+        help="seed for the randomized differential sections (default 0)",
+    ),
+    "--runs": dict(
+        type=int,
+        default=25,
+        metavar="N",
+        help="generated inputs per randomized section (default 25)",
+    ),
+    "--update-golden": dict(
+        action="store_true",
+        help="re-record the golden corpus instead of diffing against it",
+    ),
+    "--golden-dir": dict(
+        metavar="DIR", help="golden corpus directory (default: tests/golden of this repo)"
+    ),
+    "--skip-golden": dict(
+        action="store_true", help="run only the differential and metamorphic sections"
+    ),
+}
+
+#: The flags that engage the supervised executor.
+DURABILITY_FLAGS = ("--chaos-seed", "--task-timeout", "--checkpoint-every")
+#: The flags of an artifact whose jobs run as an engine plan.
+PLAN_FLAGS = ("--jobs", "--cache-dir", "--no-cache", *DURABILITY_FLAGS)
+#: The flags that record runs live into an event log and metrics snapshots.
+RECORDING_FLAGS = ("--telemetry", "--metrics", "--miss-sample", "--prefetch-sample")
+#: The flags that set the runs' optimizer configuration.
+OPT_FLAGS = ("--watchdog", "--fault-seed")
+FIGURE_FLAGS = ("--workloads", "--scale", *PLAN_FLAGS, *RECORDING_FLAGS, *OPT_FLAGS)
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One artifact: the flags it reads, its render, and the jobs the render
+    reads from the command's :class:`~repro.bench.figures.ResultCache`,
+    which resolves them as one plan first.  ``jobs`` and ``render`` take the
+    parsed flags, with the cache as ``args.cache``; a render prints and may
+    return an exit status."""
+
+    help: str
+    render: Callable[[argparse.Namespace], Optional[int]]
+    flags: tuple[str, ...] = ()
+    jobs: Callable[[argparse.Namespace], list] = lambda args: []
+
+
+def _figure4(args) -> None:
     print("Figure 4: Sequitur grammar for w=" + figures.EXAMPLE_STRING)
     print(figures.figure4_grammar())
 
 
-def _print_table1() -> None:
-    rows = figures.table1_rows()
-    print(
-        format_table(
-            ["rule", "word", "length", "index", "uses", "coldUses", "heat", "hot"],
-            [[r[k] for k in ("rule", "word", "length", "index", "uses", "coldUses", "heat", "hot")] for r in rows],
-            title="Table 1: hot data stream analysis worked example (H=8, len 2..7)",
-        )
-    )
-
-
-def _print_figure8() -> None:
+def _figure8(args) -> None:
     dfsm = figures.figure8_dfsm()
     print(f"Figure 8: prefix-match DFSM for v={figures.EXAMPLE_STREAMS[0]}, "
           f"w={figures.EXAMPLE_STREAMS[1]} (headLen=3)")
@@ -158,172 +350,36 @@ def _print_figure8() -> None:
         print(f"  {state}: {dfsm.describe(state)}{suffix}")
 
 
-def _print_figure11(cache: ResultCache, names: Sequence[str]) -> None:
-    rows = figures.figure11_rows(cache, names)
-    print(
-        format_table(
-            ["benchmark", "Base %", "Prof %", "Hds %"],
-            [[r["benchmark"], r["base_pct"], r["prof_pct"], r["hds_pct"]] for r in rows],
-            title="Figure 11: overhead of online profiling and analysis",
-        )
-    )
+def _table1(args) -> None:
+    print(figures.TABLE1.render(figures.table1_rows()))
 
 
-def _print_figure12(cache: ResultCache, names: Sequence[str]) -> None:
-    rows = figures.figure12_rows(cache, names)
-    print(
-        format_table(
-            ["benchmark", "No-pref %", "Seq-pref %", "Dyn-pref %"],
-            [[r["benchmark"], r["nopref_pct"], r["seqpref_pct"], r["dynpref_pct"]] for r in rows],
-            title="Figure 12: performance impact of dynamic prefetching "
-            "(negative = speedup)",
-        )
-    )
-    quality = figures.figure12_quality_rows(cache, names, levels=("seq", "dyn"))
-    print(
-        format_table(
-            ["benchmark", "level", "issued", "accuracy", "timeliness", "pollution"],
-            [
-                [
-                    r["benchmark"],
-                    r["level"],
-                    r["issued"],
-                    Ratio(r["accuracy"]),
-                    Ratio(r["timeliness"]),
-                    Ratio(r["pollution"]),
-                ]
-                for r in quality
-            ],
-            title="Figure 12 companion: prefetch quality per level "
-            "(accuracy / timeliness / pollution)",
-        )
-    )
-
-
-def _print_table2(cache: ResultCache, names: Sequence[str]) -> None:
-    rows = figures.table2_rows(cache, names)
-    print(
-        format_table(
-            [
-                "benchmark",
-                "#opt cycles",
-                "#traced refs",
-                "#hds",
-                "DFSM states",
-                "DFSM trans",
-                "checks",
-                "#procs",
-            ],
-            [
-                [
-                    r["benchmark"],
-                    r["opt_cycles"],
-                    r["traced_refs_per_cycle"],
-                    r["hds_per_cycle"],
-                    r["dfsm_states"],
-                    r["dfsm_transitions"],
-                    r["dfsm_checks"],
-                    r["procs_modified"],
-                ]
-                for r in rows
-            ],
-            title="Table 2: detailed dynamic prefetching characterization (per-cycle averages)",
-        )
-    )
-
-
-def _print_ablation_headlen(names: Sequence[str], cache: ResultCache) -> None:
-    for name in names:
-        rows = figures.ablation_headlen(
-            name,
-            passes=cache.passes_for(name),
-            store=cache.store,
-            jobs=cache.jobs,
-            durability=cache.durability,
-        )
-        print(
-            format_table(
-                ["headLen", "Dyn-pref %", "accuracy", "issued"],
-                [[r["head_len"], r["dynpref_pct"], r["prefetch_accuracy"], r["prefetches_issued"]] for r in rows],
-                title=f"Ablation (Section 4.3): prefix-match length, {name}",
-            )
-        )
-
-
-def _print_ablation_watchdog(cache: ResultCache, fault_seed: Optional[int]) -> None:
-    scale = cache.passes_scale
-    passes = None if scale == 1.0 else max(2, int(PhaseShiftParams().passes * scale))
-    rows = figures.ablation_watchdog(
-        passes=passes,
-        fault_seed=fault_seed,
-        store=cache.store,
-        jobs=cache.jobs,
-        durability=cache.durability,
-    )
-    print(
-        format_table(
-            [
-                "variant",
-                "cycles",
-                "vs no-pref %",
-                "#opt",
-                "deopts",
-                "wakes",
-                "errors",
-                "faults",
-                "issued",
-                "useful",
-                "wasted",
-            ],
-            [
-                [
-                    r["variant"],
-                    r["cycles"],
-                    r["vs_nopref_pct"],
-                    r["opt_cycles"],
-                    r["deopts"],
-                    r["early_wakes"],
-                    r["errors"],
-                    r["faults"],
-                    r["issued"],
-                    r["useful"],
-                    r["wasted"],
-                ]
-                for r in rows
-            ],
-            title="Ablation (extension): prefetch watchdog under phase shifts",
-        )
-    )
-
-
-def _print_ablation_hwpref(names: Sequence[str], cache: ResultCache) -> None:
-    for name in names:
-        rows = figures.ablation_hwpref(
-            name,
-            passes=cache.passes_for(name),
-            store=cache.store,
-            jobs=cache.jobs,
-            durability=cache.durability,
-        )
-        print(
-            format_table(
-                ["scheme", "overhead %", "accuracy", "useful", "wasted"],
-                [[r["scheme"], r["overhead_pct"], r["prefetch_accuracy"], r["useful"], r["wasted"]] for r in rows],
-                title=f"Ablation (Section 5.1): hardware prefetcher baselines, {name}",
-            )
-        )
-
-
-def _print_tables() -> None:
+def _tables(args) -> None:
     """The deterministic worked examples, in bench_tables.txt order."""
-    _print_figure4()
+    _figure4(args)
     print()
-    _print_table1()
+    _table1(args)
     print()
-    _print_figure8()
+    _figure8(args)
 
 
-def _render_trace(path, out: str, parser) -> tuple[str, str]:
+def _figure12(args) -> None:
+    print(figures.FIGURE12.render(figures.figure12_rows(args.cache, args.workloads)))
+    quality = figures.figure12_quality_rows(args.cache, args.workloads, levels=("seq", "dyn"))
+    print(figures.FIGURE12_QUALITY.render(quality))
+
+
+def _each_workload(table, rows) -> Callable[[argparse.Namespace], None]:
+    """A render that prints ``table`` over ``rows(cache, name)`` per workload."""
+
+    def render(args) -> None:
+        for name in args.workloads:
+            print(table.render(rows(args.cache, name), name=name))
+
+    return render
+
+
+def _render_trace(path, out: str, error) -> tuple[str, str]:
     """Render a chunk log or monolithic trace JSON to ``out``.
 
     The one render path of ``trace``, live or ``--from``: a chunk directory
@@ -364,11 +420,11 @@ def _render_trace(path, out: str, parser) -> tuple[str, str]:
             write_trace_document(document, out)
             written = f"chrome trace written to {out} ({len(document['traceEvents'])} entries)"
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot render {path}: {exc}")
+        error(f"cannot render {path}: {exc}")
     return source, written
 
 
-def _run_trace(args, names: Sequence[str], cache: ResultCache, parser) -> int:
+def _trace(args) -> int:
     import tempfile
 
     from repro.bench.runner import run_level
@@ -377,7 +433,7 @@ def _run_trace(args, names: Sequence[str], cache: ResultCache, parser) -> int:
     from repro.telemetry.session import TelemetrySession
 
     if args.from_path is not None:
-        source, written = _render_trace(args.from_path, args.out, parser)
+        source, written = _render_trace(args.from_path, args.out, args.error)
         print(f"read {source} from {args.from_path}; {written}")
         return 0
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
@@ -385,9 +441,9 @@ def _run_trace(args, names: Sequence[str], cache: ResultCache, parser) -> int:
         try:
             sink = StreamingTraceSink(log_dir)
         except (ConfigError, OSError) as exc:
-            parser.error(str(exc))
+            args.error(str(exc))
         try:
-            for name in names:
+            for name in args.workloads:
                 before = sink.records_total
                 session = TelemetrySession(
                     sinks=[sink],
@@ -398,8 +454,8 @@ def _run_trace(args, names: Sequence[str], cache: ResultCache, parser) -> int:
                     proc_attribution=args.by_proc or args.telemetry is not None,
                 )
                 result = run_level(
-                    name, args.level, opt=cache.opt, passes=cache.passes_for(name),
-                    telemetry=session,
+                    name, args.level, opt=args.cache.opt,
+                    passes=args.cache.passes_for(name), telemetry=session,
                 )
                 print(
                     f"  traced {name}/{args.level}: {result.cycles} cycles, "
@@ -407,99 +463,68 @@ def _run_trace(args, names: Sequence[str], cache: ResultCache, parser) -> int:
                 )
         finally:
             sink.close()
-        _source, written = _render_trace(log_dir, args.out, parser)
+        _source, written = _render_trace(log_dir, args.out, args.error)
     print(f"{written}; open in ui.perfetto.dev or chrome://tracing")
     if args.telemetry:
         print(f"event log kept in {args.telemetry} (repro-bench trace --from <dir> renders it)")
     return 0
 
 
-def _run_explain(args, names: Sequence[str], cache: ResultCache, parser) -> int:
+def _explain_jobs(args) -> list:
+    """``explain``'s mode rules, then its jobs: both sides of each
+    ``--against`` diff.  The other modes explain live runs or a log."""
+    if args.from_path is not None and (args.stream is not None or args.against is not None):
+        args.error("--from renders stored summaries; it cannot combine "
+                   "with --stream or --against")
+    if args.against is None:
+        if _durable(args):
+            args.error(f"explain does not take {', '.join(_durable(args))} without --against")
+        if args.stream is not None and len(args.workloads) != 1:
+            args.error("--stream needs a single workload (use --workloads <name>)")
+        return []
+    if args.stream is not None:
+        args.error("--against diffs whole levels; it cannot combine with --stream")
+    return figures.ladder_jobs(args.cache, args.workloads, (args.against, args.level))
+
+
+def _explain(args) -> int:
     from repro.errors import ConfigError
-    from repro.tracing.explain import (
-        diff_levels,
-        explain_level,
-        offline_explanations,
-        render_explanation,
-        render_level_diff,
-    )
 
     if args.from_path is not None:
-        if args.stream is not None or args.against is not None:
-            parser.error("--from renders stored summaries; it cannot combine "
-                         "with --stream or --against")
         try:
-            explanations = offline_explanations(args.from_path)
+            explanations = explain.offline_explanations(args.from_path)
         except ConfigError as exc:
-            parser.error(str(exc))
+            args.error(str(exc))
         for exp in explanations:
-            print(render_explanation(exp))
+            print(explain.render_explanation(exp))
             print()
         return 0
-    if args.stream is not None and len(names) != 1:
-        parser.error("--stream needs a single workload (use --workloads <name>)")
     if args.against is not None:
-        if args.stream is not None:
-            parser.error("--against diffs whole levels; it cannot combine with --stream")
-        for name in names:
-            diff = diff_levels(
-                name,
-                args.level,
-                against=args.against,
-                opt=cache.opt,
-                passes=cache.passes_for(name),
-                store=cache.store,
-                jobs=cache.jobs,
-                durability=cache.durability,
-            )
-            print(render_level_diff(diff))
+        for name in args.workloads:
+            sides = (args.cache.get(name, args.against), args.cache.get(name, args.level))
+            print(explain.render_level_diff(explain.diff_levels(*sides)))
             print()
         return 0
     status = 0
-    for name in names:
-        exp = explain_level(
+    for name in args.workloads:
+        exp = explain.explain_level(
             name,
             args.level,
-            opt=cache.opt,
-            passes=cache.passes_for(name),
+            opt=args.cache.opt,
+            passes=args.cache.passes_for(name),
             by_proc=args.by_proc,
         )
-        print(render_explanation(exp, stream=args.stream))
+        print(explain.render_explanation(exp, stream=args.stream))
         print()
         if exp.mismatches:
             status = 1
     return status
 
 
-#: The flags that engage the supervised executor.
-DURABILITY_FLAGS = ("--chaos-seed", "--task-timeout", "--checkpoint-every")
-
-
-def _given(args, flags: Sequence[str]) -> list[str]:
-    """Those of ``flags`` given on the command line."""
-    return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
-
-
-#: The worked examples of Figures 4 and 8 and Table 1: they simulate nothing.
-WORKED_EXAMPLES = ("tables", "figure4", "table1", "figure8")
-
-
-def _ignored_flags(args) -> list[str]:
-    """The given flags that ``args.artifact`` would not honour.
-
-    Only plans of single runs go through the supervised executor: ``trace``
-    and ``explain`` (unless ``--against``) run live or offline, the tenancy
-    artifacts run co-runs, which neither checkpoint nor record, and the
-    worked examples run nothing.  ``explain`` records nothing either: it
-    explains one run live, from the store or from a log.
-    """
-    tenancy = args.artifact in ("tenancy", "ablation-tenancy")
-    examples = args.artifact in WORKED_EXAMPLES
-    live = args.artifact == "trace" or (args.artifact == "explain" and args.against is None)
-    flags = DURABILITY_FLAGS if tenancy or examples or live else ()
-    if tenancy or examples or args.artifact == "explain":
-        flags += ("--telemetry", "--metrics")
-    return _given(args, flags)
+def _durable(args) -> list[str]:
+    """The durability flags given on the command line."""
+    return [flag for flag in DURABILITY_FLAGS
+            if getattr(args, flag[2:].replace("-", "_")) is not None]
 
 
 def _cache_root(args) -> Path:
@@ -517,7 +542,7 @@ def _durability_policy(args):
     tracks the task timeout but never exceeds 10s — a live worker heartbeats
     every quarter second, so silence is a stall long before it is a timeout.
     """
-    if not _given(args, DURABILITY_FLAGS):
+    if not _durable(args):
         return None
     from repro.durability import ChaosPlan, DurabilityPolicy, SupervisorConfig
 
@@ -537,14 +562,15 @@ def _durability_policy(args):
     )
 
 
-def _run_verify(args, store: Optional[ResultStore], durability=None) -> int:
+def _verify(args) -> int:
     from repro.oracle import golden as golden_corpus
     from repro.oracle.verify import run_verify
 
-    golden_dir = args.golden_dir
     if args.update_golden:
         # Recording must freeze what the simulator *does*, never a replay.
-        written = golden_corpus.record_corpus(golden_dir, jobs=args.jobs, durability=durability)
+        written = golden_corpus.record_corpus(
+            args.golden_dir, jobs=args.jobs, durability=args.cache.durability
+        )
         for path in written:
             print(f"recorded {path}")
         print(f"golden corpus updated ({len(written)} runs)")
@@ -552,19 +578,18 @@ def _run_verify(args, store: Optional[ResultStore], durability=None) -> int:
     report = run_verify(
         seed=args.seed,
         runs=args.runs,
-        golden_dir=golden_dir,
+        golden_dir=args.golden_dir,
         include_golden=not args.skip_golden,
         progress=lambda message: print(f"  .. {message}"),
-        store=store,
+        store=args.cache.store,
         jobs=args.jobs,
-        durability=durability,
+        durability=args.cache.durability,
     )
     print(report.format())
-    _print_cache_summary(store)
     return 0 if report.ok else 1
 
 
-def _run_status(args, parser) -> int:
+def _status(args) -> int:
     """``repro-bench status [run-dir]``: render a supervised run's progress.
 
     Works identically on a run that is still executing, one that finished,
@@ -573,7 +598,7 @@ def _run_status(args, parser) -> int:
     from repro.errors import ConfigError
     from repro.obs.status import read_status, render_status
 
-    run_dir = args.subcommand if args.subcommand is not None else _cache_root(args) / "run"
+    run_dir = args.run_dir if args.run_dir is not None else _cache_root(args) / "run"
     try:
         doc = read_status(run_dir)
     except ConfigError as exc:
@@ -583,12 +608,12 @@ def _run_status(args, parser) -> int:
     return 0
 
 
-def _run_cache(args, parser) -> int:
+def _cache(args) -> int:
     """``repro-bench cache``: inspect, clear or garbage-collect the store."""
-    store = ResultStore(_cache_root(args))
+    store = args.cache.store
     if args.subcommand == "gc":
         if args.max_age_days is None and args.max_size_mb is None:
-            parser.error("cache gc needs --max-age-days and/or --max-size-mb")
+            args.error("cache gc needs --max-age-days and/or --max-size-mb")
         report = store.gc(
             max_age_days=args.max_age_days,
             max_size_mb=args.max_size_mb,
@@ -603,7 +628,7 @@ def _run_cache(args, parser) -> int:
         )
         return 0
     if args.subcommand is not None:
-        parser.error(f"unknown cache subcommand {args.subcommand!r} (known: gc)")
+        args.error(f"unknown cache subcommand {args.subcommand!r} (known: gc)")
     if args.clear:
         removed = store.clear()
         print(f"result cache cleared: {removed} entries removed ({store.root})")
@@ -616,65 +641,166 @@ def _run_cache(args, parser) -> int:
     return 0
 
 
-def _parse_tenants(args, parser, opt: OptimizerConfig, scale: float):
-    """``--tenants vpr:dyn,phaseshift:dyn`` -> tuple of TenantSpecs."""
-    from repro.engine.levels import level_names
-    from repro.tenancy import TenantSpec
+def _tenancy_plan(args):
+    from repro.tenancy import TenantPlan, TenantSpec
 
-    known = set(presets.names()) | {"phaseshift"}
-    specs = []
-    for part in args.tenants.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, sep, level = part.partition(":")
-        if not sep or not name or not level:
-            parser.error(f"bad tenant {part!r}; expected workload:level")
-        if name not in known:
-            parser.error(f"unknown tenant workload {name!r}; known: {sorted(known)}")
-        if level not in level_names():
-            parser.error(f"unknown tenant level {level!r}; known: {', '.join(level_names())}")
-        if scale == 1.0:
-            passes = None
-        elif name == "phaseshift":
-            passes = max(2, int(PhaseShiftParams().passes * scale))
-        else:
-            passes = max(2, int(presets.params_for(name).passes * scale))
-        specs.append(TenantSpec(name, level, passes=passes, opt=opt))
-    if not specs:
-        parser.error("--tenants needs at least one workload:level entry")
-    return tuple(specs)
-
-
-def _run_tenancy(args, parser, opt: OptimizerConfig, store: Optional[ResultStore]) -> int:
-    """``repro-bench tenancy``: one co-run, scorecard + pollution matrix."""
-    from repro.engine.executor import run_spec
-    from repro.tenancy import TenantPlan
-    from repro.tenancy.ablation import check_result
-    from repro.tenancy.scorecard import render_scorecard
-
-    plan = TenantPlan(
-        tenants=_parse_tenants(args, parser, opt, args.scale),
+    cache = args.cache
+    return TenantPlan(
+        tenants=tuple(
+            TenantSpec(name, level, passes=cache.passes_for(name), opt=cache.opt)
+            for name, level in args.tenants
+        ),
         quantum=args.quantum,
         sharing=args.sharing,
     )
-    result = run_spec(plan, store=store)
+
+
+def _tenancy(args) -> int:
+    """``repro-bench tenancy``: one co-run, scorecard + pollution matrix."""
+    from repro.tenancy.scorecard import render_scorecard
+
+    result = args.cache.result(_tenancy_plan(args))
     print(render_scorecard(result))
-    problems = check_result(result)
-    if problems:
-        for problem in problems:
-            print(f"RECONCILIATION FAILURE: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    problems = tenancy_ablation.check_result(result)
+    for problem in problems:
+        print(f"RECONCILIATION FAILURE: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
-def _print_ablation_tenancy(cache: ResultCache) -> None:
-    from repro.tenancy.ablation import ablation_tenancy, render_ablation
+#: Every artifact, in ``--help`` order.
+ARTIFACTS: dict[str, Artifact] = {
+    "figure4": Artifact("Figure 4: Sequitur grammar example", _figure4),
+    "table1": Artifact("Table 1: analysis worked example", _table1),
+    "figure8": Artifact("Figure 8: prefix-match DFSM example", _figure8),
+    "figure11": Artifact(
+        "Figure 11: profiling/analysis overheads",
+        lambda args: print(
+            figures.FIGURE11.render(figures.figure11_rows(args.cache, args.workloads))
+        ),
+        FIGURE_FLAGS,
+        lambda args: figures.ladder_jobs(
+            args.cache, args.workloads, ("orig", "base", "prof", "hds")
+        ),
+    ),
+    "figure12": Artifact(
+        "Figure 12: prefetching impact",
+        _figure12,
+        FIGURE_FLAGS,
+        lambda args: figures.ladder_jobs(
+            args.cache, args.workloads, ("orig", "nopref", "seq", "dyn")
+        ),
+    ),
+    "table2": Artifact(
+        "Table 2: per-cycle characterization",
+        lambda args: print(
+            figures.TABLE2.render(figures.table2_rows(args.cache, args.workloads))
+        ),
+        FIGURE_FLAGS,
+        lambda args: figures.ladder_jobs(args.cache, args.workloads, ("dyn",)),
+    ),
+    "ablation-headlen": Artifact(
+        "Section 4.3 ablation: prefix length 1/2/3",
+        _each_workload(figures.HEADLEN, figures.ablation_headlen),
+        ("--workloads", "--scale", *PLAN_FLAGS),
+        lambda args: [
+            job for name in args.workloads for job in figures.headlen_jobs(args.cache, name)
+        ],
+    ),
+    "ablation-hwpref": Artifact(
+        "Section 5.1 ablation: stride/Markov baselines",
+        _each_workload(figures.HWPREF, figures.ablation_hwpref),
+        ("--workloads", "--scale", *PLAN_FLAGS),
+        lambda args: [
+            job for name in args.workloads for job in figures.hwpref_jobs(args.cache, name)
+        ],
+    ),
+    "ablation-watchdog": Artifact(
+        "prefetch watchdog on a phase-shift workload",
+        lambda args: print(
+            figures.WATCHDOG.render(figures.ablation_watchdog(args.cache, args.fault_seed))
+        ),
+        ("--scale", *PLAN_FLAGS, "--fault-seed"),
+        lambda args: list(figures.watchdog_jobs(args.cache, args.fault_seed).values()),
+    ),
+    "ablation-tenancy": Artifact(
+        "shared-L2 tenancy ablation",
+        lambda args: print(
+            tenancy_ablation.ABLATION.render(tenancy_ablation.ablation_tenancy(args.cache))
+        ),
+        ("--scale", "--jobs", "--cache-dir", "--no-cache"),
+        lambda args: tenancy_ablation.tenancy_ablation_jobs(args.cache),
+    ),
+    "tenancy": Artifact(
+        "co-run tenants on one shared hierarchy",
+        _tenancy,
+        ("--tenants", "--quantum", "--sharing", "--scale", "--cache-dir", "--no-cache",
+         *OPT_FLAGS),
+        lambda args: [_tenancy_plan(args)],
+    ),
+    "tables": Artifact(
+        "the worked examples (figure4, table1, figure8): bench_tables.txt", _tables
+    ),
+    "trace": Artifact(
+        "render a Chrome or Perfetto trace of traced runs",
+        _trace,
+        ("--workloads", "--scale", "--level", "--out", "--from", "--by-proc",
+         "--telemetry", "--miss-sample", "--prefetch-sample", *OPT_FLAGS),
+    ),
+    "explain": Artifact(
+        "cycle attribution and per-stream prefetch scorecards",
+        _explain,
+        ("--workloads", "--scale", "--level", "--stream", "--from", "--by-proc",
+         "--against", *PLAN_FLAGS, *OPT_FLAGS),
+        _explain_jobs,
+    ),
+    "status": Artifact(
+        "render a supervised run's status.json", _status, ("run_dir", "--cache-dir")
+    ),
+    "verify": Artifact(
+        "differential, metamorphic and golden-corpus checks",
+        _verify,
+        ("--seed", "--runs", "--update-golden", "--golden-dir", "--skip-golden",
+         *PLAN_FLAGS),
+    ),
+    "cache": Artifact(
+        "result cache stats, --clear and gc",
+        _cache,
+        ("subcommand", "--cache-dir", "--clear", "--max-age-days", "--max-size-mb",
+         "--dry-run"),
+    ),
+}
 
-    scale = cache.passes_scale
-    passes = None if scale == 1.0 else max(2, int(PhaseShiftParams().passes * scale))
-    rows = ablation_tenancy(passes=passes, store=cache.store, jobs=cache.jobs)
-    print(render_ablation(rows))
+
+def _compose(summary: str, parts: Sequence[str], jobs=None, refuses=()) -> Artifact:
+    """An artifact that renders ``parts`` in order from one plan: their
+    flags less ``refuses``, and their jobs unless ``jobs`` lists them."""
+    members = [ARTIFACTS[part] for part in parts]
+
+    def render(args) -> None:
+        for member in members:
+            member.render(args)
+
+    return Artifact(
+        summary,
+        render,
+        tuple(dict.fromkeys(f for m in members for f in m.flags if f not in refuses)),
+        jobs or (lambda args: [job for m in members for job in m.jobs(args)]),
+    )
+
+
+ARTIFACTS["figures"] = _compose(
+    "Figures 11 and 12 and Table 2 from one grid",
+    ("figure11", "figure12", "table2"),
+    lambda args: figures.ladder_jobs(args.cache, args.workloads, figures.FIGURE_LEVELS),
+)
+# The ablations cannot record: metrics are keyed workload/level, so the
+# three headLen dyn runs would collide.
+ARTIFACTS["all"] = _compose(
+    "every paper artifact and the watchdog ablation",
+    ("figure4", "table1", "figure8", "figures", "ablation-headlen", "ablation-hwpref",
+     "ablation-watchdog"),
+    refuses=RECORDING_FLAGS,
+)
 
 
 def _print_cache_summary(store: Optional[ResultStore]) -> None:
@@ -686,271 +812,37 @@ def _print_cache_summary(store: Optional[ResultStore]) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(prog="repro-bench", description=__doc__)
-    parser.add_argument(
-        "artifact",
-        choices=[
-            "figure4",
-            "table1",
-            "figure8",
-            "figure11",
-            "figure12",
-            "table2",
-            "ablation-headlen",
-            "ablation-hwpref",
-            "ablation-watchdog",
-            "ablation-tenancy",
-            "tenancy",
-            "tables",
-            "figures",
-            "trace",
-            "explain",
-            "status",
-            "verify",
-            "cache",
-            "all",
-        ],
-    )
-    parser.add_argument(
-        "subcommand",
-        nargs="?",
-        default=None,
-        help="cache: optional subcommand (gc); "
-        "status: run directory (default: the result cache's run/ directory)",
-    )
-    parser.add_argument("--scale", type=float, default=1.0, help="workload pass-count scale")
-    parser.add_argument("--workloads", default="", help="comma-separated subset of benchmarks")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run uncached simulations across N worker processes (default 1)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="neither replay from nor write to the result cache",
-    )
-    parser.add_argument(
-        "--clear",
-        action="store_true",
-        help="cache: delete every stored result instead of printing stats",
-    )
-    parser.add_argument(
-        "--max-age-days",
-        type=float,
-        default=None,
-        metavar="D",
-        help="cache gc: evict entries not written in the last D days",
-    )
-    parser.add_argument(
-        "--max-size-mb",
-        type=float,
-        default=None,
-        metavar="M",
-        help="cache gc: evict oldest entries until the store fits in M MiB",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="cache gc: report what would be evicted without deleting anything",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="supervised executor: SIGKILL and retry any task running/stalled "
-        "past S seconds (default 600 once engaged)",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="supervised executor: checkpoint each run every N simulated "
-        f"instructions (default {DEFAULT_CHECKPOINT_EVERY} once engaged)",
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="deterministically inject engine-level faults (worker kills, "
-        "stalls, torn checkpoints, corrupt result entries) from SEED; "
-        "output must stay byte-identical",
-    )
-    parser.add_argument(
-        "--tenants",
-        default="vpr:dyn,phaseshift:dyn",
-        metavar="W:L,...",
-        help="tenancy: comma-separated workload:level tenant mix "
-        "(default vpr:dyn,phaseshift:dyn)",
-    )
-    parser.add_argument(
-        "--quantum",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="tenancy: round-robin slice length in instructions (default 4096)",
-    )
-    parser.add_argument(
-        "--sharing",
-        choices=["shared", "private-l1"],
-        default="private-l1",
-        help="tenancy: cache sharing mode (default private-l1: per-tenant L1s, shared L2)",
-    )
-    parser.add_argument(
-        "--telemetry",
-        metavar="DIR",
-        default=None,
-        help="figures/trace: stream every run's telemetry events into this "
-        "fresh directory as sealed, digest-tagged JSONL chunks (the event log "
-        "that trace --from and explain --from read)",
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="OUT.JSON",
-        default=None,
-        help="write per-run metrics snapshots (keyed workload/level) to this JSON file",
-    )
-    parser.add_argument(
-        "--miss-sample",
-        type=int,
-        default=64,
-        metavar="N",
-        help="emit one CacheMiss event per N demand misses (default 64)",
-    )
-    parser.add_argument(
-        "--prefetch-sample",
-        type=int,
-        default=32,
-        metavar="N",
-        help="emit one prefetch life-cycle event per N occurrences (default 32; 1 = all)",
-    )
-    parser.add_argument(
-        "--watchdog",
-        action="store_true",
-        help="arm the prefetch watchdog (per-stream deoptimization) for every optimized run",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="deterministically inject optimizer faults from SEED (runs must still complete)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="TRACE.JSON|TRACE.PFTRACE",
-        default="trace.json",
-        help="trace: output path of the rendered trace; Perfetto protobuf when it "
-        "ends in .pftrace, else Chrome trace-event JSON (default trace.json)",
-    )
-    parser.add_argument(
-        "--level",
-        default="dyn",
-        help="trace/explain: measurement level to run (default dyn)",
-    )
-    parser.add_argument(
-        "--stream",
-        metavar="ID",
-        default=None,
-        help="explain: zoom into one stream's scorecard (id from the summary table)",
-    )
-    parser.add_argument(
-        "--from",
-        dest="from_path",
-        metavar="PATH",
-        default=None,
-        help="trace/explain: read an existing chunk directory or monolithic "
-        "trace JSON instead of simulating (trace: render to --out; "
-        "explain: render the embedded run summaries)",
-    )
-    parser.add_argument(
-        "--by-proc",
-        action="store_true",
-        help="explain/trace: record per-procedure cycle attribution "
-        "(explain renders the per-proc table; trace embeds it in summaries)",
-    )
-    parser.add_argument(
-        "--against",
-        metavar="LEVEL",
-        default=None,
-        help="explain: diff --level's attribution against this level (e.g. orig)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="verify: seed for the randomized differential sections (default 0)",
-    )
-    parser.add_argument(
-        "--runs",
-        type=int,
-        default=25,
-        metavar="N",
-        help="verify: generated inputs per randomized section (default 25)",
-    )
-    parser.add_argument(
-        "--update-golden",
-        action="store_true",
-        help="verify: re-record the golden corpus instead of diffing against it",
-    )
-    parser.add_argument(
-        "--golden-dir",
-        default=None,
-        metavar="DIR",
-        help="verify: golden corpus directory (default: tests/golden of this repo)",
-    )
-    parser.add_argument(
-        "--skip-golden",
-        action="store_true",
-        help="verify: run only the differential and metamorphic sections",
-    )
-    args = parser.parse_args(argv)
-
+    commands = parser.add_subparsers(dest="artifact", metavar="artifact", required=True)
+    parsers = {}
+    for name, artifact in ARTIFACTS.items():
+        parsers[name] = commands.add_parser(name, help=artifact.help, description=artifact.help)
+        for flag in artifact.flags:
+            parsers[name].add_argument(flag, **OPTIONS[flag])
+    # Parsing starts from every flag's default, so the flags an artifact
+    # does not declare read as not given.
+    every = argparse.ArgumentParser()
+    for flag, keywords in OPTIONS.items():
+        every.add_argument(flag, **keywords)
+    args, extra = parser.parse_known_args(argv, every.parse_args([]))
+    artifact = ARTIFACTS[args.artifact]
+    args.error = parsers[args.artifact].error
+    if extra:
+        args.error(f"{args.artifact} does not take {' '.join(extra)}")
     if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+        args.error("--jobs must be >= 1")
     if args.task_timeout is not None and args.task_timeout <= 0:
-        parser.error("--task-timeout must be > 0")
+        args.error("--task-timeout must be > 0")
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        parser.error("--checkpoint-every must be >= 1")
-    if args.stream is not None and args.artifact != "explain":
-        parser.error("--stream names a stream id for explain; "
-                     "log events with --telemetry DIR instead")
-    ignored = _ignored_flags(args)
-    if ignored:
-        parser.error(f"{args.artifact} does not take {', '.join(ignored)}")
-    if args.artifact == "cache":
-        return _run_cache(args, parser)
-    if args.artifact == "status":
-        return _run_status(args, parser)
-    store = None if args.no_cache else ResultStore(_cache_root(args))
-    durability = _durability_policy(args)
-
-    if args.artifact == "verify":
-        return _run_verify(args, store, durability=durability)
-
-    names = [n for n in args.workloads.split(",") if n] or presets.names()
-    unknown = set(names) - set(presets.names())
-    if unknown:
-        parser.error(f"unknown workloads: {sorted(unknown)}")
-    # trace logs its own events; every other artifact that takes the flags
-    # records through the shared recorder, whose sink refuses a used
-    # --telemetry directory before any run starts.
-    recording = bool(args.telemetry or args.metrics) and args.artifact != "trace"
-    if recording and durability is not None:
+        args.error("--checkpoint-every must be >= 1")
+    # trace logs its own events; the artifacts that take --metrics record
+    # through the shared recorder, whose sink refuses a used --telemetry
+    # directory before any run starts.
+    recording = "--metrics" in artifact.flags and bool(args.telemetry or args.metrics)
+    if recording and _durable(args):
         # A recorded run executes live and in-process, never through the
         # supervised executor, so these flags would be silently ignored.
-        parser.error(
-            f"{', '.join(_given(args, DURABILITY_FLAGS))} cannot combine with "
+        args.error(
+            f"{', '.join(_durable(args))} cannot combine with "
             f"{'--telemetry' if args.telemetry else '--metrics'}: recorded runs "
             "execute live, outside the supervised executor"
         )
@@ -959,7 +851,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # Fail fast: a bad path should not surface minutes into a run.
             open(args.metrics, "a", encoding="utf-8").close()
         except OSError as exc:
-            parser.error(f"cannot write {args.metrics}: {exc}")
+            args.error(f"cannot write {args.metrics}: {exc}")
     recorder = None
     if recording:
         from repro.errors import ConfigError
@@ -972,67 +864,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 prefetch_sample_every=args.prefetch_sample,
             )
         except (ConfigError, OSError) as exc:
-            parser.error(str(exc))
+            args.error(str(exc))
     opt = OptimizerConfig()
     if args.watchdog:
         opt = replace(opt, watchdog=WatchdogConfig())
     if args.fault_seed is not None:
         opt = replace(opt, faults=FaultPlan(seed=args.fault_seed))
-    cache = ResultCache(
+    store = None if args.no_cache else ResultStore(_cache_root(args))
+    args.cache = figures.ResultCache(
         opt=opt,
         passes_scale=args.scale,
         recorder=recorder,
         store=store,
         jobs=args.jobs,
-        durability=durability,
+        durability=_durability_policy(args),
     )
-
-    if args.artifact == "tenancy":
-        status = _run_tenancy(args, parser, opt, store)
-        _print_cache_summary(store)
-        return status
-    if args.artifact == "ablation-tenancy":
-        _print_ablation_tenancy(cache)
-        _print_cache_summary(store)
-        return 0
-
-    if args.artifact in ("trace", "explain"):
-        from repro.bench.runner import LEVELS
-
-        for level in (args.level, args.against):
-            if level is not None and level not in LEVELS:
-                parser.error(f"unknown level {level!r}; known: {', '.join(LEVELS)}")
-        if args.artifact == "trace":
-            return _run_trace(args, names, cache, parser)
-        status = _run_explain(args, names, cache, parser)
-        _print_cache_summary(store)
-        return status
-
-    if args.artifact == "tables":
-        _print_tables()
-        return 0
-    if args.artifact in ("figure4", "all"):
-        _print_figure4()
-    if args.artifact in ("table1", "all"):
-        _print_table1()
-    if args.artifact in ("figure8", "all"):
-        _print_figure8()
-    if args.artifact in ("figures", "all"):
-        # One plan for the whole grid, so a supervised run's status.json
-        # lists every task of it.
-        cache.warm([(n, level) for n in names for level in figures.FIGURE_LEVELS])
-    if args.artifact in ("figure11", "figures", "all"):
-        _print_figure11(cache, names)
-    if args.artifact in ("figure12", "figures", "all"):
-        _print_figure12(cache, names)
-    if args.artifact in ("table2", "figures", "all"):
-        _print_table2(cache, names)
-    if args.artifact in ("ablation-headlen", "all"):
-        _print_ablation_headlen(names, cache)
-    if args.artifact in ("ablation-hwpref", "all"):
-        _print_ablation_hwpref(names, cache)
-    if args.artifact in ("ablation-watchdog", "all"):
-        _print_ablation_watchdog(cache, args.fault_seed)
+    args.cache.warm(artifact.jobs(args))
+    status = artifact.render(args)
     if recorder is not None:
         recorder.close()
         if args.telemetry:
@@ -1040,7 +888,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.metrics:
             print(f"metrics snapshots written to {args.metrics}")
     _print_cache_summary(store)
-    return 0
+    return status or 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,12 +17,17 @@ Each function reproduces one artifact (see DESIGN.md's experiment index):
                           an adversarial phase-shift workload
 ========================  ====================================================
 
-Workload executions are memoized in a :class:`ResultCache`, which sits on
-the experiment engine (:mod:`repro.engine`): every execution is described by
-a :class:`~repro.engine.spec.RunSpec`, replayed from the content-addressed
+Every function that renders workload runs reads them from a
+:class:`ResultCache`, which sits on the experiment engine
+(:mod:`repro.engine`): every execution is a job (a
+:class:`~repro.engine.spec.RunSpec` or a tenancy co-run), memoized by its
+fingerprint, replayed from the content-addressed
 :class:`~repro.engine.cache.ResultStore` when one is attached, and batched
 through :func:`~repro.engine.executor.execute_plan` (``jobs > 1`` fans the
-simulations out over a process pool) by :meth:`ResultCache.warm`.
+simulations out over a process pool) by :meth:`ResultCache.warm`.  The
+``*_jobs`` functions name the jobs an artifact reads, so a caller can warm a
+whole command as one plan before rendering; the ``Table`` constants are the
+artifacts' column declarations.
 """
 
 from __future__ import annotations
@@ -32,13 +37,14 @@ from typing import Optional, Sequence
 
 from repro.analysis.hotstreams import AnalysisConfig, analyze_grammar
 from repro.analysis.stream import HotDataStream
+from repro.bench.reporting import Ratio, Table
 from repro.core.config import OptimizerConfig
 from repro.dfsm.build import build_dfsm
 from repro.dfsm.machine import PrefixDFSM
 from repro.engine.cache import ResultStore
 from repro.engine.executor import execute_plan, run_spec
 from repro.engine.result import RunResult
-from repro.engine.spec import RunPlan, RunSpec
+from repro.engine.spec import Job, RunPlan, RunSpec
 from repro.machine.config import CacheGeometry, MachineConfig, PAPER_MACHINE
 from repro.resilience import FaultPlan, WatchdogConfig
 from repro.sequitur.sequitur import Sequitur
@@ -114,17 +120,17 @@ def figure8_dfsm(head_len: int = 3) -> PrefixDFSM:
 
 
 class ResultCache:
-    """Memoizes (workload, level, passes, config-ish) executions.
+    """Memoizes job executions by job fingerprint.
 
-    A thin session-scoped layer over the experiment engine: each requested
-    pair becomes a :class:`~repro.engine.spec.RunSpec`, replayed from the
-    attached :class:`~repro.engine.cache.ResultStore` when its fingerprint is
-    already on disk.  :meth:`warm` resolves a batch of pairs up front —
-    across a process pool when ``jobs > 1`` — so the figure functions can
-    declare their whole grid before rendering row by row.
+    A thin session-scoped layer over the experiment engine: a job is
+    replayed from the attached :class:`~repro.engine.cache.ResultStore` when
+    its fingerprint is already on disk.  :meth:`warm` resolves a batch of
+    jobs up front as one plan — across a process pool when ``jobs > 1`` —
+    so a command can declare all of its jobs before rendering row by row.
+    :meth:`get` names a run of the figures' grid by ``(workload, level)``.
 
     When a :class:`~repro.telemetry.session.TelemetryRecorder` is attached,
-    every execution runs live and in-process (events cannot be replayed from
+    every run executes live and in-process (events cannot be replayed from
     the store nor shipped across a pool boundary), streams its events into
     the recorder's shared chunk log and contributes a ``workload/level``
     metrics snapshot.
@@ -148,7 +154,7 @@ class ResultCache:
         #: batches route through the supervised executor (stored results +
         #: checkpoints + retries), byte-identical to the plain path.
         self.durability = durability
-        self._results: dict[tuple[str, str], RunResult] = {}
+        self._results: dict[str, object] = {}
 
     def passes_for(self, name: str) -> Optional[int]:
         if self.passes_scale == 1.0:
@@ -171,45 +177,100 @@ class ResultCache:
     def _recording(self) -> bool:
         return self.recorder is not None and self.recorder.enabled
 
-    def warm(self, pairs: Sequence[tuple[str, str]]) -> None:
-        """Resolve a batch of (workload, level) pairs before rendering.
+    def warm(self, jobs: Sequence[Job]) -> None:
+        """Resolve a batch of jobs as one plan before rendering.
 
-        No-op for already-memoized pairs and under a telemetry recorder
-        (those runs must stay live and serial); otherwise cache hits replay
+        The plan holds each fingerprint once and skips memoized jobs.  No-op
+        under a telemetry recorder: those runs stay live and serial, in the
+        order the render asks for them.  Otherwise cache hits replay
         instantly and the misses simulate, in parallel when ``jobs > 1``.
         """
         if self._recording:
             return
-        todo = [p for p in dict.fromkeys(pairs) if p not in self._results]
-        if not todo:
-            return
-        plan = RunPlan.of(*(self.spec_for(n, lvl) for n, lvl in todo))
-        results = execute_plan(
-            plan, jobs=self.jobs, store=self.store, durability=self.durability
-        )
-        for pair, result in zip(todo, results):
-            self._results[pair] = result
+        todo: dict[str, Job] = {}
+        for job in jobs:
+            key = job.fingerprint()
+            if key not in self._results:
+                todo.setdefault(key, job)
+        if todo:
+            plan = RunPlan.of(*todo.values())
+            results = execute_plan(
+                plan, jobs=self.jobs, store=self.store, durability=self.durability
+            )
+            self._results.update(zip(todo, results))
+
+    def result(self, job: Job):
+        """``job``'s result: memoized, else replayed or simulated (live,
+        into the recorder, when one is attached)."""
+        key = job.fingerprint()
+        if key not in self._results:
+            if self._recording:
+                session = self.recorder.session_for(job.workload, job.level)
+                self._results[key] = run_spec(job, telemetry=session)
+                self.recorder.record(job.workload, job.level, session)
+            else:
+                self._results[key] = run_spec(job, store=self.store)
+        return self._results[key]
 
     def get(self, name: str, level: str) -> RunResult:
-        key = (name, level)
-        if key not in self._results:
-            spec = self.spec_for(name, level)
-            if self._recording:
-                session = self.recorder.session_for(name, level)
-                result = run_spec(spec, telemetry=session)
-                self.recorder.record(name, level, session)
-            else:
-                result = run_spec(spec, store=self.store)
-            self._results[key] = result
-        return self._results[key]
+        return self.result(self.spec_for(name, level))
+
+
+def ladder_jobs(cache: ResultCache, names: Sequence[str], levels: Sequence[str]) -> list[RunSpec]:
+    """The runs of ``levels`` for each of ``names``, workload by workload."""
+    return [cache.spec_for(n, level) for n in names for level in levels]
+
+
+FIGURE11 = Table(
+    "Figure 11: overhead of online profiling and analysis",
+    (("benchmark", "benchmark"), ("Base %", "base_pct"), ("Prof %", "prof_pct"),
+     ("Hds %", "hds_pct")),
+)
+FIGURE12 = Table(
+    "Figure 12: performance impact of dynamic prefetching (negative = speedup)",
+    (("benchmark", "benchmark"), ("No-pref %", "nopref_pct"),
+     ("Seq-pref %", "seqpref_pct"), ("Dyn-pref %", "dynpref_pct")),
+)
+FIGURE12_QUALITY = Table(
+    "Figure 12 companion: prefetch quality per level (accuracy / timeliness / pollution)",
+    (("benchmark", "benchmark"), ("level", "level"), ("issued", "issued"),
+     ("accuracy", "accuracy"), ("timeliness", "timeliness"), ("pollution", "pollution")),
+)
+TABLE1 = Table(
+    "Table 1: hot data stream analysis worked example (H=8, len 2..7)",
+    tuple((key, key) for key in
+          ("rule", "word", "length", "index", "uses", "coldUses", "heat", "hot")),
+)
+TABLE2 = Table(
+    "Table 2: detailed dynamic prefetching characterization (per-cycle averages)",
+    (("benchmark", "benchmark"), ("#opt cycles", "opt_cycles"),
+     ("#traced refs", "traced_refs_per_cycle"), ("#hds", "hds_per_cycle"),
+     ("DFSM states", "dfsm_states"), ("DFSM trans", "dfsm_transitions"),
+     ("checks", "dfsm_checks"), ("#procs", "procs_modified")),
+)
+HEADLEN = Table(
+    "Ablation (Section 4.3): prefix-match length, {name}",
+    (("headLen", "head_len"), ("Dyn-pref %", "dynpref_pct"),
+     ("accuracy", "prefetch_accuracy"), ("issued", "prefetches_issued")),
+)
+HWPREF = Table(
+    "Ablation (Section 5.1): hardware prefetcher baselines, {name}",
+    (("scheme", "scheme"), ("overhead %", "overhead_pct"),
+     ("accuracy", "prefetch_accuracy"), ("useful", "useful"), ("wasted", "wasted")),
+)
+WATCHDOG = Table(
+    "Ablation (extension): prefetch watchdog under phase shifts",
+    (("variant", "variant"), ("cycles", "cycles"), ("vs no-pref %", "vs_nopref_pct"),
+     ("#opt", "opt_cycles"), ("deopts", "deopts"), ("wakes", "early_wakes"),
+     ("errors", "errors"), ("faults", "faults"), ("issued", "issued"),
+     ("useful", "useful"), ("wasted", "wasted")),
+)
 
 
 def figure11_rows(cache: ResultCache, names: Optional[Sequence[str]] = None) -> list[dict]:
     """Figure 11: Base / Prof / Hds overhead (percent) per benchmark."""
-    names = list(names or presets.names())
-    cache.warm([(n, lvl) for n in names for lvl in ("orig", "base", "prof", "hds")])
     rows = []
-    for name in names:
+    for name in names or presets.names():
         orig = cache.get(name, "orig")
         rows.append(
             {
@@ -224,10 +285,8 @@ def figure11_rows(cache: ResultCache, names: Optional[Sequence[str]] = None) -> 
 
 def figure12_rows(cache: ResultCache, names: Optional[Sequence[str]] = None) -> list[dict]:
     """Figure 12: No-pref / Seq-pref / Dyn-pref overhead (percent)."""
-    names = list(names or presets.names())
-    cache.warm([(n, lvl) for n in names for lvl in ("orig", "nopref", "seq", "dyn")])
     rows = []
-    for name in names:
+    for name in names or presets.names():
         orig = cache.get(name, "orig")
         rows.append(
             {
@@ -251,12 +310,10 @@ def figure12_quality_rows(
     :class:`~repro.machine.hierarchy.PrefetchStats`, so they are exactly the
     paper's quality axes: accuracy = used / issued (non-redundant),
     timeliness = in-time / used, pollution = evicted-unused / issued
-    (non-redundant).
+    (non-redundant).  Each is a :class:`~repro.bench.reporting.Ratio`.
     """
-    names = list(names or presets.names())
-    cache.warm([(n, lvl) for n in names for lvl in levels])
     rows = []
-    for name in names:
+    for name in names or presets.names():
         for level in levels:
             prefetch = cache.get(name, level).hierarchy.prefetch
             rows.append(
@@ -264,9 +321,9 @@ def figure12_quality_rows(
                     "benchmark": name,
                     "level": level,
                     "issued": prefetch.issued,
-                    "accuracy": prefetch.accuracy,
-                    "timeliness": prefetch.timeliness,
-                    "pollution": prefetch.pollution,
+                    "accuracy": Ratio(prefetch.accuracy),
+                    "timeliness": Ratio(prefetch.timeliness),
+                    "pollution": Ratio(prefetch.pollution),
                 }
             )
     return rows
@@ -274,12 +331,9 @@ def figure12_quality_rows(
 
 def table2_rows(cache: ResultCache, names: Optional[Sequence[str]] = None) -> list[dict]:
     """Table 2: per-optimization-cycle characterization of the dyn runs."""
-    names = list(names or presets.names())
-    cache.warm([(n, "dyn") for n in names])
     rows = []
-    for name in names:
-        result = cache.get(name, "dyn")
-        summary = result.summary
+    for name in names or presets.names():
+        summary = cache.get(name, "dyn").summary
         assert summary is not None
         rows.append(
             {
@@ -296,29 +350,29 @@ def table2_rows(cache: ResultCache, names: Optional[Sequence[str]] = None) -> li
     return rows
 
 
+def headlen_jobs(
+    cache: ResultCache, name: str, head_lens: Sequence[int] = (1, 2, 3)
+) -> list[RunSpec]:
+    """``name``'s ``orig`` run, then one dyn run per prefix length."""
+    passes = cache.passes_for(name)
+    return [
+        RunSpec(name, "orig", passes=passes),
+        *(
+            RunSpec(name, "dyn", passes=passes, opt=OptimizerConfig(head_len=head_len))
+            for head_len in head_lens
+        ),
+    ]
+
+
 def ablation_headlen(
-    name: str,
-    head_lens: Sequence[int] = (1, 2, 3),
-    opt: Optional[OptimizerConfig] = None,
-    passes: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    jobs: int = 1,
-    durability=None,
+    cache: ResultCache, name: str, head_lens: Sequence[int] = (1, 2, 3)
 ) -> list[dict]:
     """Section 4.3: vary the matched prefix length before prefetching.
 
     The paper found headLen=2 best: 1 is cheaper but less accurate, 3 adds
     matching overhead without accuracy gains.
     """
-    base_opt = opt if opt is not None else OptimizerConfig()
-    plan = RunPlan.of(
-        RunSpec(name, "orig", passes=passes),
-        *(
-            RunSpec(name, "dyn", passes=passes, opt=replace(base_opt, head_len=head_len))
-            for head_len in head_lens
-        ),
-    )
-    orig, *variants = execute_plan(plan, jobs=jobs, store=store, durability=durability)
+    orig, *variants = map(cache.result, headlen_jobs(cache, name, head_lens))
     rows = []
     for head_len, result in zip(head_lens, variants):
         prefetch = result.hierarchy.prefetch
@@ -353,13 +407,25 @@ ABLATION_WATCHDOG_OPT = OptimizerConfig(n_awake=20, n_hibernate=300)
 ABLATION_WATCHDOG_CONFIG = WatchdogConfig(check_every=4, min_samples=16, wake_on_empty=False)
 
 
-def ablation_watchdog(
-    passes: Optional[int] = None,
-    fault_seed: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    jobs: int = 1,
-    durability=None,
-) -> list[dict]:
+def watchdog_jobs(cache: ResultCache, fault_seed: Optional[int] = None) -> dict[str, RunSpec]:
+    """The watchdog ablation's phaseshift runs by variant label, baseline
+    first; ``fault_seed`` adds the fault-injected variant."""
+    wd_opt = replace(ABLATION_WATCHDOG_OPT, watchdog=ABLATION_WATCHDOG_CONFIG)
+    variants = {
+        "nopref": ("nopref", ABLATION_WATCHDOG_OPT),
+        "dyn": ("dyn", ABLATION_WATCHDOG_OPT),
+        "dyn+watchdog": ("dyn", wd_opt),
+    }
+    if fault_seed is not None:
+        variants["dyn+watchdog+faults"] = ("dyn", replace(wd_opt, faults=FaultPlan(seed=fault_seed)))
+    passes = cache.passes_for("phaseshift")
+    return {
+        label: RunSpec("phaseshift", level, passes=passes, machine=ABLATION_WATCHDOG_MACHINE, opt=opt)
+        for label, (level, opt) in variants.items()
+    }
+
+
+def ablation_watchdog(cache: ResultCache, fault_seed: Optional[int] = None) -> list[dict]:
     """Extension: the prefetch watchdog on an adversarial phase-shift workload.
 
     The phaseshift workload keeps each hot stream's *head* phase-invariant
@@ -373,32 +439,11 @@ def ablation_watchdog(
     deterministic fault injection (:mod:`repro.resilience.faults`) — the run
     must still complete, demonstrating graceful degradation.
     """
-    wd_opt = replace(ABLATION_WATCHDOG_OPT, watchdog=ABLATION_WATCHDOG_CONFIG)
-    variants: list[tuple[str, str, OptimizerConfig]] = [
-        ("nopref", "nopref", ABLATION_WATCHDOG_OPT),
-        ("dyn", "dyn", ABLATION_WATCHDOG_OPT),
-        ("dyn+watchdog", "dyn", wd_opt),
-    ]
-    if fault_seed is not None:
-        variants.append(
-            ("dyn+watchdog+faults", "dyn", replace(wd_opt, faults=FaultPlan(seed=fault_seed)))
-        )
-    plan = RunPlan.of(
-        *(
-            RunSpec(
-                "phaseshift",
-                level,
-                passes=passes,
-                machine=ABLATION_WATCHDOG_MACHINE,
-                opt=opt,
-            )
-            for _, level, opt in variants
-        )
-    )
-    results = execute_plan(plan, jobs=jobs, store=store, durability=durability)
-    baseline = results[0]
+    jobs = watchdog_jobs(cache, fault_seed)
+    baseline = cache.result(jobs["nopref"])
     rows: list[dict] = []
-    for (label, _level, _opt), result in zip(variants, results):
+    for label, job in jobs.items():
+        result = cache.result(job)
         summary = result.summary
         assert summary is not None
         prefetch = result.hierarchy.prefetch
@@ -423,13 +468,17 @@ def ablation_watchdog(
     return rows
 
 
-def ablation_hwpref(
-    name: str,
-    passes: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    jobs: int = 1,
-    durability=None,
-) -> list[dict]:
+#: The hardware prefetcher baselines, then the software scheme they face.
+HWPREF_SCHEMES = ("stride", "markov", "dyn")
+
+
+def hwpref_jobs(cache: ResultCache, name: str) -> list[RunSpec]:
+    """``name``'s ``orig`` run, then one run per scheme."""
+    passes = cache.passes_for(name)
+    return [RunSpec(name, level, passes=passes) for level in ("orig", *HWPREF_SCHEMES)]
+
+
+def ablation_hwpref(cache: ResultCache, name: str) -> list[dict]:
     """Section 4.3/5.1: hardware stride and Markov prefetchers vs. dyn.
 
     The hardware baselines are cost-free in the model (no instruction
@@ -437,14 +486,9 @@ def ablation_hwpref(
     streams ("many will not be successfully prefetched using a simple
     stride-based prefetching scheme").
     """
-    schemes = ("stride", "markov", "dyn")
-    plan = RunPlan.of(
-        RunSpec(name, "orig", passes=passes),
-        *(RunSpec(name, level, passes=passes) for level in schemes),
-    )
-    orig, *variants = execute_plan(plan, jobs=jobs, store=store, durability=durability)
+    orig, *variants = map(cache.result, hwpref_jobs(cache, name))
     rows = []
-    for level, result in zip(schemes, variants):
+    for level, result in zip(HWPREF_SCHEMES, variants):
         prefetch = result.hierarchy.prefetch
         rows.append(
             {

@@ -22,6 +22,22 @@ class Ratio:
     value: float
 
 
+@dataclass(frozen=True)
+class Table:
+    """One artifact's table: a title (a ``str.format`` template) and its
+    ``(header, key)`` columns over row dicts."""
+
+    title: str
+    columns: tuple[tuple[str, str], ...]
+
+    def render(self, rows: Sequence[dict], **title_fields: object) -> str:
+        return format_table(
+            [header for header, _ in self.columns],
+            [[row[key] for _, key in self.columns] for row in rows],
+            title=self.title.format(**title_fields),
+        )
+
+
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = "") -> str:
     """Render ``rows`` under ``headers`` as an aligned text table."""
     cells = [[str(h) for h in headers]] + [[_fmt(v) for v in row] for row in rows]

@@ -408,7 +408,7 @@ _INT_OPERANDS = frozenset((OP_BZ, OP_BNZ, OP_JMP, OP_MOV, OP_ALLOC))
 _INFIX = frozenset(_ALU_SYM.values()) | frozenset(_CMP_SYM.values())
 
 
-def _shape(code: list[tuple]) -> tuple[tuple, list]:
+def _shape(code: list[tuple], num_regs: int) -> tuple[tuple, list]:
     """One pass over lowered code: its shape and its ``K`` table.
 
     The shape is the code with every operand the kernel reads from ``K``
@@ -421,14 +421,21 @@ def _shape(code: list[tuple]) -> tuple[tuple, list]:
     one.  What the emitter only tests is kept as the outcome of that test:
     whether a reference is traced, whether it has a detect handler, and how
     many addresses a prefetch names; a CHECK keeps only its opcode.
-    Registers and branch targets are printed, so they must be exact ints;
-    anything else raises.
+    Registers and branch targets are printed, so they must be exact ints,
+    and a register must lie in ``range(num_regs)``, because the kernel
+    keeps only those in locals; anything else raises, which leaves the
+    procedure to the reference loop.
     """
     consts: list = []
 
     def K(obj: object) -> str:
         consts.append(obj)
         return f"K{len(consts) - 1}"
+
+    def regs(*operands: object) -> None:
+        for r in operands:
+            if type(r) is not int or not 0 <= r < num_regs:
+                raise ValueError(f"fastpath: register operand in {t!r}")
 
     shape: list[tuple] = []
     append = shape.append
@@ -437,8 +444,7 @@ def _shape(code: list[tuple]) -> tuple[tuple, list]:
         if op == OP_LOAD or op == OP_STORE:
             # (op, dst/src, base, offset, pc, traced, detect)
             _op, reg, base, off, pc, traced, det = t
-            if type(reg) is not int or type(base) is not int:
-                raise ValueError(f"fastpath: register operand in {t!r}")
+            regs(reg, base)
             append((
                 op, reg, base, off if type(off) is int else K(off), K(pc),
                 bool(traced), None if det is None else K(det),
@@ -446,24 +452,25 @@ def _shape(code: list[tuple]) -> tuple[tuple, list]:
         elif op == OP_ALU or op == OP_ALUI or op == OP_CMP:
             # (op, func, dst, a, b) or (op, func, dst, a, imm)
             _op, func, dst, a, b = t
-            if type(dst) is not int or type(a) is not int:
-                raise ValueError(f"fastpath: register operand in {t!r}")
-            if op == OP_ALUI:
-                if type(b) is not int:
-                    b = K(b)
+            regs(dst, a)
+            if op != OP_ALUI:
+                regs(b)
             elif type(b) is not int:
-                raise ValueError(f"fastpath: register operand in {t!r}")
+                b = K(b)
             sym = (_CMP_SYM if op == OP_CMP else _ALU_SYM).get(func)
             append((op, sym if sym is not None else K(func), dst, a, b))
         elif op in _INT_OPERANDS:
             for x in t:
                 if type(x) is not int:
                     raise ValueError(f"fastpath: non-int operand in {t!r}")
+            if op == OP_MOV or op == OP_ALLOC:
+                regs(t[1], t[2])
+            elif op != OP_JMP:
+                regs(t[1])
             append(t)
         elif op == OP_CONST:
             _op, dst, value = t
-            if type(dst) is not int:
-                raise ValueError(f"fastpath: register operand in {t!r}")
+            regs(dst)
             # Injected prefetch targets are heap addresses that change every
             # reinjection; through K they leave the shape alone.
             if type(value) is not int or not -0xFFFF <= value <= 0xFFFF:
@@ -473,10 +480,11 @@ def _shape(code: list[tuple]) -> tuple[tuple, list]:
             append(_BARE[op])
         elif op == OP_CALL:
             # (op, dst, name, args): the trampoline performs the call
+            regs(*t[3], *(() if t[1] is None else (t[1],)))
             append((op, K(t[1:])))
         elif op == OP_RET:
-            if t[1] is not None and type(t[1]) is not int:
-                raise ValueError(f"fastpath: register operand in {t!r}")
+            if t[1] is not None:
+                regs(t[1])
             append(t)
         elif op == OP_PREFETCH:
             append((op, K(t[1]), len(t[1])))
@@ -1029,7 +1037,7 @@ def compiled_entry(proc, mode: int, hwkind: str) -> Optional[CompiledMode]:
     entry = per.get(key, _MISSING)
     if entry is _MISSING:
         try:
-            shape, consts = _shape(lower_procedure(proc)[mode])
+            shape, consts = _shape(lower_procedure(proc)[mode], proc.num_regs)
             shape_key = (shape, proc.num_regs, mode, hwkind)
             built = _MAKERS.get(shape_key)
             if built is None:

@@ -30,10 +30,10 @@ from repro.bench.figures import (
     ABLATION_WATCHDOG_CONFIG,
     ABLATION_WATCHDOG_MACHINE,
     ABLATION_WATCHDOG_OPT,
+    ResultCache,
 )
-from repro.engine.cache import ResultStore
-from repro.engine.executor import execute_plan
-from repro.engine.spec import RunPlan, RunSpec
+from repro.bench.reporting import Table
+from repro.engine.spec import RunSpec
 from repro.tenancy.plan import TenantPlan, TenantSpec
 from repro.tenancy.stats import TenancyResult
 
@@ -46,8 +46,10 @@ def _thrasher(passes: Optional[int], opt) -> TenantSpec:
     return TenantSpec("phaseshift", "dyn", passes=passes, opt=opt, name="thrasher")
 
 
-def tenancy_ablation_plans(passes: Optional[int] = None) -> list[tuple[str, TenantPlan]]:
-    """The (label, plan) variants the ablation compares."""
+def tenancy_ablation_plans(cache: ResultCache) -> list[tuple[str, TenantPlan]]:
+    """The (label, plan) variants the ablation compares.  Both tenants run
+    the thrasher's pass count at the cache's scale."""
+    passes = cache.passes_for("phaseshift")
     bare = ABLATION_WATCHDOG_OPT
     wd_opt = replace(bare, watchdog=ABLATION_WATCHDOG_CONFIG)
     variants: list[tuple[str, TenantSpec, TenantSpec]] = [
@@ -81,26 +83,27 @@ def _solo(plan: TenantPlan) -> RunSpec:
     return RunSpec(a.workload, a.level, passes=a.passes, machine=plan.machine, opt=a.opt)
 
 
-def ablation_tenancy(
-    passes: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    jobs: int = 1,
-) -> list[dict]:
+def tenancy_ablation_jobs(cache: ResultCache) -> list:
+    """The three co-runs, then the three solo baselines they are normalized
+    against."""
+    plans = [plan for _, plan in tenancy_ablation_plans(cache)]
+    return [*plans, *map(_solo, plans)]
+
+
+def ablation_tenancy(cache: ResultCache) -> list[dict]:
     """Per-variant rows for the shared-cache ablation table.
 
     ``vs_solo_pct`` normalizes each variant's tenant-A cycles against the
     same configuration run *alone* on the same machine (cache to itself);
     ``vs_nopref_pct`` normalizes against the nopref variant *under the same
     thrasher* — the in-contention analogue of Figure 12's overhead axis.
-    The three co-runs and the three solo baselines run as one plan.
+    Every co-run and solo baseline is read from ``cache``.
     """
-    labelled = tenancy_ablation_plans(passes)
-    plans = [plan for _, plan in labelled]
-    results = execute_plan(RunPlan.of(*plans, *map(_solo, plans)), jobs=jobs, store=store)
-    coruns, solos = results[: len(plans)], results[len(plans):]
+    labelled = tenancy_ablation_plans(cache)
     rows: list[dict] = []
-    baseline_a = coruns[0].tenants[0]
-    for (label, _plan), result, solo in zip(labelled, coruns, solos):
+    baseline_a = cache.result(labelled[0][1]).tenants[0]
+    for label, plan in labelled:
+        result, solo = cache.result(plan), cache.result(_solo(plan))
         a, b = result.tenants
         rows.append(
             {
@@ -127,23 +130,14 @@ def ablation_tenancy(
     return rows
 
 
-def render_ablation(rows: list[dict]) -> str:
-    """The ablation rows as an aligned table."""
-    from repro.bench.reporting import format_table
-
-    return format_table(
-        ["variant", "cycles", "solo", "vs-solo%", "vs-nopref%", "issued",
-         "useful", "wasted", "deopts", "thr-deopts", "thr-wasted", "pol<thr",
-         "thr-cycles"],
-        [
-            [r["variant"], r["cycles"], r["solo_cycles"], r["vs_solo_pct"],
-             r["vs_nopref_pct"], r["issued"], r["useful"], r["wasted"],
-             r["deopts"], r["thr_deopts"], r["thr_wasted"],
-             r["polluted_by_thrasher"], r["thrasher_cycles"]]
-            for r in rows
-        ],
-        title="Shared-L2 tenancy ablation — vpr vs. the phaseshift thrasher",
-    )
+ABLATION = Table(
+    "Shared-L2 tenancy ablation — vpr vs. the phaseshift thrasher",
+    (("variant", "variant"), ("cycles", "cycles"), ("solo", "solo_cycles"),
+     ("vs-solo%", "vs_solo_pct"), ("vs-nopref%", "vs_nopref_pct"), ("issued", "issued"),
+     ("useful", "useful"), ("wasted", "wasted"), ("deopts", "deopts"),
+     ("thr-deopts", "thr_deopts"), ("thr-wasted", "thr_wasted"),
+     ("pol<thr", "polluted_by_thrasher"), ("thr-cycles", "thrasher_cycles")),
+)
 
 
 def check_result(result: TenancyResult) -> list[str]:

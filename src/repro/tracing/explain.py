@@ -249,38 +249,19 @@ def _prefetch_counters(result) -> dict[str, int]:
     }
 
 
-def diff_levels(
-    name: str,
-    level: str,
-    against: str = "orig",
-    machine: MachineConfig = PAPER_MACHINE,
-    opt: Optional[OptimizerConfig] = None,
-    passes: Optional[int] = None,
-    store=None,
-    jobs: int = 1,
-    durability=None,
-) -> LevelDiff:
-    """Compare ``level`` against ``against`` for one workload.
+def diff_levels(result_a, result_b, machine: MachineConfig = PAPER_MACHINE) -> LevelDiff:
+    """Compare ``result_b``'s level against ``result_a``'s, two runs of one
+    workload on ``machine``.
 
-    Both runs go through the engine as one plan
-    (:func:`repro.engine.execute_plan`, with its ``jobs``, ``store`` and
-    ``durability``), so with a :class:`~repro.engine.cache.ResultStore`
-    attached either side replays from the content-addressed cache instead of
-    simulating.
+    The caller reads both runs from its
+    :class:`~repro.bench.figures.ResultCache`, so with a
+    :class:`~repro.engine.cache.ResultStore` attached either side replays
+    from the content-addressed cache instead of simulating.
     """
-    from repro.engine.executor import execute_plan
-    from repro.engine.spec import RunPlan, RunSpec
-
-    opt = opt if opt is not None else OptimizerConfig()
-    plan = RunPlan.of(
-        RunSpec(name, against, passes=passes, machine=machine, opt=opt),
-        RunSpec(name, level, passes=passes, machine=machine, opt=opt),
-    )
-    result_a, result_b = execute_plan(plan, jobs=jobs, store=store, durability=durability)
     return LevelDiff(
-        workload=name,
-        level_a=against,
-        level_b=level,
+        workload=result_a.workload,
+        level_a=result_a.level,
+        level_b=result_b.level,
         cycles_a=result_a.cycles,
         cycles_b=result_b.cycles,
         attribution_a=CycleAttribution.from_run(result_a.stats, machine),

@@ -1,8 +1,8 @@
 """Smoke tests: every ``repro-bench`` subcommand starts, helps and exits 0.
 
 Heavier artifacts run with one workload at tiny scale; the point is that the
-wiring (argument parsing, dispatch, output plumbing) works for every entry
-in the choices list, not that the numbers are interesting.
+wiring (argument parsing, dispatch, output plumbing) works for every
+declared artifact, not that the numbers are interesting.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def test_help_names_the_default_checkpoint_cadence(capsys):
     from repro.durability.runner import DEFAULT_CHECKPOINT_EVERY
 
     with pytest.raises(SystemExit):
-        cli_main(["--help"])
+        cli_main(["figures", "--help"])
     out = " ".join(capsys.readouterr().out.split())
     assert f"(default {DEFAULT_CHECKPOINT_EVERY} once engaged)" in out
 

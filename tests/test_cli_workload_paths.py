@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.bench import figures
 from repro.bench.cli import main as cli_main
+from repro.bench.figures import ResultCache
+from repro.engine.cache import ResultStore
 
 
 @pytest.mark.parametrize("artifact", ["figure11", "figure12", "table2"])
@@ -14,4 +17,11 @@ def test_workload_artifacts_run_at_small_scale(artifact, capsys):
 
 
 def test_scale_flag_parsed(capsys):
-    assert cli_main(["figure4", "--scale", "0.5"]) == 0
+    """``--scale`` sets the command's pass counts (``figure4`` simulates
+    nothing, so it refuses the flag)."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["figure4", "--scale", "0.5"])
+    assert excinfo.value.code == 2
+    assert cli_main(["ablation-watchdog", "--scale", "0.02"]) == 0
+    rows = figures.ablation_watchdog(ResultCache(passes_scale=0.02, store=ResultStore()))
+    assert capsys.readouterr().out == figures.WATCHDOG.render(rows) + "\n"

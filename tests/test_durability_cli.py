@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.cli import ARTIFACTS, OPTIONS
 from repro.bench.cli import main as cli_main
 from repro.obs.status import read_status
 
@@ -18,27 +19,30 @@ TINY = ["--workloads", "vortex", "--scale", "0.05"]
 
 #: Flags that engage the supervised executor.
 DURABILITY = [["--chaos-seed", "1"], ["--task-timeout", "30"], ["--checkpoint-every", "1000"]]
-#: Flags that record telemetry; ``{tmp}`` is the test's temporary directory.
-RECORDING = [["--telemetry", "{tmp}/log"], ["--metrics", "{tmp}/m.json"]]
-#: Every (command, flag) pair where the artifact would ignore the flag.
-IGNORED = [
-    *((["trace", *TINY, "--out", "{tmp}/t.json"], flag) for flag in DURABILITY),
-    *((["explain", *TINY], flag) for flag in DURABILITY + RECORDING),
-    *((["explain", "--against", "orig", *TINY], flag) for flag in RECORDING),
-    *((["explain", "--from", "{tmp}/log"], flag) for flag in RECORDING),
-    *(([example], flag) for example in ("tables", "figure4", "table1", "figure8")
-      for flag in DURABILITY + RECORDING),
-    *((["tenancy", "--tenants", "vortex:orig", "--scale", "0.05"], flag)
-      for flag in DURABILITY + RECORDING),
-    *((["ablation-tenancy", "--scale", "0.05"], flag) for flag in DURABILITY + RECORDING),
-]
+#: ``explain``'s modes: plain, ``--against`` and ``--from`` (``{tmp}`` is the
+#: test's temporary directory).  Only ``--against`` runs a plan, so the
+#: others also refuse the durability flags.
+EXPLAIN_MODES = {"": [], "-against": ["--against", "orig"], "-from": ["--from", "{tmp}/log"]}
 
 
-def _case_id(command, flag) -> str:
-    """``explain-against--metrics``: the artifact, its mode option if one
-    follows it, and the refused flag."""
-    mode = command[1][1:] if command[1:2] in (["--against"], ["--from"]) else ""
-    return f"{command[0]}{mode}{flag[0]}"
+def _refusals():
+    """Every (command, arguments, refused name) an artifact refuses: each
+    option it does not declare, a stray positional, and explain's durability
+    flags outside ``--against``.  Ids read ``explain-against--metrics``."""
+    for name, artifact in ARTIFACTS.items():
+        positionals = ["x" for flag in artifact.flags if not flag.startswith("-")]
+        for mode, mode_args in (EXPLAIN_MODES if name == "explain" else {"": []}).items():
+            refused = [
+                [flag] if OPTIONS[flag].get("action") == "store_true" else [flag, "{tmp}/x"]
+                for flag in OPTIONS if flag.startswith("-") and flag not in artifact.flags
+            ]
+            if name == "explain" and mode != "-against":
+                refused += DURABILITY
+            for args in refused:
+                yield pytest.param([name, *mode_args], args, args[0], id=f"{name}{mode}{args[0]}")
+            yield pytest.param(
+                [name, *mode_args], [*positionals, "stray"], "stray", id=f"{name}{mode}-stray"
+            )
 
 
 def _cache_dir():
@@ -130,16 +134,14 @@ class TestIgnoredFlagsRefused:
     """A flag the artifact would not honour is a usage error, raised before
     any run and before any file or directory exists."""
 
-    @pytest.mark.parametrize(
-        "command,flag", IGNORED, ids=[_case_id(cmd, flag) for cmd, flag in IGNORED]
-    )
-    def test_refused_before_any_run(self, command, flag, tmp_path, capsys):
-        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in [*command, *flag]]
+    @pytest.mark.parametrize("command,args,refused", list(_refusals()))
+    def test_refused_before_any_run(self, command, args, refused, tmp_path, capsys):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in [*command, *args]]
         with pytest.raises(SystemExit) as excinfo:
             cli_main(argv)
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert command[0] in err and flag[0] in err
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert f"{command[0]} does not take" in error and refused in error
         assert list(tmp_path.iterdir()) == []
 
     def test_explain_against_runs_supervised(self, capsys):
@@ -147,6 +149,26 @@ class TestIgnoredFlagsRefused:
         assert "vortex: orig" in capsys.readouterr().out
         rows = read_status(_cache_dir() / "run")["tasks"]
         assert [(row["level"], row["state"]) for row in rows] == [("orig", "done"), ("dyn", "done")]
+
+
+class TestOnePlanPerCommand:
+    """A command resolves all of its jobs as one plan, each fingerprint once,
+    so a supervised command's ``status.json`` lists every job it ran."""
+
+    @pytest.mark.parametrize(
+        "command,tasks",
+        [
+            (["all", "--workloads", "vortex"], 14),
+            (["ablation-headlen", "--workloads", "vortex,mcf"], 8),
+            (["explain", "--workloads", "vortex,mcf", "--against", "orig"], 4),
+        ],
+        ids=["all", "ablation-headlen", "explain-against"],
+    )
+    def test_status_lists_every_job(self, command, tasks, capsys):
+        assert cli_main([*command, "--scale", "0.05", "--task-timeout", "30"]) == 0
+        rows = read_status(_cache_dir() / "run")["tasks"]
+        assert len(rows) == tasks
+        assert all(row["state"] == "done" for row in rows)
 
 
 class TestRunRoot:

@@ -326,8 +326,9 @@ def test_diff_levels_replays_both_sides_from_cache(tmp_path):
     from repro.tracing.explain import diff_levels, render_level_diff
 
     store = ResultStore(tmp_path / "cache")
-    cold = diff_levels(_WORKLOAD, "dyn", against="orig", passes=1, store=store)
-    warm = diff_levels(_WORKLOAD, "dyn", against="orig", passes=1, store=store)
+    plan = RunPlan.of(_spec("orig"), _spec("dyn"))
+    cold = diff_levels(*execute_plan(plan, store=store))
+    warm = diff_levels(*execute_plan(plan, store=store))
     assert not cold.from_cache_a and not cold.from_cache_b
     assert warm.from_cache_a and warm.from_cache_b
     assert warm.cycles_a == cold.cycles_a

@@ -690,6 +690,18 @@ class TestErrorPathEquivalence:
         assert errors[True] == errors[False]
         assert counters[True] == counters[False]
 
+    @pytest.mark.parametrize(
+        "instr", [AluImm("add", 2, 0, 5), Alu("add", 1, 0, 3)], ids=["write", "read"]
+    )
+    def test_register_past_num_regs_raises_on_both_kernels(self, instr):
+        """A register at or above ``num_regs`` has no kernel: the run takes
+        the reference loop, which raises IndexError."""
+        proc = Procedure("p", 1, 2, [instr, Ret(1)], {})
+        assert compiled_entry(proc, 0, "") is None
+        for fast in (False, True):
+            with pytest.raises(IndexError):
+                Interpreter(Program([proc], "p"), Memory()).run((100,), fast=fast)
+
 
 class TestToggle:
     def test_default_run_uses_compiled_kernel(self, small_params, monkeypatch):
