@@ -25,10 +25,11 @@ from typing import Optional
 from repro.analysis.stream import HotDataStream
 from repro.errors import AnalysisError
 from repro.sequitur.sequitur import Sequitur
+from repro.wire import Wire
 
 
 @dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Wire):
     """Parameters of hot-data-stream detection.
 
     The heat threshold ``H`` is ``heat_threshold`` when given, otherwise
@@ -54,31 +55,6 @@ class AnalysisConfig:
         if self.heat_threshold is not None:
             return self.heat_threshold
         return max(1, math.ceil(self.heat_ratio * trace_length))
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable view (the :class:`~repro.engine.spec.RunSpec` wire form)."""
-        return {
-            "heat_ratio": self.heat_ratio,
-            "heat_threshold": self.heat_threshold,
-            "min_length": self.min_length,
-            "max_length": self.max_length,
-            "min_unique": self.min_unique,
-            "max_streams": self.max_streams,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "AnalysisConfig":
-        """Inverse of :meth:`to_dict`."""
-        threshold = data.get("heat_threshold")
-        max_streams = data.get("max_streams")
-        return cls(
-            heat_ratio=float(data["heat_ratio"]),
-            heat_threshold=None if threshold is None else int(threshold),
-            min_length=int(data["min_length"]),
-            max_length=int(data["max_length"]),
-            min_unique=int(data["min_unique"]),
-            max_streams=None if max_streams is None else int(max_streams),
-        )
 
 
 #: The paper's production analysis settings (Section 4.1).

@@ -811,7 +811,11 @@ def _print_cache_summary(store: Optional[ResultStore]) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(prog="repro-bench", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="repro-bench",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     commands = parser.add_subparsers(dest="artifact", metavar="artifact", required=True)
     parsers = {}
     for name, artifact in ARTIFACTS.items():

@@ -59,9 +59,3 @@ def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:+.1f}" if value < 1000 else f"{value:.0f}"
     return str(value)
-
-
-def format_percent_row(name: str, values: dict[str, float]) -> str:
-    """One-line summary, e.g. ``vpr: base=+3.0% ... dyn=-14.5%``."""
-    parts = " ".join(f"{k}={v:+.1f}%" for k, v in values.items())
-    return f"{name}: {parts}"

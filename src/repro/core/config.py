@@ -28,10 +28,11 @@ from repro.profiling.sampling import (
 from repro.resilience.faults import FaultPlan
 from repro.resilience.guards import GuardConfig
 from repro.resilience.watchdog import WatchdogConfig
+from repro.wire import Wire
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(Wire):
     """Knobs of the profile -> analyze/optimize -> hibernate cycle.
 
     Attributes:
@@ -95,54 +96,6 @@ class OptimizerConfig:
             raise ConfigError("cannot inject without analyzing")
         if self.max_optimizer_errors < 1:
             raise ConfigError("max_optimizer_errors must be >= 1")
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable view, nested configs included.
-
-        This is the wire form :class:`~repro.engine.spec.RunSpec` embeds: it
-        round-trips through :meth:`from_dict` and feeds the spec's
-        content-addressed fingerprint, so the key set must change whenever a
-        field that influences simulation results is added.
-        """
-        return {
-            "counters": self.counters.to_dict(),
-            "n_awake": self.n_awake,
-            "n_hibernate": self.n_hibernate,
-            "head_len": self.head_len,
-            "mode": self.mode,
-            "analyze": self.analyze,
-            "inject": self.inject,
-            "analysis": self.analysis.to_dict(),
-            "max_prefetches": self.max_prefetches,
-            "max_dfsm_states": self.max_dfsm_states,
-            "guards": None if self.guards is None else self.guards.to_dict(),
-            "watchdog": None if self.watchdog is None else self.watchdog.to_dict(),
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "max_optimizer_errors": self.max_optimizer_errors,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "OptimizerConfig":
-        """Inverse of :meth:`to_dict` (re-validates through ``__post_init__``)."""
-        guards = data.get("guards")
-        watchdog = data.get("watchdog")
-        faults = data.get("faults")
-        return cls(
-            counters=BurstyCounters.from_dict(data["counters"]),
-            n_awake=int(data["n_awake"]),
-            n_hibernate=int(data["n_hibernate"]),
-            head_len=int(data["head_len"]),
-            mode=str(data["mode"]),
-            analyze=bool(data["analyze"]),
-            inject=bool(data["inject"]),
-            analysis=AnalysisConfig.from_dict(data["analysis"]),
-            max_prefetches=int(data["max_prefetches"]),
-            max_dfsm_states=int(data["max_dfsm_states"]),
-            guards=None if guards is None else GuardConfig.from_dict(guards),
-            watchdog=None if watchdog is None else WatchdogConfig.from_dict(watchdog),
-            faults=None if faults is None else FaultPlan.from_dict(faults),
-            max_optimizer_errors=int(data["max_optimizer_errors"]),
-        )
 
 
 def paper_scale() -> OptimizerConfig:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.wire import Wire
+
 
 @dataclass
-class OptCycleStats:
+class OptCycleStats(Wire):
     """What one profile -> analyze -> optimize cycle saw and did."""
 
     cycle: int
@@ -30,40 +32,13 @@ class OptCycleStats:
         return sum(self.stream_lengths) / len(self.stream_lengths)
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-serializable view (field values plus the derived mean)."""
-        return {
-            "cycle": self.cycle,
-            "traced_refs": self.traced_refs,
-            "num_streams": self.num_streams,
-            "dfsm_states": self.dfsm_states,
-            "dfsm_transitions": self.dfsm_transitions,
-            "injected_checks": self.injected_checks,
-            "procs_modified": self.procs_modified,
-            "stream_lengths": list(self.stream_lengths),
-            "mean_stream_length": self.mean_stream_length,
-            "analysis_charged": self.analysis_charged,
-            "at_cycle": self.at_cycle,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "OptCycleStats":
-        """Inverse of :meth:`to_dict` (derived fields are recomputed)."""
-        return cls(
-            cycle=int(data["cycle"]),
-            traced_refs=int(data["traced_refs"]),
-            num_streams=int(data["num_streams"]),
-            dfsm_states=int(data["dfsm_states"]),
-            dfsm_transitions=int(data["dfsm_transitions"]),
-            injected_checks=int(data["injected_checks"]),
-            procs_modified=int(data["procs_modified"]),
-            stream_lengths=[int(x) for x in data.get("stream_lengths", [])],
-            analysis_charged=int(data.get("analysis_charged", 0)),
-            at_cycle=int(data.get("at_cycle", 0)),
-        )
+        """The field form plus the derived ``mean_stream_length``, which
+        :meth:`from_dict` ignores and recomputes."""
+        return {**super().to_dict(), "mean_stream_length": self.mean_stream_length}
 
 
 @dataclass
-class OptimizerSummary:
+class OptimizerSummary(Wire):
     """Aggregate over all completed cycles of one run (one Table 2 row).
 
     The resilience counters extend the Table 2 view: guarded optimization
@@ -119,36 +94,17 @@ class OptimizerSummary:
         return sum(c.analysis_charged for c in self.cycles)
 
     def to_dict(self) -> dict[str, object]:
-        """Serializable Table 2 row: aggregates plus every per-cycle record.
+        """Serializable Table 2 row: the field form plus the aggregates,
+        which :meth:`from_dict` ignores and recomputes.
 
         This is the shape the telemetry metrics exporter embeds, so consumers
         never reach into dataclass internals.
         """
-        return {
-            "num_cycles": self.num_cycles,
-            "mean_traced_refs": self.mean_traced_refs,
-            "mean_streams": self.mean_streams,
-            "mean_dfsm_states": self.mean_dfsm_states,
-            "mean_dfsm_transitions": self.mean_dfsm_transitions,
-            "mean_injected_checks": self.mean_injected_checks,
-            "mean_procs_modified": self.mean_procs_modified,
-            "guard_rejections": self.guard_rejections,
-            "stream_deopts": self.stream_deopts,
-            "early_wakes": self.early_wakes,
-            "optimizer_errors": self.optimizer_errors,
-            "faults_injected": self.faults_injected,
-            "analysis_charged": self.analysis_charged,
-            "cycles": [c.to_dict() for c in self.cycles],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "OptimizerSummary":
-        """Inverse of :meth:`to_dict` (aggregates are recomputed)."""
-        return cls(
-            cycles=[OptCycleStats.from_dict(c) for c in data.get("cycles", [])],
-            guard_rejections=int(data.get("guard_rejections", 0)),
-            stream_deopts=int(data.get("stream_deopts", 0)),
-            early_wakes=int(data.get("early_wakes", 0)),
-            optimizer_errors=int(data.get("optimizer_errors", 0)),
-            faults_injected=int(data.get("faults_injected", 0)),
-        )
+        doc = super().to_dict()
+        for name in (
+            "num_cycles", "mean_traced_refs", "mean_streams", "mean_dfsm_states",
+            "mean_dfsm_transitions", "mean_injected_checks", "mean_procs_modified",
+            "analysis_charged",
+        ):
+            doc[name] = getattr(self, name)
+        return doc

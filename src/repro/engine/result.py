@@ -60,7 +60,12 @@ class RunResult:
         return 100.0 * (self.cycles - baseline.cycles) / baseline.cycles
 
     def to_dict(self) -> dict[str, object]:
-        """Exact serialized form (pure function of the run's content)."""
+        """Exact serialized form (pure function of the run's content).
+
+        Written by hand rather than by :class:`~repro.wire.Wire`: a live
+        result encodes its :class:`MemoryHierarchy` through
+        ``stats_snapshot()``, and ``from_cache`` is transport state.
+        """
         return {
             "format": RESULT_FORMAT,
             "workload": self.workload,
@@ -73,7 +78,8 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "RunResult":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; by hand because ``hierarchy`` is a
+        two-member Union, which :class:`~repro.wire.Wire` does not decode."""
         fmt = data.get("format")
         if fmt != RESULT_FORMAT:
             raise ConfigError(f"unsupported serialized RunResult format {fmt!r}")

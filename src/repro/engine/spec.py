@@ -36,8 +36,8 @@ from typing import ClassVar, Iterator, Optional, Protocol
 import repro
 from repro.core.config import OptimizerConfig
 from repro.engine.result import RunResult
-from repro.errors import ConfigError
 from repro.machine.config import MachineConfig, PAPER_MACHINE
+from repro.wire import Wire
 from repro.workloads.base import BuiltWorkload
 
 #: Format version stamped into serialized specs; bump on schema changes.
@@ -99,7 +99,7 @@ class Job(Protocol):
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Wire):
     """Everything that determines one run's outcome, frozen.
 
     ``passes=None`` means the workload preset's default; it is kept distinct
@@ -114,34 +114,11 @@ class RunSpec:
     opt: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     kind: ClassVar[str] = "run"
+    WIRE_FORMAT = SPEC_FORMAT
 
     @property
     def label(self) -> str:
         return f"{self.workload}/{self.level}"
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "format": SPEC_FORMAT,
-            "workload": self.workload,
-            "level": self.level,
-            "passes": self.passes,
-            "machine": self.machine.to_dict(),
-            "opt": self.opt.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "RunSpec":
-        fmt = data.get("format")
-        if fmt != SPEC_FORMAT:
-            raise ConfigError(f"unsupported serialized RunSpec format {fmt!r}")
-        passes = data.get("passes")
-        return cls(
-            workload=str(data["workload"]),
-            level=str(data["level"]),
-            passes=None if passes is None else int(passes),
-            machine=MachineConfig.from_dict(data["machine"]),
-            opt=OptimizerConfig.from_dict(data["opt"]),
-        )
 
     def cache_key_dict(self) -> dict[str, object]:
         """The dict the fingerprint hashes: ``to_dict`` with the optimizer

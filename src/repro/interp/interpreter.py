@@ -17,7 +17,7 @@ this is the hot path of every experiment in the repository.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 from repro.errors import ExecutionError, MemoryFault
@@ -49,6 +49,7 @@ from repro.machine.memory import Memory
 from repro.telemetry.events import BurstBegin, BurstEnd
 from repro.telemetry.sinks import NULL_SINK
 from repro.tracing.spans import NULL_TRACER
+from repro.wire import Wire
 
 #: Version indices for the dual-version bodies (Figure 2).
 CHECKING, INSTRUMENTED = 0, 1
@@ -76,7 +77,7 @@ class HardwarePrefetcher(Protocol):
 
 
 @dataclass
-class ExecStats:
+class ExecStats(Wire):
     """Counters accumulated over one :meth:`Interpreter.run`."""
 
     cycles: int = 0
@@ -100,15 +101,6 @@ class ExecStats:
     def cpi(self) -> float:
         """Cycles per instruction."""
         return self.cycles / self.instructions if self.instructions else 0.0
-
-    def to_dict(self) -> dict[str, int]:
-        """JSON-serializable view of every counter (field order preserved)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "ExecStats":
-        """Inverse of :meth:`to_dict` (unknown keys ignored, missing = 0)."""
-        return cls(**{f.name: int(data.get(f.name, 0)) for f in fields(cls)})
 
 
 class ExecState:

@@ -116,12 +116,5 @@ class Program:
         """Names currently redirected by the patch table."""
         return set(self._patches)
 
-    def all_pcs(self) -> list[Pc]:
-        """Stable pcs of every memory operation in the program."""
-        pcs: list[Pc] = []
-        for proc in self.procedures.values():
-            pcs.extend(proc.pcs())
-        return pcs
-
     def __repr__(self) -> str:
         return f"Program(entry={self.entry!r}, procs={sorted(self.procedures)})"

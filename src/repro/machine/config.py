@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.wire import Wire
 
 
 def _is_pow2(value: int) -> bool:
@@ -24,7 +25,7 @@ def _is_pow2(value: int) -> bool:
 
 
 @dataclass(frozen=True)
-class CacheGeometry:
+class CacheGeometry(Wire):
     """Geometry of one cache level."""
 
     size_bytes: int
@@ -54,26 +55,9 @@ class CacheGeometry:
         """Total number of block frames."""
         return self.size_bytes // self.block_bytes
 
-    def to_dict(self) -> dict[str, int]:
-        """JSON-serializable view (the :class:`~repro.engine.spec.RunSpec` wire form)."""
-        return {
-            "size_bytes": self.size_bytes,
-            "associativity": self.associativity,
-            "block_bytes": self.block_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "CacheGeometry":
-        """Inverse of :meth:`to_dict` (re-validates through ``__post_init__``)."""
-        return cls(
-            size_bytes=int(data["size_bytes"]),
-            associativity=int(data["associativity"]),
-            block_bytes=int(data.get("block_bytes", 32)),
-        )
-
 
 @dataclass(frozen=True)
-class MachineConfig:
+class MachineConfig(Wire):
     """Complete timing and geometry model of the simulated machine.
 
     Attributes:
@@ -128,37 +112,6 @@ class MachineConfig:
     def block_bytes(self) -> int:
         """Cache block size shared by both levels."""
         return self.l1.block_bytes
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable view (the :class:`~repro.engine.spec.RunSpec` wire form)."""
-        return {
-            "l1": self.l1.to_dict(),
-            "l2": self.l2.to_dict(),
-            "l2_latency": self.l2_latency,
-            "memory_latency": self.memory_latency,
-            "check_cost": self.check_cost,
-            "trace_cost": self.trace_cost,
-            "detect_base": self.detect_base,
-            "detect_per_case": self.detect_per_case,
-            "prefetch_issue_cost": self.prefetch_issue_cost,
-            "analysis_cost_per_symbol": self.analysis_cost_per_symbol,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "MachineConfig":
-        """Inverse of :meth:`to_dict` (re-validates through ``__post_init__``)."""
-        return cls(
-            l1=CacheGeometry.from_dict(data["l1"]),
-            l2=CacheGeometry.from_dict(data["l2"]),
-            l2_latency=int(data["l2_latency"]),
-            memory_latency=int(data["memory_latency"]),
-            check_cost=int(data["check_cost"]),
-            trace_cost=int(data["trace_cost"]),
-            detect_base=int(data["detect_base"]),
-            detect_per_case=int(data["detect_per_case"]),
-            prefetch_issue_cost=int(data["prefetch_issue_cost"]),
-            analysis_cost_per_symbol=int(data["analysis_cost_per_symbol"]),
-        )
 
 
 #: Geometry and latencies matching the paper's Pentium III testbed.

@@ -64,10 +64,11 @@ from repro.telemetry.events import (
     PrefetchUsed,
 )
 from repro.telemetry.sinks import NULL_SINK
+from repro.wire import Wire
 
 
 @dataclass
-class PrefetchStats:
+class PrefetchStats(Wire):
     """Outcome counters for issued prefetches."""
 
     issued: int = 0
@@ -102,33 +103,9 @@ class PrefetchStats:
         total = self.useful + self.late + self.wasted
         return self.wasted / total if total else 0.0
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable view (sorted ``by_source`` for stable diffs)."""
-        return {
-            "issued": self.issued,
-            "redundant": self.redundant,
-            "useful": self.useful,
-            "late": self.late,
-            "wasted": self.wasted,
-            "by_source": {k: self.by_source[k] for k in sorted(self.by_source)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "PrefetchStats":
-        """Inverse of :meth:`to_dict`."""
-        by_source = data.get("by_source", {}) or {}
-        return cls(
-            issued=int(data["issued"]),
-            redundant=int(data["redundant"]),
-            useful=int(data["useful"]),
-            late=int(data["late"]),
-            wasted=int(data["wasted"]),
-            by_source={str(k): int(v) for k, v in sorted(by_source.items())},
-        )
-
 
 @dataclass
-class StreamPrefetchStats:
+class StreamPrefetchStats(Wire):
     """Per-stream slice of :class:`PrefetchStats` (watchdog scoreboard input).
 
     Attribution is pure bookkeeping: these counters are updated at the same
@@ -154,24 +131,9 @@ class StreamPrefetchStats:
         total = used + self.wasted
         return used / total if total else 0.0
 
-    def to_dict(self) -> dict[str, int]:
-        """JSON-serializable view."""
-        return {
-            "issued": self.issued,
-            "redundant": self.redundant,
-            "useful": self.useful,
-            "late": self.late,
-            "wasted": self.wasted,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "StreamPrefetchStats":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**{k: int(data[k]) for k in ("issued", "redundant", "useful", "late", "wasted")})
-
 
 @dataclass
-class CacheLevelStats:
+class CacheLevelStats(Wire):
     """Frozen counter view of one :class:`~repro.machine.cache.Cache` level.
 
     Duck-types the counter surface of the live cache (``hits``/``misses``/
@@ -187,16 +149,9 @@ class CacheLevelStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    def to_dict(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "CacheLevelStats":
-        return cls(hits=int(data["hits"]), misses=int(data["misses"]), evictions=int(data["evictions"]))
-
 
 @dataclass
-class HierarchyStats:
+class HierarchyStats(Wire):
     """Serializable statistics snapshot of a finished hierarchy.
 
     Carries everything the bench/oracle layers read off a finished run's
@@ -251,34 +206,6 @@ class HierarchyStats:
             },
             stream_names={name_of(key): name_of(key) for key in sorted(stream_names, key=name_of)},
         )
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable view; inverse of :meth:`from_dict`."""
-        return {
-            "l1": self.l1.to_dict(),
-            "l2": self.l2.to_dict(),
-            "demand_accesses": self.demand_accesses,
-            "prefetch": self.prefetch.to_dict(),
-            "stream_stats": {name: s.to_dict() for name, s in sorted(self.stream_stats.items())},
-            "stream_names": {k: self.stream_names[k] for k in sorted(self.stream_names)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "HierarchyStats":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            l1=CacheLevelStats.from_dict(data["l1"]),
-            l2=CacheLevelStats.from_dict(data["l2"]),
-            demand_accesses=int(data["demand_accesses"]),
-            prefetch=PrefetchStats.from_dict(data["prefetch"]),
-            stream_stats={
-                str(name): StreamPrefetchStats.from_dict(s)
-                for name, s in sorted(data.get("stream_stats", {}).items())
-            },
-            stream_names={str(k): str(v) for k, v in sorted(data.get("stream_names", {}).items())},
-        )
-
-
 
 
 #: Block-number bits reserved per tenant lane.  The block offset of tenant

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.wire import Wire
 
 
 @dataclass(frozen=True)
-class BurstyCounters:
+class BurstyCounters(Wire):
     """Reload values for the two bursty-tracing counters."""
 
     n_check0: int
@@ -39,15 +40,6 @@ class BurstyCounters:
     def hibernating(self) -> "BurstyCounters":
         """The hibernation-phase counters with the same burst period."""
         return BurstyCounters(self.n_check0 + self.n_instr0 - 1, 1)
-
-    def to_dict(self) -> dict[str, int]:
-        """JSON-serializable view (the :class:`~repro.engine.spec.RunSpec` wire form)."""
-        return {"n_check0": self.n_check0, "n_instr0": self.n_instr0}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "BurstyCounters":
-        """Inverse of :meth:`to_dict`."""
-        return cls(n_check0=int(data["n_check0"]), n_instr0=int(data["n_instr0"]))
 
 
 def overall_sampling_rate(counters: BurstyCounters, n_awake: int, n_hibernate: int) -> float:

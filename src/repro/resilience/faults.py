@@ -41,6 +41,7 @@ from typing import ClassVar
 
 from repro.errors import AnalysisError, ConfigError
 from repro.ir.instructions import Pc
+from repro.wire import Wire
 
 FAULT_KINDS = (
     "corrupt_record",
@@ -144,7 +145,7 @@ class SeededInjector:
 
 
 @dataclass(frozen=True)
-class FaultPlan(InjectionPlan):
+class FaultPlan(InjectionPlan, Wire):
     """An :class:`InjectionPlan` over :data:`FAULT_KINDS`, plus:
 
     Attributes:
@@ -169,29 +170,6 @@ class FaultPlan(InjectionPlan):
         if self.patch_delay_bursts < 1:
             raise ConfigError("patch_delay_bursts must be >= 1")
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable view (the :class:`~repro.engine.spec.RunSpec` wire form)."""
-        return {
-            "seed": self.seed,
-            "rate": self.rate,
-            "kinds": list(self.kinds),
-            "max_per_kind": self.max_per_kind,
-            "record_corrupt_rate": self.record_corrupt_rate,
-            "patch_delay_bursts": self.patch_delay_bursts,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            seed=int(data["seed"]),
-            rate=float(data["rate"]),
-            kinds=tuple(str(k) for k in data["kinds"]),
-            max_per_kind=int(data["max_per_kind"]),
-            record_corrupt_rate=float(data["record_corrupt_rate"]),
-            patch_delay_bursts=int(data["patch_delay_bursts"]),
-        )
-
     def for_tenant(self, tenant_id: int) -> "FaultPlan":
         """The same plan with its seed re-derived for one tenant
         (:func:`derive_tenant_seed`; identity for tenant 0)."""
@@ -204,11 +182,6 @@ class FaultInjector(SeededInjector):
     def __init__(self, plan: FaultPlan) -> None:
         super().__init__(plan)
         self._record_rng = random.Random((plan.seed << 8) ^ 0x7F)
-
-    def maybe_raise(self, kind: str, now: int = 0) -> None:
-        """Raise :class:`InjectedFault` if ``kind`` fires at this opportunity."""
-        if self.fire(kind, now):
-            raise InjectedFault(kind)
 
     def corrupt_record(self, pc: Pc, addr: int) -> tuple[Pc, int]:
         """Mutate one traced reference (only called during a corrupt burst).

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.analysis.stream import HotDataStream
 from repro.errors import AnalysisError, ConfigError
+from repro.wire import Wire
 
 #: Rejection reason tags (stable strings: telemetry and tests key on them).
 REASON_NO_TAIL = "no_tail"
@@ -49,7 +50,7 @@ def stream_key(stream: HotDataStream) -> StreamKey:
 
 
 @dataclass(frozen=True)
-class GuardConfig:
+class GuardConfig(Wire):
     """Bounds enforced on candidate streams before installation.
 
     Attributes:
@@ -73,23 +74,6 @@ class GuardConfig:
             raise ConfigError("max_stream_length must be >= 2")
         if self.quarantine_cycles < 0:
             raise ConfigError("quarantine_cycles must be >= 0")
-
-    def to_dict(self) -> dict[str, int]:
-        """JSON-serializable view (the :class:`~repro.engine.spec.RunSpec` wire form)."""
-        return {
-            "min_unique_refs": self.min_unique_refs,
-            "max_stream_length": self.max_stream_length,
-            "quarantine_cycles": self.quarantine_cycles,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "GuardConfig":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            min_unique_refs=int(data["min_unique_refs"]),
-            max_stream_length=int(data["max_stream_length"]),
-            quarantine_cycles=int(data["quarantine_cycles"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.resilience.guards import StreamKey
+from repro.wire import Wire
 
 
 @dataclass(frozen=True)
-class WatchdogConfig:
+class WatchdogConfig(Wire):
     """Thresholds of the per-stream prefetch scoreboard.
 
     Attributes:
@@ -71,31 +72,6 @@ class WatchdogConfig:
             raise ConfigError("pollution_ceiling must be in [0, 1]")
         if self.blacklist_cycles < 0:
             raise ConfigError("blacklist_cycles must be >= 0")
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable view (the :class:`~repro.engine.spec.RunSpec` wire form)."""
-        return {
-            "check_every": self.check_every,
-            "min_samples": self.min_samples,
-            "ewma_alpha": self.ewma_alpha,
-            "accuracy_floor": self.accuracy_floor,
-            "pollution_ceiling": self.pollution_ceiling,
-            "blacklist_cycles": self.blacklist_cycles,
-            "wake_on_empty": self.wake_on_empty,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "WatchdogConfig":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            check_every=int(data["check_every"]),
-            min_samples=int(data["min_samples"]),
-            ewma_alpha=float(data["ewma_alpha"]),
-            accuracy_floor=float(data["accuracy_floor"]),
-            pollution_ceiling=float(data["pollution_ceiling"]),
-            blacklist_cycles=int(data["blacklist_cycles"]),
-            wake_on_empty=bool(data["wake_on_empty"]),
-        )
 
 
 @dataclass

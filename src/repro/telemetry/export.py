@@ -57,8 +57,6 @@ _THREAD_NAMES = {
     3: "profiling bursts",
     4: "events",
 }
-#: Event kinds rendered as instants (everything else that carries payload).
-_INSTANT_SKIP = {"SpanBegin", "SpanEnd", "BurstBegin", "BurstEnd"}
 
 
 def chrome_trace_events(events: Sequence[Event], pid: int = 1, label: str = "") -> list[dict]:

@@ -29,13 +29,14 @@ from repro.engine.spec import job_fingerprint, opt_key
 from repro.errors import ConfigError
 from repro.machine.config import MachineConfig, PAPER_MACHINE
 from repro.machine.hierarchy import SHARING_MODES
+from repro.wire import Wire
 
 #: Format version stamped into serialized tenant plans; bump on schema changes.
 TENANCY_FORMAT = 1
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Wire):
     """One tenant: a workload at a measurement level, plus its optimizer.
 
     ``name`` is a display label for scorecards; it never enters scheduling
@@ -53,27 +54,6 @@ class TenantSpec:
     def label(self) -> str:
         return self.name if self.name else self.workload
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "workload": self.workload,
-            "level": self.level,
-            "passes": self.passes,
-            "opt": self.opt.to_dict(),
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "TenantSpec":
-        passes = data.get("passes")
-        name = data.get("name")
-        return cls(
-            workload=str(data["workload"]),
-            level=str(data["level"]),
-            passes=None if passes is None else int(passes),
-            opt=OptimizerConfig.from_dict(data["opt"]),
-            name=None if name is None else str(name),
-        )
-
     def cache_key_dict(self) -> dict[str, object]:
         """``to_dict`` with the optimizer normalized away for levels that
         never read it (the same equivalence :class:`RunSpec` applies)."""
@@ -83,7 +63,7 @@ class TenantSpec:
 
 
 @dataclass(frozen=True)
-class TenantPlan:
+class TenantPlan(Wire):
     """A deterministic co-run: tenant mix + quantum + sharing mode + machine."""
 
     tenants: tuple[TenantSpec, ...]
@@ -92,6 +72,7 @@ class TenantPlan:
     machine: MachineConfig = PAPER_MACHINE
 
     kind: ClassVar[str] = "tenancy"
+    WIRE_FORMAT = TENANCY_FORMAT
 
     def __post_init__(self) -> None:
         if not self.tenants:
@@ -115,27 +96,6 @@ class TenantPlan:
         """Display name for one tenant (unique even for repeated workloads)."""
         spec = self.tenants[tenant_id]
         return spec.name if spec.name else f"t{tenant_id}:{spec.workload}"
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "format": TENANCY_FORMAT,
-            "tenants": [t.to_dict() for t in self.tenants],
-            "quantum": self.quantum,
-            "sharing": self.sharing,
-            "machine": self.machine.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "TenantPlan":
-        fmt = data.get("format")
-        if fmt != TENANCY_FORMAT:
-            raise ConfigError(f"unsupported serialized TenantPlan format {fmt!r}")
-        return cls(
-            tenants=tuple(TenantSpec.from_dict(t) for t in data["tenants"]),
-            quantum=int(data["quantum"]),
-            sharing=str(data["sharing"]),
-            machine=MachineConfig.from_dict(data["machine"]),
-        )
 
     def cache_key_dict(self) -> dict[str, object]:
         doc = self.to_dict()

@@ -12,7 +12,6 @@ same way single runs do.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +20,7 @@ from repro.errors import ConfigError
 from repro.interp.interpreter import ExecStats
 from repro.machine.hierarchy import HierarchyStats
 from repro.tenancy.plan import TenantPlan
+from repro.wire import Wire
 
 #: Format version stamped into serialized tenancy results.
 TENANCY_RESULT_FORMAT = 1
@@ -76,6 +76,7 @@ class PollutionMatrix:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "PollutionMatrix":
+        """Inverse of :meth:`to_dict`: the triples back to tuple keys."""
         counts: dict[tuple[int, int], int] = {}
         for issuer, victim, n in data.get("cells", []):
             counts[(int(issuer), int(victim))] = int(n)
@@ -83,7 +84,7 @@ class PollutionMatrix:
 
 
 @dataclass
-class TenantStats:
+class TenantStats(Wire):
     """One tenant's slice of a co-run — a :class:`RunResult` re-keyed by
     ``tenant_id``, plus scheduling facts (slice count, cache occupancy is
     ``stats.cycles``)."""
@@ -105,37 +106,9 @@ class TenantStats:
         """Cycles this tenant occupied the machine (its share of the clock)."""
         return self.stats.cycles
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "tenant_id": self.tenant_id,
-            "name": self.name,
-            "workload": self.workload,
-            "level": self.level,
-            "stats": self.stats.to_dict(),
-            "hierarchy": self.hierarchy.to_dict(),
-            "summary": None if self.summary is None else self.summary.to_dict(),
-            "metrics": copy.deepcopy(self.metrics),
-            "slices": self.slices,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "TenantStats":
-        summary = data.get("summary")
-        return cls(
-            tenant_id=int(data["tenant_id"]),
-            name=str(data["name"]),
-            workload=str(data["workload"]),
-            level=str(data["level"]),
-            stats=ExecStats.from_dict(data["stats"]),
-            hierarchy=HierarchyStats.from_dict(data["hierarchy"]),
-            summary=None if summary is None else OptimizerSummary.from_dict(summary),
-            metrics=copy.deepcopy(data.get("metrics")),
-            slices=int(data.get("slices", 0)),
-        )
-
 
 @dataclass
-class TenancyResult:
+class TenancyResult(Wire):
     """Outcome of one deterministic co-run of a :class:`TenantPlan`."""
 
     plan: TenantPlan
@@ -149,41 +122,14 @@ class TenancyResult:
     #: what the shared cache levels themselves counted (the reconciliation
     #: target: demand + prefetch causes must sum to this)
     shared_cache_evictions: int
-    #: True when this result was replayed from the result cache
-    from_cache: bool = False
+
+    WIRE_FORMAT = TENANCY_RESULT_FORMAT
+    #: True when the result store replayed this result; transport state,
+    #: not content, so not a field and not in the wire form.
+    from_cache = False
 
     def tenant(self, tenant_id: int) -> TenantStats:
         return self.tenants[tenant_id]
-
-    def to_dict(self) -> dict[str, object]:
-        """Exact serialized form (``from_cache`` is transport state, not
-        content, and is deliberately excluded — cached replays compare
-        bit-identical to live runs)."""
-        return {
-            "format": TENANCY_RESULT_FORMAT,
-            "plan": self.plan.to_dict(),
-            "tenants": [t.to_dict() for t in self.tenants],
-            "pollution": self.pollution.to_dict(),
-            "global_cycles": self.global_cycles,
-            "demand_shared_evictions": self.demand_shared_evictions,
-            "prefetch_shared_evictions": self.prefetch_shared_evictions,
-            "shared_cache_evictions": self.shared_cache_evictions,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "TenancyResult":
-        fmt = data.get("format")
-        if fmt != TENANCY_RESULT_FORMAT:
-            raise ConfigError(f"unsupported serialized TenancyResult format {fmt!r}")
-        return cls(
-            plan=TenantPlan.from_dict(data["plan"]),
-            tenants=tuple(TenantStats.from_dict(t) for t in data["tenants"]),
-            pollution=PollutionMatrix.from_dict(data["pollution"]),
-            global_cycles=int(data["global_cycles"]),
-            demand_shared_evictions=int(data["demand_shared_evictions"]),
-            prefetch_shared_evictions=int(data["prefetch_shared_evictions"]),
-            shared_cache_evictions=int(data["shared_cache_evictions"]),
-        )
 
     def as_single_run_result(self):
         """Collapse an N=1 co-run into the equivalent single-run result.

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.wire import Wire
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids interp import
     from repro.interp.interpreter import ExecStats
     from repro.machine.config import MachineConfig
@@ -42,17 +44,21 @@ CATEGORIES = tuple(name for name, _ in CATEGORY_LABELS)
 
 
 @dataclass(frozen=True)
-class CycleAttribution:
-    """Exact decomposition of one run's simulated cycles."""
+class CycleAttribution(Wire):
+    """Exact decomposition of one run's simulated cycles.
 
-    total: int
-    user_work: int
-    mem_stall: int
-    check_overhead: int
-    trace_record: int
-    dfsm_detect: int
-    prefetch_issue: int
-    analysis: int
+    Every category defaults to 0, so a summary document that lacks one (an
+    ``explain --from`` input) decodes leniently.
+    """
+
+    total: int = 0
+    user_work: int = 0
+    mem_stall: int = 0
+    check_overhead: int = 0
+    trace_record: int = 0
+    dfsm_detect: int = 0
+    prefetch_issue: int = 0
+    analysis: int = 0
 
     @classmethod
     def from_run(cls, stats: "ExecStats", machine: "MachineConfig") -> "CycleAttribution":
@@ -94,19 +100,6 @@ class CycleAttribution:
             for name, label in CATEGORY_LABELS
         ]
 
-    def to_dict(self) -> dict[str, int]:
-        out: dict[str, int] = {"total": self.total}
-        for name in CATEGORIES:
-            out[name] = getattr(self, name)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CycleAttribution":
-        """Inverse of :meth:`to_dict` (summary documents round-trip)."""
-        return cls(
-            total=int(data.get("total", 0)),
-            **{name: int(data.get(name, 0)) for name in CATEGORIES},
-        )
 
 
 #: Raw counter fields tracked per procedure, in :class:`ProcAttrRecorder`
@@ -247,11 +240,15 @@ class ProcAttribution:
         return out
 
     def to_dict(self) -> dict[str, dict[str, int]]:
-        """JSON view preserving row order: proc name -> category cycles."""
+        """JSON view preserving row order: proc name -> category cycles
+        (one mapping, where :class:`~repro.wire.Wire` would write a list
+        of pairs)."""
         return {name: att.to_dict() for name, att in self.rows}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProcAttribution":
+        """Inverse of :meth:`to_dict`; reads ``explain --from`` documents
+        leniently, a missing category as 0."""
         return cls(
             rows=tuple(
                 (name, CycleAttribution.from_dict(doc)) for name, doc in data.items()

@@ -50,11 +50,6 @@ class StreamScorecard:
     #: An upper bound: it ignores second-order cache-occupancy effects.
     est_saved: int = 0
 
-    @property
-    def fate_row(self) -> tuple:
-        s = self.stats
-        return (s.useful, s.late, s.redundant, s.polluting, s.wasted, s.inflight)
-
 
 @dataclass
 class WorkloadExplanation:

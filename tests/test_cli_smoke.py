@@ -56,6 +56,16 @@ def test_parser_help_exits_zero(capsys):
         assert artifact in out
 
 
+def test_top_level_help_keeps_the_docstring_layout(capsys):
+    # The module docstring is the top-level description: its paragraphs
+    # stay apart and no flag is hyphen-wrapped.
+    with pytest.raises(SystemExit):
+        cli_main(["--help"])
+    out = capsys.readouterr().out
+    assert "\n\nVerification: " in out
+    assert "``--fault-seed N``" in out
+
+
 def test_help_names_the_default_checkpoint_cadence(capsys):
     from repro.durability.runner import DEFAULT_CHECKPOINT_EVERY
 
