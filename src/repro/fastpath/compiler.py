@@ -30,14 +30,23 @@ each loop body is emitted once.  ``icount``/``cycles`` increments are
 batched between observation points, which is where most of the speedup
 comes from.
 
-Instructions that leave the procedure or mutate interpreter-global state
-(CALL, RET, HALT, a CHECK whose counter reaches zero) flush the locals and
-return a signal; the trampoline in :mod:`repro.fastpath.kernel` replays the
-exact reference semantics for those rare events.
+A CALL performs the reference loop's call in place (:func:`_call_path`):
+the caller writes its counters to the state, pushes the reference's frame
+and points the state at the callee.  If the callee has a kernel, that
+kernel runs as a plain Python call while the caller keeps its registers in
+its locals, until the callee returns ``SIG_RET``.  Any other signal from
+the callee unwinds the caller too, which spills its registers into its
+stacked frame.  A callee without a kernel, or a call that would nest past
+:data:`CALL_DEPTH_CAP`, parks the caller the same way with the state at
+the callee's first instruction.  Every other instruction that leaves the
+procedure or mutates interpreter-global state (RET, HALT, a CHECK whose
+counter reaches zero) flushes the locals and returns a signal; the
+trampoline in :mod:`repro.fastpath.kernel` replays the exact reference
+semantics for those events.
 
 A kernel is built once per code shape.  :func:`_shape` makes one pass over
 the lowered code and replaces every operand the kernel reads from its
-constant table ``K`` (pcs, detect handlers, prefetch targets, call triples,
+constant table ``K`` (pcs, detect handlers, prefetch targets, callee names,
 non-operator functions, large or non-``int`` literals) with the name of its
 slot; :func:`_emit` reads nothing but ``(shape, num_regs, mode, hwkind)``,
 and :data:`_MAKERS` keeps what it builds under that key.  So each procedure
@@ -104,17 +113,22 @@ from repro.errors import MemoryFault
 from repro.machine.hierarchy import TENANT_SHIFT, StreamPrefetchStats
 
 #: Signals a compiled kernel returns to the trampoline.
-SIG_PARK = 0    #: limit proximity or unknown leader; state flushed, not done
+SIG_PARK = 0    #: state flushed, not done: limit, unknown leader, call to run
 SIG_DONE = 1    #: HALT (final RET is SIG_RET with an empty stack)
-SIG_CALL = 2    #: OP_CALL pending; ``ctx.call`` holds (dst, name, arg_regs)
-SIG_RET = 3     #: OP_RET pending; ``ctx.ret_value`` holds the value
-SIG_TRANS = 4   #: CHECK counter hit zero; burst transition pending
+SIG_RET = 2     #: OP_RET pending; ``ctx.ret_value`` holds the value
+SIG_TRANS = 3   #: CHECK counter hit zero; burst transition pending
 
 #: Upper bound on instructions emitted into one superblock trace.  Also the
 #: slack the dispatcher keeps from the instruction limit: once fewer than
 #: this many instructions remain in the slice budget the kernel parks and
 #: the trampoline finishes the tail through the reference dispatch loop.
 TRACE_CAP = 96
+
+#: The most frames ``state.stack`` may hold, the new one included, for a
+#: CALL to run its callee's kernel in place.  Each direct call nests one
+#: Python frame; a deeper call parks for the trampoline to run the callee
+#: instead, which keeps the nesting bounded on recursive programs.
+CALL_DEPTH_CAP = 64
 
 _ALU_SYM = {
     operator.add: "+",
@@ -156,7 +170,9 @@ _CMP_SYM = {
 #: every block in them is L2-resident (an L2 eviction wastes it), which the
 #: oracle's hierarchy differential checks after every op.  So ``pf_unused``
 #: alone says whether a block has prefetch state, and an L1 victim never
-#: needs ``access``: evicting it from L1 wastes nothing.
+#: needs ``access``: evicting it from L1 wastes nothing.  An access probes
+#: ``pf_unused`` for its block at most once, and not at all while the dict
+#: is empty, as it is in every run that issues no prefetch.
 #:
 #: ``lblk`` memoizes the previous access's block: every inline path leaves
 #: its block MRU in L1 and outside the prefetch dicts, and nothing between
@@ -164,30 +180,35 @@ _CMP_SYM = {
 #: an observer the compiler does not inline resets the memo; a redundant
 #: prefetch moves nothing), so a back-to-back re-access is exactly a hit
 #: whose LRU promotion is a no-op.
-#: Hit/miss/eviction and demand counters batch into locals
-#: (``hits1``/``miss1``/``hits2``/``miss2``/``ev1``/``ev2``/``d_acc``) that
-#: the function's finally block adds to the active lane's and the caches'
+#: Hit/miss/eviction counters batch into locals
+#: (``hits1``/``miss1``/``hits2``/``miss2``/``ev1``/``ev2``; an inline
+#: demand access is one L1 hit or miss, so they count those too) that the
+#: function's finally block adds to the active lane's and the caches'
 #: counters — pure monotonic counters nothing reads mid-kernel; prefetch
 #: outcomes (``pfs``) count eagerly.  An L2 victim leaves its owner's L1
 #: (inclusion), which need not be the active lane's.
 _MEMORY_PATH = f"""\
 block = (addr >> bshift) + boff
 if block == lblk:
-    d_acc += 1
     hits1 += 1
 else:
     way = l1_sets[block & l1_mask]
-    if block in pf_unused and (block not in way or inflight[block] > cycles or (use_call or stream_of) and _sampled_use(lane, bus_on, stream_of, block, cycles, pf_unused[block])):
-        stall = access(addr, cycles)
-        cycles += stall
-        mem_stall += stall
-        lblk = -1
-    elif block in way:
-        if block in pf_unused:
+    if pf_unused and block in pf_unused:
+        if block not in way or inflight[block] > cycles or (use_call or stream_of) and _sampled_use(lane, bus_on, stream_of, block, cycles, pf_unused[block]):
+            stall = access(addr, cycles)
+            cycles += stall
+            mem_stall += stall
+            lblk = -1
+        else:
             del inflight[block]
             del pf_unused[block]
             pfs.useful += 1
-        d_acc += 1
+            hits1 += 1
+            if way[-1] != block:
+                way.remove(block)
+                way.append(block)
+            lblk = block
+    elif block in way:
         hits1 += 1
         if way[-1] != block:
             way.remove(block)
@@ -201,7 +222,6 @@ else:
             mem_stall += stall
             lblk = -1
         else:
-            d_acc += 1
             miss1 += 1
             if block in way2:
                 hits2 += 1
@@ -413,7 +433,7 @@ def _shape(code: list[tuple], num_regs: int) -> tuple[tuple, list]:
 
     The shape is the code with every operand the kernel reads from ``K``
     replaced by the name of its slot, ``"K<n>"``, numbered in code order:
-    pcs, detect handlers, prefetch target tuples, call triples, ALU and
+    pcs, detect handlers, prefetch target tuples, callee names, ALU and
     compare functions that are not operators (an operator becomes its infix
     symbol), and every literal that is not an exact ``int``, or for a
     ``Const`` exceeds 0xFFFF.  So ``True`` and ``1.0``, equal to ``1`` as
@@ -421,10 +441,11 @@ def _shape(code: list[tuple], num_regs: int) -> tuple[tuple, list]:
     one.  What the emitter only tests is kept as the outcome of that test:
     whether a reference is traced, whether it has a detect handler, and how
     many addresses a prefetch names; a CHECK keeps only its opcode.
-    Registers and branch targets are printed, so they must be exact ints,
-    and a register must lie in ``range(num_regs)``, because the kernel
-    keeps only those in locals; anything else raises, which leaves the
-    procedure to the reference loop.
+    Registers (a CALL's destination and arguments among them) and branch
+    targets are printed, so they must be exact ints, and a register must
+    lie in ``range(num_regs)``, because the kernel keeps only those in
+    locals; anything else raises, which leaves the procedure to the
+    reference loop.
     """
     consts: list = []
 
@@ -479,9 +500,12 @@ def _shape(code: list[tuple], num_regs: int) -> tuple[tuple, list]:
         elif op in _BARE:
             append(_BARE[op])
         elif op == OP_CALL:
-            # (op, dst, name, args): the trampoline performs the call
-            regs(*t[3], *(() if t[1] is None else (t[1],)))
-            append((op, K(t[1:])))
+            # (op, dst, name, args): the registers are printed, the name is
+            # resolved at every call
+            _op, dst, name, args = t
+            args = tuple(args)
+            regs(*args, *(() if dst is None else (dst,)))
+            append((op, dst, K(name), args))
         elif op == OP_RET:
             if t[1] is not None:
                 regs(t[1])
@@ -521,7 +545,7 @@ def _emit(shape: tuple, num_regs: int, mode: int, hwkind: str) -> tuple:
             if target <= i:
                 heads.add(target)
         elif op in (OP_CALL, OP_CHECK):
-            # re-entry points after a trampoline crossing
+            # where a call returns to, and re-entry after a trampoline crossing
             _lead(i + 1)
     # Targets outside the body (including == n) are left to the reference
     # loop, which raises the exact IndexError/ExecutionError the program earns.
@@ -789,8 +813,12 @@ def _emit(shape: tuple, num_regs: int, mode: int, hwkind: str) -> tuple:
                 emit_exit(SIG_TRANS, i + 1, conditional=True)
                 em.indent -= 1
             elif op == OP_CALL:
-                em.w(f"ctx.call = {s[1]}")
-                emit_exit(SIG_CALL, i + 1)
+                # (op, dst, K slot of the callee's name, argument registers)
+                uses.add("call")
+                flush_ic()
+                flush_cy()
+                for line in _call_path(*s[1:], i + 1, mode, num_regs, counter_attr):
+                    em.w(line)
                 break
             elif op == OP_RET:
                 if s[1] is not None:
@@ -897,27 +925,26 @@ def _emit(shape: tuple, num_regs: int, mode: int, hwkind: str) -> tuple:
         out.w("mk_size = hwpref.table_size")
         out.w("mk_fanout = hwpref.fanout")
         out.w("mk_shift = ctx.hier.config.block_bytes.bit_length() - 1")
-    out.w("dstate = interp.dfsm_state")
+    if "call" in uses:
+        # The frame a direct call pushes names this procedure version,
+        # which is the state's for as long as this kernel runs.
+        out.w("resolve = ctx.resolve")
+        out.w(f"cmemo = ctx.memo[{mode}]")
+        out.w("pattr = ctx.pattr")
+        out.w("stack = state.stack")
+        out.w("proc = state.proc")
+        out.w("cpair = state.code_pair")
     out.w("regs = state.regs")
     for r in range(num_regs):
         out.w(f"_r{r} = regs[{r}]")
     out.w("ip = state.ip")
-    out.w("cycles = state.cycles")
-    out.w("icount = state.icount")
-    out.w("mem_refs = state.mem_refs")
-    out.w("mem_stall = state.mem_stall")
-    out.w("nchecks = state.nchecks")
-    out.w("traced = state.traced")
-    out.w("trace_chg = state.trace_chg")
-    out.w("detect_cyc = state.detect_cyc")
-    out.w("detects = state.detects")
-    out.w("pf_issued = state.pf_issued")
-    out.w(f"ncnt = state.{counter_attr}")
+    for line in _load_counters(counter_attr):
+        out.w(line)
     # Monotonic hierarchy counters batch into locals; the finally block
     # flushes them on every exit — returns, limit parks, and exceptions
     # (MemoryFault / ZeroDivisionError abort mid-trace, and the reference
     # applies these counters eagerly, so the flush must still happen).
-    for name in ("d_acc", "hits1", "miss1", "hits2", "miss2", "ev1", "ev2"):
+    for name in ("hits1", "miss1", "hits2", "miss2", "ev1", "ev2"):
         out.w(f"{name} = 0")
     out.w("lblk = -1")
     out.w("try:")
@@ -946,13 +973,13 @@ def _emit(shape: tuple, num_regs: int, mode: int, hwkind: str) -> tuple:
     out.indent -= 1
     out.w("finally:")
     out.indent += 1
-    out.w("if d_acc:")
+    out.w("if hits1 or miss1:")
     out.indent += 1
     # Exactly the counters MemoryHierarchy.access updates for an inline hit
     # or miss: the active lane's and the caches' own.  Every L2 eviction,
     # and an L1 eviction when the L1 is shared, is a demand-caused eviction
     # of a shared level.
-    out.w("lane.demand += d_acc")
+    out.w("lane.demand += hits1 + miss1")
     out.w("l1.hits += hits1")
     out.w("l1s.hits += hits1")
     out.w("if miss1:")
@@ -966,12 +993,13 @@ def _emit(shape: tuple, num_regs: int, mode: int, hwkind: str) -> tuple:
         "hier.demand_shared_evictions += ev2 + (ev1 if l1_shared else 0)",
     ):
         out.w(stmt)
-    out.indent -= 4  # out of `if miss1`, `if d_acc`, `finally` and `_fp`
+    out.indent -= 4  # out of both ifs, `finally` and `_fp`
     out.w("return _fp")
 
     source = "\n".join(out.lines) + "\n"
     namespace: dict[str, object] = {
         "MemoryFault": MemoryFault,
+        "lower_procedure": lower_procedure,
         "_MK_RANK": _MK_RANK,
         "_sampled_miss": _sampled_miss,
         "_sampled_use": _sampled_use,
@@ -993,25 +1021,92 @@ def _MK_RANK(kv):
     return -kv[1]
 
 
-def _flush_stmts(num_regs: int, counter_attr: str) -> list[str]:
-    """Statements writing every kernel local back into the parked state."""
-    stmts = [f"regs[{r}] = _r{r}" for r in range(num_regs)]
-    stmts += [
-        "state.ip = ip",
-        "state.cycles = cycles",
-        "state.icount = icount",
-        "state.mem_refs = mem_refs",
-        "state.mem_stall = mem_stall",
-        "state.nchecks = nchecks",
-        "state.traced = traced",
-        "state.trace_chg = trace_chg",
-        "state.detect_cyc = detect_cyc",
-        "state.detects = detects",
-        "state.pf_issued = pf_issued",
+#: The dispatch-loop counters a kernel keeps in locals of the same name.
+#: With ``ncnt`` (the running version's CHECK counter) and ``dstate`` (the
+#: DFSM state) they are what a kernel reads at entry and writes back before
+#: it leaves the procedure.
+_COUNTERS = (
+    "cycles", "icount", "mem_refs", "mem_stall", "nchecks", "traced",
+    "trace_chg", "detect_cyc", "detects", "pf_issued",
+)
+
+
+def _load_counters(counter_attr: str) -> list[str]:
+    """Statements reading the counters from the state into locals."""
+    return [f"{c} = state.{c}" for c in _COUNTERS] + [
+        f"ncnt = state.{counter_attr}",
+        "dstate = interp.dfsm_state",
+    ]
+
+
+def _store_counters(counter_attr: str) -> list[str]:
+    """Statements writing the counter locals back into the state."""
+    return [f"state.{c} = {c}" for c in _COUNTERS] + [
         f"state.{counter_attr} = ncnt",
         "interp.dfsm_state = dstate",
     ]
-    return stmts
+
+
+def _spill_regs(num_regs: int) -> list[str]:
+    """Statements writing the register locals into this frame's ``regs``."""
+    return [f"regs[{r}] = _r{r}" for r in range(num_regs)]
+
+
+def _flush_stmts(num_regs: int, counter_attr: str) -> list[str]:
+    """Statements writing every kernel local back into the parked state."""
+    return [*_spill_regs(num_regs), "state.ip = ip", *_store_counters(counter_attr)]
+
+
+def _call_path(
+    dst, name: str, args: tuple, ret_ip: int, mode: int, num_regs: int, counter_attr: str
+) -> list[str]:
+    """A CALL of the procedure ``name`` resolves to, returning to ``ret_ip``.
+
+    The reference loop's CALL, made in place: with the counters in the
+    state, the caller charges attribution, pushes the reference's frame and
+    points the state at the callee's ip 0.  If the callee has a kernel and
+    the stack is at most :data:`CALL_DEPTH_CAP` frames deep, that kernel
+    runs as a plain call while this kernel keeps its registers in locals;
+    on ``SIG_RET`` the caller charges, pops and reloads what the callee
+    changed, and re-enters its dispatcher at ``ret_ip``.  Otherwise, or on
+    any other signal from the callee (which has flushed everything else),
+    the caller spills its registers into its frame and returns the signal,
+    ``SIG_PARK`` when the callee did not run: the trampoline then runs the
+    callee, on its kernel or the reference loop.
+    """
+    return [
+        *_store_counters(counter_attr),
+        "if pattr is not None:",
+        "    pattr.charge_state(state)",
+        f"callee = resolve({name})",
+        "cregs = [0] * callee.num_regs",
+        *(f"cregs[{k}] = _r{a}" for k, a in enumerate(args)),
+        f"stack.append((proc, cpair, {ret_ip}, regs, {dst}))",
+        "state.proc = callee",
+        "state.code_pair = lower_procedure(callee)",
+        "state.regs = cregs",
+        "state.ip = 0",
+        "centry = cmemo.get(callee)",
+        "if centry is None:",
+        f"    centry = ctx.kernel(callee, {mode})",
+        f"sig = {SIG_PARK}",
+        f"if centry and len(stack) <= {CALL_DEPTH_CAP}:",
+        "    sig = centry.fn(ctx, state, limit)",
+        f"    if sig == {SIG_RET}:",
+        "        if pattr is not None:",
+        "            pattr.charge_state(state)",
+        "        stack.pop()",
+        "        state.proc = proc",
+        "        state.code_pair = cpair",
+        "        state.regs = regs",
+        *(() if dst is None else (f"        _r{dst} = ctx.ret_value",)),
+        *(f"        {line}" for line in _load_counters(counter_attr)),
+        "        lblk = -1",
+        f"        ip = {ret_ip}",
+        "        continue",
+        *_spill_regs(num_regs),
+        "return sig",
+    ]
 
 
 #: proc -> {(mode, hwkind) -> CompiledMode | None}.  Keyed weakly so

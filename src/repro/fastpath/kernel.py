@@ -1,17 +1,21 @@
 """Trampoline driving compiled procedure kernels with reference semantics.
 
-The compiled kernels (:mod:`repro.fastpath.compiler`) only ever execute
-straight-line traces inside one procedure version.  Everything else — calls,
-returns, burst transitions, instruction limits, and any instruction pointer
-the compiled dispatcher does not recognise — crosses back into this
-trampoline, which replays the exact code the reference dispatch loop runs
-for the same event.  An instruction pointer that is not a trace leader (a
-slice can park anywhere) is resynchronised by running the *reference*
-``_dispatch`` for one instruction (``limit = icount + 1``), and the tail of
-a bounded slice — once fewer instructions remain than the longest trace —
-runs in one reference call up to the limit.  Both are bit-identical by
-construction: the slice-composition invariant guarantees that any split of
-a run into slices, on either kernel, equals the run in one piece.
+The compiled kernels (:mod:`repro.fastpath.compiler`) execute straight-line
+traces inside one procedure version, and a CALL whose callee has a kernel
+runs that kernel in place.  Everything else — returns to a caller that left
+through this trampoline, burst transitions, instruction limits, the callee
+of a CALL that has no kernel or would nest past ``CALL_DEPTH_CAP`` (the
+caller has made the call and parks at the callee's first instruction), and
+any instruction pointer the compiled dispatcher does not recognise — crosses
+back into this trampoline, which replays the exact code the reference
+dispatch loop runs for the same event.  An instruction pointer that is not a
+trace leader (a slice can park anywhere) is resynchronised by running the
+*reference* ``_dispatch`` for one instruction (``limit = icount + 1``), and
+the tail of a bounded slice — once fewer instructions remain than the
+longest trace — runs in one reference call up to the limit.  Both are
+bit-identical by construction: the slice-composition invariant guarantees
+that any split of a run into slices, on either kernel, equals the run in
+one piece.
 
 The kernels serve whichever lane of the hierarchy is active when
 :func:`run_fast` is called (a tenancy scheduler activates each tenant
@@ -27,12 +31,10 @@ from types import MethodType
 
 from repro.core.hwpref import MarkovPrefetcher, StridePrefetcher
 from repro.errors import ExecutionError
-from repro.interp.lowering import lower_procedure
 from repro.machine.hierarchy import MemoryHierarchy
 from repro.telemetry.events import BurstBegin, BurstEnd
 
 from repro.fastpath.compiler import (
-    SIG_CALL,
     SIG_PARK,
     SIG_RET,
     SIG_TRANS,
@@ -82,6 +84,10 @@ class FastCtx:
     the method would have left them.  Nothing here is part of the
     architectural state: a checkpoint restore builds a fresh context (and
     recompiles procedures) transparently.
+
+    ``memo`` holds one dict per version (checking, instrumented) from
+    procedure to kernel, shared by the trampoline and every compiled CALL
+    site; :meth:`kernel` fills it.
     """
 
     __slots__ = (
@@ -90,7 +96,8 @@ class FastCtx:
         "lane", "l1", "l1s", "l1_sets", "lane_sets", "l1_mask", "l1_assoc",
         "l1_shared", "l2", "l2s", "l2_sets", "l2_mask", "l2_assoc", "l2_lat",
         "mem_lat", "inflight", "pf_unused", "stream_of", "pfs", "bshift",
-        "boff", "bus_on", "use_call", "call", "ret_value",
+        "boff", "bus_on", "use_call", "hwkind", "memo", "resolve", "pattr",
+        "ret_value",
     )
 
     def __init__(self, interp) -> None:
@@ -138,8 +145,31 @@ class FastCtx:
         # A prefetch outcome also reaches the lane's sampled events and
         # ledger hooks, so with either on it takes the observation steps.
         self.use_call = self.bus_on or lane.ledger is not None
-        self.call = None
+        self.hwkind = prefetcher_kind(interp.hw_prefetcher)
+        # Keyed by the procedure object (which hashes by identity), so the
+        # memo keeps every procedure it has seen alive until run_fast
+        # returns, copies the dynamic editor has patched out included.  An
+        # id() key would not: a new copy could reuse a freed copy's address
+        # and run the freed copy's compiled code.
+        self.memo = ({}, {})
+        # A patch changes only what later calls resolve to, so every call
+        # resolves its callee's name, and the memo needs no invalidation.
+        self.resolve = interp.program.resolve
+        # Per-procedure attribution: a kernel flushes its counters into the
+        # state before each procedure boundary, so charging the state there
+        # is exact — the reference loop's charge points (CALL before the
+        # switch, RET before the pop, park/finish).
+        self.pattr = interp.proc_attr
         self.ret_value = 0
+
+    def kernel(self, proc, mode: int):
+        """``proc``'s kernel in version ``mode``, or False if it has none.
+
+        Compiled once per run through this module's ``compiled_entry``, so
+        anything wrapped around that name sees every compile."""
+        entry = compiled_entry(proc, mode, self.hwkind) or False
+        self.memo[mode][proc] = entry
+        return entry
 
 
 def prefetcher_kind(hwpref) -> str:
@@ -224,21 +254,10 @@ def run_fast(interp, state, limit: int, raise_on_limit: bool):
     if not mirror_eligible(interp.hierarchy):
         return interp._dispatch(state, limit, raise_on_limit)
     ctx = FastCtx(interp)
-    program = interp.program
-    hwkind = prefetcher_kind(interp.hw_prefetcher)
-    # Per-procedure attribution: compiled kernels flush every counter back
-    # into `state` before returning a signal, so charging the parked state at
-    # each procedure boundary is exact — the same charge points the reference
-    # loop uses (CALL before the switch, RET before the pop, park/finish).
-    pattr = interp.proc_attr
-    # Per-run memo over the weak-keyed compile cache: the trampoline is
-    # crossed on every call/return, and the WeakKeyDictionary lookup is
-    # measurable at that frequency.  It is keyed by the procedure object
-    # (which hashes by identity), so it keeps every procedure it has seen
-    # alive until this call returns — including copies the dynamic editor
-    # has already patched out.  An id() key would not: a new copy could
-    # reuse a freed copy's address and run the freed copy's compiled code.
-    memo: dict = {}
+    pattr = ctx.pattr
+    # Per-run memo over the weak-keyed compile cache, whose lookup is
+    # measurable at the rate procedures are entered.
+    memo = ctx.memo
 
     while True:
         if state.icount >= limit:
@@ -249,14 +268,10 @@ def run_fast(interp, state, limit: int, raise_on_limit: bool):
             if pattr is not None:
                 pattr.charge_state(state)
             return None
-        mkey = (state.proc, state.mode)
-        entry = memo.get(mkey)
+        entry = memo[state.mode].get(state.proc)
         if entry is None:
-            entry = compiled_entry(state.proc, state.mode, hwkind)
-            memo[mkey] = entry if entry is not None else False
-        elif entry is False:
-            entry = None
-        if entry is None or state.ip not in entry.leaders:
+            entry = ctx.kernel(state.proc, state.mode)
+        if not entry or state.ip not in entry.leaders:
             # Reference single-step: resynchronise onto a trace leader.
             stats = interp._dispatch(state, state.icount + 1, False)
             if stats is not None:
@@ -272,21 +287,7 @@ def run_fast(interp, state, limit: int, raise_on_limit: bool):
         sig = entry.fn(ctx, state, limit)
         if sig == SIG_PARK:
             continue
-        if sig == SIG_CALL:
-            if pattr is not None:
-                pattr.charge_state(state)
-            dst, name, arg_regs = ctx.call
-            callee = program.resolve(name)
-            new_regs = [0] * callee.num_regs
-            regs = state.regs
-            for k, a in enumerate(arg_regs):
-                new_regs[k] = regs[a]
-            state.stack.append((state.proc, state.code_pair, state.ip, regs, dst))
-            state.proc = callee
-            state.code_pair = lower_procedure(callee)
-            state.regs = new_regs
-            state.ip = 0
-        elif sig == SIG_RET:
+        if sig == SIG_RET:
             if pattr is not None:
                 pattr.charge_state(state)
             value = ctx.ret_value

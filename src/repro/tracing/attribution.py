@@ -226,8 +226,7 @@ class ProcAttribution:
                 analysis=charged,
             )
             built.append((name, CycleAttribution(total=sum(categories.values()), **categories)))
-        built.sort(key=lambda kv: (-kv[1].total, kv[0]))
-        return cls(rows=tuple(built))
+        return cls(rows=tuple(sorted(built, key=_by_cycles)))
 
     def totals(self) -> dict[str, int]:
         """Column sums over every procedure, keyed by category (plus total)."""
@@ -248,9 +247,15 @@ class ProcAttribution:
     @classmethod
     def from_dict(cls, data: dict) -> "ProcAttribution":
         """Inverse of :meth:`to_dict`; reads ``explain --from`` documents
-        leniently, a missing category as 0."""
-        return cls(
-            rows=tuple(
-                (name, CycleAttribution.from_dict(doc)) for name, doc in data.items()
-            )
-        )
+        leniently, a missing category as 0.  Rows come back in
+        :meth:`from_recorder`'s order whatever order they were stored in
+        (a run summary is stored key-sorted)."""
+        rows = ((name, CycleAttribution.from_dict(doc)) for name, doc in data.items())
+        return cls(rows=tuple(sorted(rows, key=_by_cycles)))
+
+
+def _by_cycles(row: tuple[str, CycleAttribution]) -> tuple[int, str]:
+    """Row order of a :class:`ProcAttribution`: most cycles first, then by
+    procedure name."""
+    name, att = row
+    return -att.total, name

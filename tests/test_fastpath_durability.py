@@ -18,6 +18,7 @@ from repro.durability.runner import run_spec_durable
 from repro.durability.supervisor import execute_plan_supervised
 from repro.engine.levels import execute_workload, prepare_workload
 from repro.engine.spec import RunPlan, RunSpec
+from repro.workloads import build_named
 from repro.workloads.chainmix import build_chainmix
 
 #: vortex/dyn is long enough to cross several 60k-instruction checkpoints.
@@ -85,6 +86,24 @@ class TestCheckpointBytes:
             header_line, _, payload = path.read_bytes().partition(b"\n")
             header = json.loads(header_line)
             digests[fast] = (header["icount"], header["sha256"], payload)
+        assert digests[True] == digests[False]
+
+    def test_park_under_nested_calls_same_payload(self, tmp_path):
+        """A park two frames deep: the frames the compiled kernel pushed for
+        its direct calls, with the registers each caller spilled on the way
+        out, pickle exactly like the reference loop's."""
+        digests = {}
+        for fast in (False, True):
+            prepared = prepare_workload(build_named("vpr", passes=1), "dyn")
+            prepared.interp.start(prepared.args)
+            assert prepared.interp.run_slice(50_000, fast=fast) is None
+            assert len(prepared.interp.exec_state.stack) >= 2
+            path = tmp_path / f"park-{fast}.ckpt"
+            save_checkpoint(
+                path, prepared.interp, prepared.summary,
+                workload="vpr", level="dyn", fingerprint="f" * 64,
+            )
+            digests[fast] = path.read_bytes()
         assert digests[True] == digests[False]
 
 

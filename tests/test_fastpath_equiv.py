@@ -21,17 +21,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hwpref import MarkovPrefetcher, StridePrefetcher
-from repro.engine.levels import execute_workload, level_names, prepare_workload
+from repro.engine.levels import (
+    execute_workload,
+    finish_workload,
+    level_names,
+    prepare_workload,
+)
 from repro.engine.spec import RunSpec
 from repro.errors import MemoryFault
 from repro.fastpath import compiler, kernel
 from repro.fastpath.compiler import clear_cache, compiled_entry
 from repro.interp import lowering
 from repro.interp.interpreter import Interpreter
+from repro.ir.builder import ProcedureBuilder, build_program
 from repro.ir.instructions import (
     Alu,
     AluImm,
     Bnz,
+    Call,
     Check,
     Cmp,
     Const,
@@ -409,6 +416,178 @@ class TestCompiledCodeMemo:
                     assert compiled_entry(proc, mode, hwkind) is not None, (level, proc.name, mode)
 
 
+def _signal_spy(monkeypatch) -> tuple[Counter, list]:
+    """Spy on the compiled kernels of the runs that follow: count the
+    signals every kernel returns, and list ``(len(state.stack), state.ip)``
+    at each entry from the trampoline (not from a calling kernel), each of
+    which returns one signal to the trampoline.  Each kernel
+    ``compiled_entry`` hands a run is wrapped in a fresh ``CompiledMode``;
+    the cached one is left alone."""
+    returned: Counter = Counter()
+    entered: list = []
+    nesting = [0]
+    real_entry = kernel.compiled_entry
+
+    def entry(proc, mode, hwkind):
+        compiled = real_entry(proc, mode, hwkind)
+        if compiled is None:
+            return None
+        fn = compiled.fn
+
+        def spy(ctx, state, limit):
+            if not nesting[0]:
+                entered.append((len(state.stack), state.ip))
+            nesting[0] += 1
+            try:
+                sig = fn(ctx, state, limit)
+            finally:
+                nesting[0] -= 1
+            returned[sig] += 1
+            return sig
+
+        return compiler.CompiledMode(spy, compiled.leaders, compiled.max_trace)
+
+    monkeypatch.setattr(kernel, "compiled_entry", entry)
+    return returned, entered
+
+
+def _ring(memory, nodes):
+    """Lay out a ring of ``nodes`` words 32 bytes apart in ``memory``, each
+    pointing at the next, with the node's index in the word after it; its
+    first node's address."""
+    base = memory.allocate(nodes * 32)
+    for i in range(nodes):
+        memory.store(base + i * 32, base + (i + 1) % nodes * 32)
+        memory.store(base + i * 32 + 4, i)
+    return base
+
+
+def _on_both_kernels(program, args_in):
+    """Run ``program`` under each kernel, on fresh memory that
+    ``args_in(memory)`` fills and returns the entry's arguments for; assert
+    the runs' stats and hierarchy snapshots are equal and return the stats."""
+    runs = {}
+    for fast in (False, True):
+        memory = Memory()
+        interp = Interpreter(program, memory, MACHINE)
+        stats = interp.run(args_in(memory), fast=fast)
+        runs[fast] = (stats.to_dict(), hierarchy_snapshot(interp.hierarchy))
+    assert runs[True] == runs[False]
+    return stats
+
+
+def _caller_loop(callee):
+    """``main(head, iters)``: each trip calls ``callee(node)``, adds what it
+    returns and steps ``node`` along the ring."""
+    b = ProcedureBuilder("main", params=("head", "iters"))
+    total, node, i, value = b.reg("total"), b.reg("node"), b.reg("i"), b.reg("value")
+    b.const(total, 0)
+    b.mov(node, b.param("head"))
+    b.mov(i, b.param("iters"))
+    b.label("loop")
+    b.call(value, callee, (node,))
+    b.add(total, total, value)
+    b.load(node, node, 0)
+    b.alui("sub", i, i, 1)
+    b.bnz(i, "loop")
+    b.ret(total)
+    return b.build()
+
+
+def _recursion():
+    """``sum(p, n)``: the index words of ``n + 1`` ring nodes from ``p``
+    on, one recursive call per node."""
+    b = ProcedureBuilder("sum", params=("p", "n"))
+    p, n = b.param("p"), b.param("n")
+    value, rest = b.reg("value"), b.reg("rest")
+    b.load(value, p, 4)
+    b.bz(n, "done")
+    b.alui("sub", n, n, 1)
+    b.alui("add", p, p, 32)
+    b.call(rest, "sum", (p, n))
+    b.add(value, value, rest)
+    b.label("done")
+    b.ret(value)
+    return b.build()
+
+
+class TestDirectCalls:
+    """A compiled CALL runs its callee's kernel in place and keeps its own
+    registers in locals (DESIGN.md §5h); the trampoline runs the callee
+    when it has no kernel and past ``CALL_DEPTH_CAP``."""
+
+    @pytest.mark.parametrize(
+        "workload, level", (("vpr", "base"), ("vpr", "dyn"), ("phaseshift", "dyn"))
+    )
+    def test_no_call_leaves_its_callee_to_the_trampoline(self, workload, level, monkeypatch):
+        returned, entered = _signal_spy(monkeypatch)
+        execute_workload(build_named(workload, passes=1), level, fast=True)
+        # the trampoline entered no callee at its first instruction
+        assert [e for e in entered if e[0] and e[1] == 0] == []
+        # so callees returned to the kernels that called them
+        assert returned[compiler.SIG_RET] > len(entered), (returned, len(entered))
+
+    def test_recursion_past_the_depth_cap(self, monkeypatch):
+        """Every call that makes the stack deeper than ``CALL_DEPTH_CAP``
+        parks, and the trampoline runs its callee; the run stays exact."""
+        depth = 300
+        _returned, entered = _signal_spy(monkeypatch)
+        main = ProcedureBuilder("main", params=("p", "n"))
+        main.ret(main.call(main.reg("total"), "sum", (main.param("p"), main.param("n"))))
+        program = build_program([main.build(), _recursion()], "main")
+        stats = _on_both_kernels(program, lambda memory: (_ring(memory, depth + 1), depth))
+        assert stats.return_value == sum(range(depth + 1))
+        # main's call and every node's but the last's push the stack to 1..depth + 1
+        callees = [frames for frames, ip in entered if frames and ip == 0]
+        assert callees == list(range(compiler.CALL_DEPTH_CAP + 1, depth + 2))
+
+    def test_callee_without_a_kernel(self, monkeypatch):
+        """The shape pass refuses register ``True`` (register 1 to the
+        reference loop), so each call parks its caller and the callee runs
+        on the reference loop."""
+        leaf = Procedure("leaf", 1, 2, [AluImm("add", True, 0, 5), Ret(1)], {})
+        assert compiled_entry(leaf, 0, "") is None
+        returned, entered = _signal_spy(monkeypatch)
+        program = Program([_caller_loop("leaf"), leaf], "main")
+        _on_both_kernels(program, lambda memory: (_ring(memory, 8), 40))
+        assert returned == Counter({compiler.SIG_PARK: 40, compiler.SIG_RET: 1})
+        # main's start and its return from each call
+        assert len(entered) == 41
+
+    def test_callee_evicts_the_callers_last_block(self):
+        """The caller's memo of its last block does not outlive a call: the
+        callee fills the block's L1 set twice over, so the caller's next
+        access to the block misses."""
+        evict = ProcedureBuilder("evict", params=("p",))
+        evict.load(None, evict.param("p"), 256)
+        evict.load(None, evict.param("p"), 512)
+        evict.ret()
+        main = ProcedureBuilder("main", params=("p",))
+        first, again = main.reg("first"), main.reg("again")
+        main.load(first, main.param("p"), 0)
+        main.call(None, "evict", (main.param("p"),))
+        main.load(again, main.param("p"), 0)
+        main.ret(main.add(first, first, again))
+        program = build_program([main.build(), evict.build()], "main")
+        _on_both_kernels(program, lambda memory: (memory.allocate(1024),))
+
+    @pytest.fixture(scope="class")
+    def vpr_dyn(self):
+        """vpr/dyn in one piece on the reference loop."""
+        return result_snapshot(execute_workload(build_named("vpr", passes=1), "dyn", fast=False))
+
+    @pytest.mark.parametrize("budget", (1, 7, 97, 2048))
+    def test_slices_equal_the_run_in_one_piece(self, vpr_dyn, budget):
+        """Slice limits park kernels inside nested direct calls; the
+        trampoline resumes each frame where the reference would."""
+        prepared = prepare_workload(build_named("vpr", passes=1), "dyn")
+        prepared.interp.start(prepared.args)
+        stats = None
+        while stats is None:
+            stats = prepared.interp.run_slice(budget)
+        assert result_snapshot(finish_workload(prepared, stats)) == vpr_dyn
+
+
 class _Handler:
     """A detect handler that prefetches the next block at every step."""
 
@@ -448,8 +627,12 @@ def _walk(load):
     ]
 
 
+#: ``leaf(addr)``: the word at ``addr``; the callee of the CALL pairs.
+LEAF = Procedure("leaf", 1, 2, [Load(1, 0, 0, Pc("leaf", 0)), Ret(1)], {})
+
+
 class _Variant:
-    """A one-procedure program ``p(base)`` and how to run it.
+    """A program ``p(base)``, which may call ``LEAF``, and how to run it.
 
     ``base`` points into the middle of a buffer whose words hold 1000 plus
     their offset from ``base``.  ``lower`` maps ALU and compare kinds to
@@ -478,7 +661,7 @@ class _Variant:
         base = memory.allocate(1024) + 512
         for off in range(-512, 512, 4):
             memory.store(base + off, 1000 + off)
-        interp = Interpreter(Program([proc], "p"), memory, MACHINE)
+        interp = Interpreter(Program([proc, LEAF], "p"), memory, MACHINE)
         if self.bursts:
             interp.n_check0, interp.n_instr0 = 2, 1
         if self.hwpref is not None:
@@ -554,6 +737,14 @@ SHAPE_PAIRS = {
     "cmp-operator": (
         _Variant([Cmp("eq", 1, 0, 0), Ret(1)]),
         _Variant([Cmp("eq", 1, 0, 0), Ret(1)], lower={operator.eq: _never}),
+    ),
+    "call-dst": (
+        _Variant([Call(1, "leaf", (0,)), Ret(1)]),
+        _Variant([Call(2, "leaf", (0,)), Ret(1)]),
+    ),
+    "call-args": (
+        _Variant([AluImm("add", 1, 0, 8), Call(2, "leaf", (0,)), Ret(2)]),
+        _Variant([AluImm("add", 1, 0, 8), Call(2, "leaf", (1,)), Ret(2)]),
     ),
     "register": (
         _Variant([AluImm("add", 1, 0, 5), Ret(1)]),

@@ -137,6 +137,23 @@ class TestExplain:
         assert "per-procedure attribution" in out  # logged runs record by-proc
         assert "offline explanation" in out
 
+    def test_explain_from_lists_procedures_in_live_order(self, tmp_path, capsys):
+        """The log stores a run summary key-sorted; the offline table still
+        lists procedures most cycles first, exactly as the live one does."""
+        def proc_table(out):
+            return out[out.index("per-procedure attribution"):].split("\n\n")[0]
+
+        assert cli_main(["explain", *_FAST, "--by-proc"]) == 0
+        live = proc_table(capsys.readouterr().out)
+        chunks = tmp_path / "chunks"
+        assert cli_main([
+            "trace", *_FAST, "--by-proc", "--out", str(tmp_path / "t.json"),
+            "--telemetry", str(chunks),
+        ]) == 0
+        capsys.readouterr()
+        assert cli_main(["explain", "--from", str(chunks)]) == 0
+        assert proc_table(capsys.readouterr().out) == live
+
     def test_explain_from_monolithic_trace(self, tmp_path, capsys):
         live = tmp_path / "t.json"
         assert cli_main(["trace", *_FAST, "--out", str(live)]) == 0
